@@ -168,6 +168,7 @@ def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[in
                 return False
             continue
         # intersection of the single-generator kernels, multidegree-wise
+        position = {m: k for k, m in enumerate(columns)}
         intersection_rows: List[List[int]] = []
         mons_by_delta: Dict[Tuple[int, ...], List[BasisMonomial]] = {}
         for m in columns:
@@ -182,11 +183,10 @@ def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[in
                 if not current:
                     break
             if current:
-                index = {m: columns.index(m) for m in mons}
                 for row in current:
                     full = [0] * len(columns)
                     for m, v in zip(mons, row):
-                        full[index[m]] = v
+                        full[position[m]] = v
                     intersection_rows.append(full)
         direct_rows = _densify(direct[k], columns)
         if not linalg.same_rowspan(direct_rows, intersection_rows):

@@ -123,8 +123,10 @@ def _cmd_dim(args, report: Report) -> None:
 
 
 def _cmd_certify(args, report: Report) -> None:
-    graph, order = _graph_and_order(args)
     bound = args.max_degree
+    if bound < 2:
+        raise AlgebraError("max degree must be at least 2")
+    graph, order = _graph_and_order(args)
     failures = 0
     for degree in range(2, bound + 1):
         for delta in multidegrees(graph.n, degree):

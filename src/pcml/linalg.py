@@ -1,20 +1,45 @@
-"""Small dense exact linear algebra over the rationals.
+"""Small dense exact linear algebra over the integers.
 
-Everything works on lists of rows; entries may be ints or Fractions and
-are coerced on first touch.  Sizes here are desk scale (a few hundred
-rows at most), so plain Gaussian elimination is enough.
+Everything works on lists of rows of ints; no rational arithmetic is
+done anywhere.  Elimination is fraction-free: a row is reduced by an
+integer combination with the pivot row and then divided by the gcd of
+its entries, so entries stay small.  Every echelon row is kept
+primitive (its entries have gcd 1) with a positive pivot, which makes
+the reduced echelon form of a row space canonical.  Sizes here are
+desk scale (a few hundred rows at most), so plain Gauss-Jordan
+elimination is enough.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def _primitive(row: List[int]) -> List[int]:
+    """row divided by the gcd of its entries; a zero row is returned as is."""
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
+def _eliminate(row: Sequence[int], prow: Sequence[int], c: int) -> List[int]:
+    """The combination a*row - b*prow with coprime a, b that is 0 in
+    column c; a has the sign of prow[c], which must be nonzero."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    return [a * x - b * y for x, y in zip(row, prow)]
+
+
+def rref(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Canonical integer reduced row echelon form.
+
+    Returns (nonzero rows, pivot columns).  Each row is primitive with a
+    positive entry at its pivot column and 0 at every other row's pivot
+    column, so two inputs span the same space exactly when the returned
+    rows are equal.
+    """
+    mat = [list(row) for row in rows if any(row)]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -24,13 +49,14 @@ def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
         pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = _primitive(mat[pivot])
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        mat[pivot] = mat[r]
+        mat[r] = prow
+        for i, row in enumerate(mat):
+            if row[c] and i != r:
+                mat[i] = _primitive(_eliminate(row, prow, c))
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -38,74 +64,62 @@ def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
     return mat[:r], pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
+def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(rref(rows)[0])
 
 
-def in_rowspan(rref_rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], vector: Sequence) -> bool:
-    """Membership test against a precomputed RREF."""
-    v = [Fraction(x) for x in vector]
+def in_rowspan(rref_rows: Sequence[Sequence[int]], pivots: Sequence[int], vector: Sequence[int]) -> bool:
+    """Membership test against a precomputed reduced echelon form."""
+    v = list(vector)
     for row, c in zip(rref_rows, pivots):
         if v[c]:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
+            v = _primitive(_eliminate(v, row, c))
     return not any(v)
 
 
-def kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[Tuple[int, ...]]:
+def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...]]:
     """Integer-cleared basis of {x : A x = 0} for A given by rows."""
     red, pivots = rref(rows)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[fc]
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        used = [(row, pc) for row, pc in zip(red, pivots) if row[fc]]
+        scale = lcm(*(row[pc] for row, pc in used))
+        vec = [0] * ncols
+        vec[fc] = scale
+        for row, pc in used:
+            vec[pc] = -row[fc] * (scale // row[pc])
         basis.append(integer_clear(vec))
     return basis
 
 
-def integer_clear(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Scale a rational vector to coprime integers, first nonzero > 0."""
-    fracs = [Fraction(x) for x in vec]
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+def integer_clear(vec: Sequence[int]) -> Tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries and make its
+    first nonzero entry positive; the zero vector is returned as is."""
+    g = gcd(*vec)
+    if g == 0:
+        return tuple(vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
 
-def same_rowspan(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence]) -> bool:
+def same_rowspan(rows_a: Sequence[Sequence[int]], rows_b: Sequence[Sequence[int]]) -> bool:
     return rref(rows_a)[0] == rref(rows_b)[0]
 
 
-def intersect_rowspans(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence]) -> List[Tuple[int, ...]]:
-    """Basis of span(rows_a) & span(rows_b), integer-cleared."""
-    a, _ = rref(rows_a)
-    b, _ = rref(rows_b)
-    if not a or not b:
+def intersect_rowspans(rows_a: Sequence[Sequence[int]], rows_b: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """Basis of span(rows_a) & span(rows_b), in canonical reduced form.
+
+    Zassenhaus: in the echelon form of the rows (a | a) and (b | 0), the
+    rows whose left half is zero carry a basis of the intersection in
+    their right half, already reduced and primitive.
+    """
+    if not rows_a or not rows_b:
         return []
-    ncols = len(a[0])
-    # (u, v) with u*A = v*B: kernel of the stacked transpose.
-    stacked = [
-        [a[i][c] for i in range(len(a))] + [-b[j][c] for j in range(len(b))]
-        for c in range(ncols)
-    ]
-    out = []
-    for vec in kernel_basis(stacked, len(a) + len(b)):
-        u = vec[: len(a)]
-        combo = [sum(Fraction(u[i]) * a[i][c] for i in range(len(a))) for c in range(ncols)]
-        if any(combo):
-            out.append(integer_clear(combo))
-    reduced, _ = rref(out)
-    return [integer_clear(r) for r in reduced]
+    n = len(rows_a[0])
+    zero = [0] * n
+    red, pivots = rref([list(a) + list(a) for a in rows_a] + [list(b) + zero for b in rows_b])
+    return [tuple(row[n:]) for row, c in zip(red, pivots) if c >= n]

@@ -6,7 +6,7 @@ metabelian algebra on n generators, where the classical straightening
 a standard monomial basis of each multidegree.  The relation ideal of a
 graph is spanned, degree by degree, by every edge bracket acted on by
 the one completing associative monomial, so dimensions and membership
-questions reduce to exact rational rank computations.
+questions reduce to exact integer rank computations.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _word_mdeg(n: int, letters: Sequence[int]) -> Multidegree:
 
 @lru_cache(maxsize=None)
 def _ideal_slice(graph: Graph, delta: Multidegree):
-    """RREF of the relation ideal at one multidegree.
+    """Canonical integer RREF of the relation ideal at one multidegree.
 
     Spanning rows are the expansions of [x_i,x_j].w for every edge
     {i,j} and the single associative monomial w completing delta; that
@@ -115,7 +115,7 @@ def _ideal_slice(graph: Graph, delta: Multidegree):
             row[index[m]] = c
         rows.append(row)
     red, pivots = linalg.rref(rows)
-    return basis, index, red, pivots
+    return basis, index, [tuple(row) for row in red], pivots
 
 
 def graded_dimension(graph: Graph, delta: Multidegree) -> int:

@@ -170,6 +170,14 @@ def test_usage_errors(capsys):
     assert status == 2
 
 
+def test_certify_rejects_max_degree_below_two(capsys):
+    for bound in ("-3", "0", "1"):
+        status, lines = invoke(capsys, "certify", "--graph", "cycle:4", "--max-degree", bound)
+        assert status == 2
+        assert any(line.startswith("ERROR=") for line in lines)
+        assert not any(line.startswith("FAILURES=") for line in lines)
+
+
 def test_reports_are_deterministic(capsys, tmp_path):
     argv = ["centralizer", "--graph", "cycle:5", "--element", "x0 + x2", "--degree", "4"]
     _, first = invoke(capsys, *argv)
