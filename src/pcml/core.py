@@ -67,7 +67,7 @@ class GeneratorOrder:
         return cls(range(n))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GeneratorOrder) and self.perm == other.perm
+        return self is other or (isinstance(other, GeneratorOrder) and self.perm == other.perm)
 
     def __hash__(self) -> int:
         return self._hash

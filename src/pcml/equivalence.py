@@ -7,7 +7,11 @@ nonvanishing brackets, and triple brackets [[z_i,z_{i+2}],z_j] do not
 vanish unless j sits directly between i and i+2.  On a cycle of the
 same length the generators witness it; on a shorter cycle the search
 over generator assignments exhausts without a witness, which is the
-computational half of the cycle separation theorem.
+computational half of the cycle separation theorem.  The search is
+prefix-pruned: it reads generator brackets from a table the engine
+fills once, checks each atom as soon as its variables are assigned and
+skips the subtree of a failing prefix, while its ``checked`` count
+still includes every pruned sequence exactly.
 
 The merge homomorphism phi_lambda sends x_{n-1} to lambda*x_{n-2} when
 those two vertices have equal closed neighborhoods, fixing all other
@@ -20,6 +24,7 @@ neighborhood-equivalent vertex preserves the universal theory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -63,17 +68,60 @@ class ThetaResult(NamedTuple):
     failing_atom: Optional[Atom]
 
 
-def theta_atoms(m: int) -> Iterator[Atom]:
-    for i in range(m):
-        yield Atom("adjacent-zero", i, (i + 1) % m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if circ_dist(m, i, j) > 1:
-                yield Atom("distant-nonzero", i, j)
-    for i in range(m):
-        for j in range(m):
-            if circ_dist(m, i, j) * circ_dist(m, (i + 2) % m, j) != 1:
-                yield Atom("triple-nonzero", i, j)
+@lru_cache(maxsize=None)
+def theta_atoms(m: int) -> Tuple[Atom, ...]:
+    """The atoms of Theta(m) in evaluation order, built once per m."""
+    adjacent = [Atom("adjacent-zero", i, (i + 1) % m) for i in range(m)]
+    distant = [
+        Atom("distant-nonzero", i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if circ_dist(m, i, j) > 1
+    ]
+    triple = [
+        Atom("triple-nonzero", i, j)
+        for i in range(m)
+        for j in range(m)
+        if circ_dist(m, i, j) * circ_dist(m, (i + 2) % m, j) != 1
+    ]
+    return tuple(adjacent + distant + triple)
+
+
+def _atom_positions(atom: Atom, m: int) -> Tuple[int, ...]:
+    """The variables an atom reads."""
+    if atom.family == "triple-nonzero":
+        return (atom.i, (atom.i + 2) % m, atom.j)
+    return (atom.i, atom.j)
+
+
+class _BracketTable:
+    """Brackets [e_a, e_b] and zero tests of [[e_a, e_c], e_b] over a
+    fixed list of elements, each computed by the engine on first use."""
+
+    def __init__(self, elements: Sequence[LieElement]):
+        self.elements = elements
+        self.pairs: Dict[Tuple[int, int], LieElement] = {}
+        self.triples: Dict[Tuple[int, int, int], bool] = {}
+
+    def pair(self, a: int, b: int) -> LieElement:
+        out = self.pairs.get((a, b))
+        if out is None:
+            out = self.pairs[a, b] = bracket(self.elements[a], self.elements[b])
+        return out
+
+    def triple_is_zero(self, a: int, c: int, b: int) -> bool:
+        out = self.triples.get((a, c, b))
+        if out is None:
+            out = self.triples[a, c, b] = bracket(self.pair(a, c), self.elements[b]).is_zero()
+        return out
+
+
+def _atom_holds(atom: Atom, m: int, table: _BracketTable, index: Sequence[int]) -> bool:
+    """Evaluate one atom under z_k = table.elements[index[k]]."""
+    if atom.family == "triple-nonzero":
+        return not table.triple_is_zero(index[atom.i], index[(atom.i + 2) % m], index[atom.j])
+    vanishes = table.pair(index[atom.i], index[atom.j]).is_zero()
+    return vanishes == (atom.family == "adjacent-zero")
 
 
 def eval_theta(inst: ThetaInstance, assignment: Sequence[LieElement]) -> ThetaResult:
@@ -83,17 +131,11 @@ def eval_theta(inst: ThetaInstance, assignment: Sequence[LieElement]) -> ThetaRe
     for z in assignment:
         if z.graph != inst.graph or z.order != inst.order:
             raise AlgebraError("assignment element over the wrong algebra")
-    z = list(assignment)
     m = inst.m
+    table = _BracketTable(list(assignment))
+    positions = range(m)
     for atom in theta_atoms(m):
-        if atom.family == "adjacent-zero":
-            ok = bracket(z[atom.i], z[atom.j]).is_zero()
-        elif atom.family == "distant-nonzero":
-            ok = not bracket(z[atom.i], z[atom.j]).is_zero()
-        else:
-            inner = bracket(z[atom.i], z[(atom.i + 2) % m])
-            ok = not bracket(inner, z[atom.j]).is_zero()
-        if not ok:
+        if not _atom_holds(atom, m, table, positions):
             return ThetaResult(False, atom)
     return ThetaResult(True, None)
 
@@ -122,6 +164,11 @@ class WitnessSearchReport(NamedTuple):
     no_repeat_sequences: Tuple[Tuple[int, ...], ...] = ()
 
 
+def _steps(n: int, v: int) -> List[int]:
+    """The images allowed next to v: cyclic distance <= 1, ascending."""
+    return sorted({(v - 1) % n, v, (v + 1) % n})
+
+
 def _constrained_sequences(n: int, m: int) -> Iterator[Tuple[int, ...]]:
     """All maps Z_m -> Z_n whose consecutive images (cyclically) are at
     cyclic distance <= 1.  Any other map violates an adjacent-zero atom
@@ -133,8 +180,7 @@ def _constrained_sequences(n: int, m: int) -> Iterator[Tuple[int, ...]]:
             if circ_dist(n, seq[m - 1], seq[0]) <= 1:
                 yield tuple(seq)
             return
-        prev = seq[pos - 1]
-        for step in sorted({(prev - 1) % n, prev, (prev + 1) % n}):
+        for step in _steps(n, seq[pos - 1]):
             seq[pos] = step
             yield from extend(pos + 1)
 
@@ -143,16 +189,77 @@ def _constrained_sequences(n: int, m: int) -> Iterator[Tuple[int, ...]]:
         yield from extend(1)
 
 
+def _completion_counts(n: int, m: int) -> List[List[List[int]]]:
+    """``counts[r][v][s]``: the number of ways to fill the last r
+    positions of a constrained sequence that starts at s and has v just
+    before them (a transfer-matrix count: counts[r] = A^(r+1) for the
+    circulant A with ones on and next to the diagonal)."""
+    counts = [[[int(circ_dist(n, v, s) <= 1) for s in range(n)] for v in range(n)]]
+    for _ in range(1, m):
+        prev = counts[-1]
+        counts.append([
+            [sum(prev[w][s] for w in _steps(n, v)) for s in range(n)]
+            for v in range(n)
+        ])
+    return counts
+
+
+def _search_generator_assignments(n: int, m: int) -> Tuple[Optional[Tuple[int, ...]], int]:
+    """Depth-first search of the constrained sequences in the order of
+    `_constrained_sequences`, checking each atom as soon as the last
+    variable it reads is assigned.  A failing prefix is skipped whole
+    and all its constrained completions are added to the count; a
+    prefix with no constrained completion is not entered."""
+    graph = cycle_graph(n)
+    order = GeneratorOrder.ascending(n)
+    table = _BracketTable([LieElement.generator(graph, order, i) for i in range(n)])
+    checks: List[List[Atom]] = [[] for _ in range(m)]
+    for atom in theta_atoms(m):
+        checks[max(_atom_positions(atom, m))].append(atom)
+    completions = _completion_counts(n, m)
+    seq = [0] * m
+    checked = 0
+
+    def extend(pos: int) -> bool:
+        nonlocal checked
+        for step in _steps(n, seq[pos - 1]):
+            count = completions[m - 1 - pos][step][seq[0]]
+            if not count:
+                continue
+            seq[pos] = step
+            if not all(_atom_holds(atom, m, table, seq) for atom in checks[pos]):
+                checked += count
+            elif pos == m - 1:
+                checked += 1
+                return True
+            elif extend(pos + 1):
+                return True
+        return False
+
+    # every atom reads two distinct positions, so none is grouped at position 0
+    for start in range(n):
+        seq[0] = start
+        if extend(1):
+            return tuple(seq), checked
+    return None, checked
+
+
 def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") -> WitnessSearchReport:
     """Search Theta(m) over generator assignments in the cycle algebra
     on n vertices.
 
     In generator-assignments mode the search is exhaustive over all n^m
     maps (pruned by the sound adjacency constraint) and returns either
-    a witness or an exhaustion report.  In j-sequences mode only the
-    constrained index sequences are enumerated and each is checked for
-    a repeated index, the combinatorial core of the refutation: a
-    sequence with a repeat cannot witness the sentence.
+    a witness or an exhaustion report.  It is prefix-pruned: brackets of
+    generators come from one table filled lazily by the engine, each
+    atom is checked as soon as its variables are assigned, and a failing
+    prefix skips its subtree.  ``checked`` still counts every
+    constrained sequence up to the witness (or all of them), pruned
+    ones exactly, by a transfer-matrix count of their completions.  In
+    j-sequences mode only the constrained index sequences are enumerated
+    and each is checked for a repeated index, the combinatorial core of
+    the refutation: a sequence with a repeat cannot witness the
+    sentence.
     """
     if n < 4 or m < 5:
         raise AlgebraError(
@@ -162,17 +269,10 @@ def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") ->
     if mode not in ("generator-assignments", "j-sequences"):
         raise AlgebraError(f"unknown search mode {mode!r}")
     space = n ** m
-    checked = 0
     if mode == "generator-assignments":
-        graph = cycle_graph(n)
-        order = GeneratorOrder.ascending(n)
-        inst = ThetaInstance(m, graph, order)
-        gens = [LieElement.generator(graph, order, i) for i in range(n)]
-        for seq in _constrained_sequences(n, m):
-            checked += 1
-            if eval_theta(inst, [gens[j] for j in seq]).holds:
-                return WitnessSearchReport(mode, n, m, seq, checked, space, False)
-        return WitnessSearchReport(mode, n, m, None, checked, space, True)
+        witness, checked = _search_generator_assignments(n, m)
+        return WitnessSearchReport(mode, n, m, witness, checked, space, witness is None)
+    checked = 0
     no_repeat: List[Tuple[int, ...]] = []
     for seq in _constrained_sequences(n, m):
         checked += 1

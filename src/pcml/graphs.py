@@ -53,7 +53,7 @@ class Graph:
         return sorted(self.edges)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Graph)
             and self.n == other.n
             and self.edges == other.edges

@@ -211,12 +211,12 @@ def criterion_4(seed: int = 0) -> CriterionResult:
 def criterion_5(seed: int = 0) -> CriterionResult:
     """Cycle separation: the sentence holds on the matching cycle,
     exhausts on shorter ones, and the abelian sentence settles n=3."""
-    for m in range(4, 9):
+    for m in range(4, 11):
         if not theta_identity_holds(m):
             return CriterionResult(5, "cycle-separation", False, f"identity fails m={m}")
     searched = []
-    for n in range(4, 8):
-        for m in range(n + 1, 8):
+    for n in range(4, 10):
+        for m in range(n + 1, 11):
             report = search_theta_witness(n, m, mode="generator-assignments")
             if not report.exhausted:
                 return CriterionResult(
@@ -236,7 +236,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
         counter = bracket(LieElement.generator(gm, om, 1), LieElement.generator(gm, om, 3))
         if not abelian or counter.is_zero():
             return CriterionResult(5, "cycle-separation", False, f"psi check fails m={m}")
-    return CriterionResult(5, "cycle-separation", True, "identity m=4..8; " + " ".join(searched))
+    return CriterionResult(5, "cycle-separation", True, "identity m=4..10; " + " ".join(searched))
 
 
 def criterion_6(seed: int = 0) -> CriterionResult:

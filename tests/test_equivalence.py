@@ -12,6 +12,7 @@ from pcml.core import (
 from pcml.equivalence import (
     Atom,
     ThetaInstance,
+    _constrained_sequences,
     build_phi_hom,
     check_hombas,
     compaction_witness,
@@ -28,8 +29,8 @@ from pcml.equivalence import (
     theta_identity_holds,
 )
 from pcml.errors import AlgebraError, GraphError
-from pcml.graphs import Graph, cycle_graph
-from pcml.sampling import random_element, random_graph_with_merged_pair
+from pcml.graphs import Graph, circ_dist, cycle_graph
+from pcml.sampling import random_element, random_graph, random_graph_with_merged_pair
 
 # four vertices, 2 and 3 neighborhood-equivalent, 0 isolated
 MERGE4 = Graph(4, [(2, 3), (1, 2), (1, 3)])
@@ -110,6 +111,103 @@ def test_search_validation():
     with pytest.raises(AlgebraError):
         search_theta_witness(5, 6, mode="nope")
 
+
+def _naive_eval_theta(inst, assignment):
+    """Reference: every atom in order, every bracket recomputed."""
+    z, m = list(assignment), inst.m
+    atoms = [Atom("adjacent-zero", i, (i + 1) % m) for i in range(m)]
+    atoms += [Atom("distant-nonzero", i, j) for i in range(m) for j in range(i + 1, m)
+              if circ_dist(m, i, j) > 1]
+    atoms += [Atom("triple-nonzero", i, j) for i in range(m) for j in range(m)
+              if circ_dist(m, i, j) * circ_dist(m, (i + 2) % m, j) != 1]
+    for atom in atoms:
+        if atom.family == "adjacent-zero":
+            ok = bracket(z[atom.i], z[atom.j]).is_zero()
+        elif atom.family == "distant-nonzero":
+            ok = not bracket(z[atom.i], z[atom.j]).is_zero()
+        else:
+            inner = bracket(z[atom.i], z[(atom.i + 2) % m])
+            ok = not bracket(inner, z[atom.j]).is_zero()
+        if not ok:
+            return False, atom
+    return True, None
+
+
+def _reference_search(n, m):
+    """Reference: evaluate the sentence on every constrained sequence."""
+    graph, order = cycle_graph(n), GeneratorOrder.ascending(n)
+    inst = ThetaInstance(m, graph, order)
+    gens = [LieElement.generator(graph, order, i) for i in range(n)]
+    checked = 0
+    for seq in _constrained_sequences(n, m):
+        checked += 1
+        if eval_theta(inst, [gens[j] for j in seq]).holds:
+            return seq, checked, False
+    return None, checked, True
+
+
+@pytest.mark.parametrize("m", range(5, 9))
+def test_pruned_search_matches_full_evaluation(m):
+    for n in range(4, m + 1):
+        report = search_theta_witness(n, m)
+        assert (report.witness, report.checked, report.exhausted) == _reference_search(n, m)
+
+
+def _theta_instance(rng, kind):
+    """A random instance and a mix of scaled generators, zeros, repeats
+    and random elements with derived parts.  The "derived" kind joins a
+    vertex w = m to j - 1 and j + 1 on the cycle and puts [x_j, x_w] at
+    position j, so that a triple atom can be the first to fail."""
+    m = rng.randint(4, 7)
+    if kind == "random":
+        graph = random_graph(rng, rng.randint(3, 5), p=rng.choice([0.3, 0.6]))
+    elif kind == "cycle":
+        graph = cycle_graph(m)
+    else:
+        j = rng.randrange(m)
+        edges = [(k, (k + 1) % m) for k in range(m)] + [(m, (j - 1) % m), (m, (j + 1) % m)]
+        graph = Graph(m + 1, edges)
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    order = GeneratorOrder(perm)
+    z = [LieElement.generator(graph, order, k % graph.n) * rng.choice((-2, 1, 3))
+         for k in range(m)]
+    if kind == "derived":
+        z[j] = word_element(graph, order, (j, m)) * rng.choice((-1, 2))
+    pool = [LieElement.zero(graph, order)]
+    pool += [random_element(graph, order, rng, max_degree=3) for _ in range(3)]
+    for k in rng.sample(range(m), rng.randint(0, 2)):
+        choice = rng.randrange(3)
+        if choice == 0:
+            z[k] = rng.choice(pool)
+        elif choice == 1:
+            z[k] = z[rng.randrange(m)]
+        else:
+            z[k] = z[k] + rng.choice(pool[1:])
+    return ThetaInstance(m, graph, order), z
+
+
+def test_eval_theta_matches_naive_atom_loop():
+    rng = random.Random(23)
+    seen = set()
+    for trial in range(300):
+        inst, z = _theta_instance(rng, ("random", "cycle", "derived")[trial % 3])
+        result = eval_theta(inst, z)
+        assert (result.holds, result.failing_atom) == _naive_eval_theta(inst, z)
+        seen.add(result.failing_atom.family if result.failing_atom else "holds")
+    assert seen == {"adjacent-zero", "distant-nonzero", "triple-nonzero", "holds"}
+
+
+def test_long_search_is_exhausted_and_counts_every_sequence():
+    n, m = 30, 40
+    report = search_theta_witness(n, m)
+    assert report.exhausted and report.witness is None
+    a = [[int(circ_dist(n, i, j) <= 1) for j in range(n)] for i in range(n)]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(m):
+        power = [[sum(row[k] * a[k][j] for k in range(n)) for j in range(n)] for row in power]
+    assert report.checked == sum(power[i][i] for i in range(n))
+    assert search_theta_witness(4, 5).checked == 244
 
 def test_distinguish_equal_lengths():
     verdict = distinguish_cycles(5, 5)
