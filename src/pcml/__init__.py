@@ -4,31 +4,22 @@ algebras defined by finite graphs."""
 from .core import (
     AssocPoly,
     BasisMonomial,
-    Bracket,
-    Gen,
     GeneratorOrder,
     GluedComponent,
     LieElement,
-    RawExpr,
-    Scale,
-    Sum,
     act,
     basis_monomial_with_start,
     basis_monomials_of_degree,
     basis_monomials_of_multidegree,
     bracket,
-    change_order,
-    equal,
     format_element,
     glued_decomposition,
     glued_mdeg,
     homogeneous_components,
     is_basis_monomial,
-    is_zero,
     mdeg,
     multidegrees,
-    normal_form,
-    support,
+    substitute,
     word_element,
 )
 from .centralizer import (
@@ -41,7 +32,6 @@ from .equivalence import (
     PhiHom,
     ThetaInstance,
     build_phi_hom,
-    check_hombas,
     compaction_witness,
     distinguish_cycles,
     eval_theta,
@@ -59,26 +49,20 @@ from .errors import (
     PcmlError,
 )
 from .graphs import (
-    CircIndex,
     CompactionResult,
     Graph,
     Partition,
-    build_graph,
     circ_dist,
-    circ_distance,
     closed_neighborhood,
     compaction,
     complete_graph,
-    connected_components,
     cycle_graph,
-    induced_subgraph,
-    is_chain,
     parse_graph_spec,
     path_graph,
     perp_classes,
 )
 from .oracle import certify_basis, graded_dimension, ideal_member
-from .textio import parse_assoc_poly, parse_element, print_element
+from .textio import parse_assoc_poly, parse_element
 
 __version__ = "0.1.0"
 

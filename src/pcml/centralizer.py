@@ -20,6 +20,7 @@ from .core import (
     BasisMonomial,
     GeneratorOrder,
     LieElement,
+    _accumulate,
     act,
     basis_monomials_of_degree,
     basis_monomials_of_multidegree,
@@ -72,18 +73,13 @@ def _blocks(deltas: List[Tuple[int, ...]], supp: Sequence[int]) -> List[List[Tup
 
 def _kernel_elements(graph: Graph, order: GeneratorOrder, lin: Dict[int, int], columns: List[BasisMonomial]) -> List[Dict[BasisMonomial, int]]:
     """Kernel of h -> [h, g] on the span of the given monomials."""
-    rows: Dict[BasisMonomial, Dict[int, int]] = {}
-    for ci, m in enumerate(columns):
+    images: List[Dict[BasisMonomial, int]] = []
+    for m in columns:
+        image: Dict[BasisMonomial, int] = {}
         for i, alpha in lin.items():
-            for m2, c2 in monomial_normal_form(graph, order, m.head, m.tail + (i,)):
-                row = rows.setdefault(m2, {})
-                row[ci] = row.get(ci, 0) + alpha * c2
-    matrix = []
-    for _, sparse in sorted(rows.items()):
-        row = [0] * len(columns)
-        for ci, v in sparse.items():
-            row[ci] = v
-        matrix.append(row)
+            _accumulate(image, monomial_normal_form(graph, order, m.head, m.tail + (i,)), alpha)
+        images.append(image)
+    matrix = [[image.get(m2, 0) for image in images] for m2 in sorted(set().union(*images))]
     out = []
     for vec in linalg.kernel_basis(matrix, len(columns)):
         out.append({m: v for m, v in zip(columns, vec) if v})

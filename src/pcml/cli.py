@@ -168,21 +168,15 @@ def _cmd_theta(args, report: Report) -> None:
 
 
 def _cmd_witness(args, report: Report) -> None:
-    if args.graph or args.gamma:
-        _cmd_gamma_witness(args, report)
-        return
-    if args.n is None or args.m is None:
-        raise AlgebraError("witness needs either --n/--m or --graph/--gamma")
     found = search_theta_witness(args.n, args.m, mode=args.mode)
     report.add("MODE", found.mode)
     report.add("CHECKED", found.checked)
     report.add("SPACE", found.space)
     if found.mode == "generator-assignments":
         report.add("WITNESS", ",".join(map(str, found.witness)) if found.witness else "none")
-        report.add("EXHAUSTED", found.exhausted)
     else:
         report.add("NO_REPEAT_COUNT", len(found.no_repeat_sequences))
-        report.add("EXHAUSTED", found.exhausted)
+    report.add("EXHAUSTED", found.exhausted)
 
 
 def _cmd_distinguish(args, report: Report) -> None:
@@ -255,8 +249,6 @@ def _cmd_lambda0(args, report: Report) -> None:
 
 
 def _cmd_gamma_witness(args, report: Report) -> None:
-    if not args.graph or not args.gamma:
-        raise AlgebraError("gamma-witness needs --graph and --gamma FILE")
     graph = parse_graph_spec(args.graph)
     order = GeneratorOrder.ascending(graph.n)
     with open(args.gamma, "r", encoding="utf-8") as fh:
@@ -322,11 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign", required=True, help="comma-separated element list")
 
     p = common(sub.add_parser("witness", help="search for a sentence witness"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", default="generator-assignments", choices=["generator-assignments", "j-sequences"])
-    p.add_argument("--graph", default=None)
-    p.add_argument("--gamma", default=None)
 
     p = common(sub.add_parser("distinguish", help="separate two cycle algebras"))
     p.add_argument("--n", type=int, required=True)

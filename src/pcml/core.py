@@ -23,14 +23,18 @@ monomial equals 0, one basis monomial up to sign, or a difference of
 two basis monomials; `monomial_normal_form` emits that answer directly.
 Correctness is certified against the independent oracle module rather
 than assumed, see `pcml.oracle`.
+
+Every map the engine needs between these algebras (a vertex merge, a
+relabeling, a change of generator order) sends each generator to a
+scaled generator; `substitute` applies any such map that respects the
+edge relations and is the one place where letters are renamed and
+renormalised.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import AlgebraError
 from .graphs import Graph, components_within
@@ -104,14 +108,6 @@ def glued_mdeg(m: BasisMonomial, n: int) -> GluedMultidegree:
     return d[: n - 2] + (d[n - 2] + d[n - 1],)
 
 
-def glue(delta: Multidegree) -> GluedMultidegree:
-    return delta[:-2] + (delta[-2] + delta[-1],)
-
-
-def support(m: BasisMonomial) -> FrozenSet[int]:
-    return frozenset(m.letters())
-
-
 def is_basis_monomial(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph, order: GeneratorOrder) -> bool:
     """Check the four basis conditions literally."""
     a, b = head
@@ -135,6 +131,15 @@ def is_basis_monomial(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph
         return False
     block_a = comps[comp_of[a]]
     return a == max(block_a, key=rank.__getitem__)
+
+
+def _headed(first: int, mu: int, letters: Iterable[int], rank: Tuple[int, ...]) -> BasisMonomial:
+    """The monomial [x_first, x_mu] followed by the rest of ``letters``
+    (the whole support, with multiplicity) sorted by rank."""
+    rest = list(letters)
+    rest.remove(first)
+    rest.remove(mu)
+    return BasisMonomial((first, mu), tuple(sorted(rest, key=rank.__getitem__)))
 
 
 @lru_cache(maxsize=None)
@@ -162,15 +167,9 @@ def _monomial_nf(graph: Graph, order: GeneratorOrder, a: int, b: int, tail: Tupl
         return ()
     rank = order.rank
     mu = min(supp, key=rank.__getitem__)
-    counts = Counter(letters)
 
     def rep(block_index: int) -> BasisMonomial:
-        first = max(comps[block_index], key=rank.__getitem__)
-        rest = counts.copy()
-        rest[first] -= 1
-        rest[mu] -= 1
-        new_tail = tuple(sorted(rest.elements(), key=rank.__getitem__))
-        return BasisMonomial((first, mu), new_tail)
+        return _headed(max(comps[block_index], key=rank.__getitem__), mu, letters, rank)
 
     c_mu = comp_of[mu]
     if c_mu == comp_of[b]:
@@ -199,6 +198,12 @@ def _bump(acc: Dict, key, value) -> None:
         acc[key] = new
     elif key in acc:
         del acc[key]
+
+
+def _accumulate(acc: Dict, terms: Iterable[Tuple[BasisMonomial, int]], coeff: int) -> None:
+    """acc += coeff * terms, for terms such as a monomial normal form."""
+    for m, c in terms:
+        _bump(acc, m, coeff * c)
 
 
 class LieElement:
@@ -245,31 +250,6 @@ class LieElement:
 
     def same_context(self, other: "LieElement") -> bool:
         return self.graph == other.graph and self.order == other.order
-
-    def support(self) -> FrozenSet[int]:
-        out = set(self.linear)
-        for m in self.derived:
-            out.update(m.letters())
-        return frozenset(out)
-
-    def max_degree(self) -> int:
-        deg = 1 if self.linear else 0
-        for m in self.derived:
-            deg = max(deg, m.degree)
-        return deg
-
-    def mdeg_if_homogeneous(self) -> Optional[Multidegree]:
-        degs = set()
-        n = self.graph.n
-        for i in self.linear:
-            d = [0] * n
-            d[i] = 1
-            degs.add(tuple(d))
-        for m in self.derived:
-            degs.add(mdeg(m, n))
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     def __add__(self, other: "LieElement") -> "LieElement":
         _check_context(self, other)
@@ -323,15 +303,6 @@ def _check_context(a: LieElement, b: LieElement) -> None:
         raise AlgebraError("elements live over different graphs or orders")
 
 
-def equal(a: LieElement, b: LieElement) -> bool:
-    _check_context(a, b)
-    return a.linear == b.linear and a.derived == b.derived
-
-
-def is_zero(g: LieElement) -> bool:
-    return g.is_zero()
-
-
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie product in normal form; derived x derived vanishes."""
     _check_context(a, b)
@@ -339,16 +310,13 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     acc: Dict[BasisMonomial, int] = {}
     for i, ci in a.linear.items():
         for j, cj in b.linear.items():
-            for m, c in _monomial_nf(graph, order, i, j, ()):
-                _bump(acc, m, ci * cj * c)
+            _accumulate(acc, _monomial_nf(graph, order, i, j, ()), ci * cj)
     for m1, c1 in a.derived.items():
         for j, cj in b.linear.items():
-            for m, c in monomial_normal_form(graph, order, m1.head, m1.tail + (j,)):
-                _bump(acc, m, c1 * cj * c)
+            _accumulate(acc, monomial_normal_form(graph, order, m1.head, m1.tail + (j,)), c1 * cj)
     for m2, c2 in b.derived.items():
         for i, ci in a.linear.items():
-            for m, c in monomial_normal_form(graph, order, m2.head, m2.tail + (i,)):
-                _bump(acc, m, -c2 * ci * c)
+            _accumulate(acc, monomial_normal_form(graph, order, m2.head, m2.tail + (i,)), -c2 * ci)
     return LieElement(graph, order, {}, acc)
 
 
@@ -366,10 +334,6 @@ class AssocPoly:
                 raise AlgebraError(f"bad exponent vector {exps} for {n} generators")
         self.n = n
         self.terms = _strip(terms)
-
-    @classmethod
-    def constant(cls, n: int, c: int) -> "AssocPoly":
-        return cls(n, {tuple([0] * n): c})
 
     @classmethod
     def variable(cls, n: int, i: int, power: int = 1) -> "AssocPoly":
@@ -428,57 +392,44 @@ def act(u: LieElement, f: AssocPoly) -> LieElement:
             if not letters:
                 _bump(acc, m, cm * cf)
                 continue
-            for m2, c2 in monomial_normal_form(graph, order, m.head, m.tail + letters):
-                _bump(acc, m2, cm * cf * c2)
+            _accumulate(acc, monomial_normal_form(graph, order, m.head, m.tail + letters), cm * cf)
     return LieElement(graph, order, {}, acc)
 
 
-# ---------------------------------------------------------------------------
-# raw expressions
-# ---------------------------------------------------------------------------
+def substitute(g: LieElement, images: Sequence[Tuple[int, int]], graph: Graph, order: GeneratorOrder) -> LieElement:
+    """Image of g under x_i -> c_i * x_{j_i}, where ``images[i]`` is
+    (c_i, j_i), in normal form over ``graph`` and ``order``.
 
-class RawExpr:
-    """Unevaluated tree of sums, scalings, brackets, and generators."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Gen(RawExpr):
-    index: int
-
-
-@dataclass(frozen=True)
-class Scale(RawExpr):
-    coeff: int
-    arg: RawExpr
-
-
-@dataclass(frozen=True)
-class Sum(RawExpr):
-    parts: Tuple[RawExpr, ...]
-
-
-@dataclass(frozen=True)
-class Bracket(RawExpr):
-    left: RawExpr
-    right: RawExpr
-
-
-def normal_form(expr: RawExpr, graph: Graph, order: GeneratorOrder) -> LieElement:
-    """Evaluate an expression tree to its unique basis decomposition."""
-    if isinstance(expr, Gen):
-        return LieElement.generator(graph, order, expr.index)
-    if isinstance(expr, Scale):
-        return normal_form(expr.arg, graph, order) * expr.coeff
-    if isinstance(expr, Sum):
-        out = LieElement.zero(graph, order)
-        for part in expr.parts:
-            out = out + normal_form(part, graph, order)
-        return out
-    if isinstance(expr, Bracket):
-        return bracket(normal_form(expr.left, graph, order), normal_form(expr.right, graph, order))
-    raise AlgebraError(f"not a raw expression: {expr!r}")
+    M(X;G) is defined by the commutators of its edges, so this map is a
+    homomorphism exactly when every edge of g's graph goes to a
+    commuting pair: a zero coefficient, one generator twice, or an edge
+    of ``graph``; any other images raise.  Vertex merges, relabelings
+    and changes of generator order are all such maps.
+    """
+    if len(images) != g.graph.n:
+        raise AlgebraError(f"{len(images)} images for {g.graph.n} generators")
+    coeffs, targets = zip(*images) if images else ((), ())
+    for j in targets:
+        if not 0 <= j < graph.n:
+            raise AlgebraError(f"unknown generator x{j} for a graph on {graph.n} vertices")
+    adj = graph.adj
+    for a, b in g.graph.edges:
+        ja, jb = targets[a], targets[b]
+        if coeffs[a] and coeffs[b] and ja != jb and jb not in adj[ja]:
+            raise AlgebraError(f"edge ({a},{b}) goes to x{ja}, x{jb}, which do not commute")
+    rank = order.rank.__getitem__
+    linear: Dict[int, int] = {}
+    for i, c in g.linear.items():
+        _bump(linear, targets[i], c * coeffs[i])
+    derived: Dict[BasisMonomial, int] = {}
+    for m, c in g.derived.items():
+        (a, b), tail = m
+        for v in m.letters():
+            c *= coeffs[v]
+        if c:
+            tail = tuple(sorted([targets[t] for t in tail], key=rank))
+            _accumulate(derived, _monomial_nf(graph, order, targets[a], targets[b], tail), c)
+    return LieElement(graph, order, linear, derived)
 
 
 def word_element(graph: Graph, order: GeneratorOrder, letters: Iterable[int]) -> LieElement:
@@ -490,24 +441,6 @@ def word_element(graph: Graph, order: GeneratorOrder, letters: Iterable[int]) ->
         return LieElement.generator(graph, order, seq[0])
     nf = monomial_normal_form(graph, order, (seq[0], seq[1]), seq[2:])
     return LieElement(graph, order, {}, dict(nf))
-
-
-def element_to_raw(g: LieElement) -> RawExpr:
-    """Rebuild an expression tree whose value is g (used to re-evaluate
-    an element under another generator order)."""
-    parts: List[RawExpr] = []
-    for i, c in sorted(g.linear.items()):
-        parts.append(Scale(c, Gen(i)))
-    for m, c in sorted(g.derived.items()):
-        node: RawExpr = Bracket(Gen(m.head[0]), Gen(m.head[1]))
-        for t in m.tail:
-            node = Bracket(node, Gen(t))
-        parts.append(Scale(c, node))
-    return Sum(tuple(parts))
-
-
-def change_order(g: LieElement, new_order: GeneratorOrder) -> LieElement:
-    return normal_form(element_to_raw(g), g.graph, new_order)
 
 
 # ---------------------------------------------------------------------------
@@ -588,20 +521,12 @@ def basis_monomials_of_multidegree(graph: Graph, order: GeneratorOrder, delta: M
     rank = order.rank
     comps = components_within(graph, supp)
     mu = min(supp, key=rank.__getitem__)
-    out = []
-    for block in comps:
-        if mu in block:
-            continue
-        first = max(block, key=rank.__getitem__)
-        counts = Counter()
-        for i, d in enumerate(delta):
-            if d:
-                counts[i] = d
-        counts[first] -= 1
-        counts[mu] -= 1
-        tail = tuple(sorted(counts.elements(), key=rank.__getitem__))
-        out.append(BasisMonomial((first, mu), tail))
-    return sorted(out)
+    letters = _exps_to_letters(delta)
+    return sorted(
+        _headed(max(block, key=rank.__getitem__), mu, letters, rank)
+        for block in comps
+        if mu not in block
+    )
 
 
 def basis_monomials_of_degree(graph: Graph, order: GeneratorOrder, degree: int) -> List[BasisMonomial]:
@@ -623,14 +548,7 @@ def basis_monomial_with_start(delta: Multidegree, start: int, graph: Graph, orde
     mu = min(supp, key=rank.__getitem__)
     if start == mu:
         return None
-    counts = Counter()
-    for i, d in enumerate(delta):
-        if d:
-            counts[i] = d
-    counts[start] -= 1
-    counts[mu] -= 1
-    tail = tuple(sorted(counts.elements(), key=rank.__getitem__))
-    m = BasisMonomial((start, mu), tail)
+    m = _headed(start, mu, _exps_to_letters(delta), rank)
     return m if is_basis_monomial(m.head, m.tail, graph, order) else None
 
 

@@ -11,21 +11,24 @@ computational half of the cycle separation theorem.  The search is
 prefix-pruned: it reads generator brackets from a table the engine
 fills once, checks each atom as soon as its variables are assigned and
 skips the subtree of a failing prefix, while its ``checked`` count
-still includes every pruned sequence exactly.
+still includes every pruned sequence exactly.  The j-sequences mode
+walks the same sequences and skips every prefix that repeats an index.
 
 The merge homomorphism phi_lambda sends x_{n-1} to lambda*x_{n-2} when
 those two vertices have equal closed neighborhoods, fixing all other
-generators.  For any nonzero element there is a threshold lambda_0
-beyond which the image stays nonzero; taking the maximum over a closed
-finite set Gamma-bar gives an embedding-style witness that merging a
-neighborhood-equivalent vertex preserves the universal theory.
+generators; it and the relabeling that puts a mergeable pair last are
+both `pcml.core.substitute`.  For any nonzero element there is a
+threshold lambda_0 beyond which the image stays nonzero; taking the
+maximum over a closed finite set Gamma-bar gives an embedding-style
+witness that merging a neighborhood-equivalent vertex preserves the
+universal theory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     BasisMonomial,
@@ -34,7 +37,7 @@ from .core import (
     basis_monomial_with_start,
     bracket,
     glued_decomposition,
-    monomial_normal_form,
+    substitute,
 )
 from .errors import AlgebraError, CertificationError, GraphError
 from .graphs import Graph, circ_dist, closed_neighborhood, cycle_graph, perp_classes
@@ -204,20 +207,18 @@ def _completion_counts(n: int, m: int) -> List[List[List[int]]]:
     return counts
 
 
-def _search_generator_assignments(n: int, m: int) -> Tuple[Optional[Tuple[int, ...]], int]:
-    """Depth-first search of the constrained sequences in the order of
-    `_constrained_sequences`, checking each atom as soon as the last
-    variable it reads is assigned.  A failing prefix is skipped whole
-    and all its constrained completions are added to the count; a
-    prefix with no constrained completion is not entered."""
-    graph = cycle_graph(n)
-    order = GeneratorOrder.ascending(n)
-    table = _BracketTable([LieElement.generator(graph, order, i) for i in range(n)])
-    checks: List[List[Atom]] = [[] for _ in range(m)]
-    for atom in theta_atoms(m):
-        checks[max(_atom_positions(atom, m))].append(atom)
+def _walk(n: int, m: int, fails: Callable[[List[int], int], bool], first_only: bool) -> Tuple[List[Tuple[int, ...]], int]:
+    """Depth-first walk over the constrained sequences, in the order of
+    `_constrained_sequences`.  A prefix for which ``fails(seq, pos)``
+    holds (asked once seq[pos] is set, pos >= 1) is skipped whole, and
+    its constrained completions are counted from the transfer-matrix
+    table.  Returns the full sequences no prefix of which fails and the
+    number of constrained sequences accounted for: all of them, or with
+    ``first_only`` those up to the first sequence found, where the walk
+    stops."""
     completions = _completion_counts(n, m)
     seq = [0] * m
+    found: List[Tuple[int, ...]] = []
     checked = 0
 
     def extend(pos: int) -> bool:
@@ -227,21 +228,22 @@ def _search_generator_assignments(n: int, m: int) -> Tuple[Optional[Tuple[int, .
             if not count:
                 continue
             seq[pos] = step
-            if not all(_atom_holds(atom, m, table, seq) for atom in checks[pos]):
+            if fails(seq, pos):
                 checked += count
             elif pos == m - 1:
                 checked += 1
-                return True
+                found.append(tuple(seq))
+                if first_only:
+                    return True
             elif extend(pos + 1):
                 return True
         return False
 
-    # every atom reads two distinct positions, so none is grouped at position 0
     for start in range(n):
         seq[0] = start
         if extend(1):
-            return tuple(seq), checked
-    return None, checked
+            break
+    return found, checked
 
 
 def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") -> WitnessSearchReport:
@@ -256,10 +258,11 @@ def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") ->
     prefix skips its subtree.  ``checked`` still counts every
     constrained sequence up to the witness (or all of them), pruned
     ones exactly, by a transfer-matrix count of their completions.  In
-    j-sequences mode only the constrained index sequences are enumerated
-    and each is checked for a repeated index, the combinatorial core of
-    the refutation: a sequence with a repeat cannot witness the
-    sentence.
+    j-sequences mode only the constrained index sequences are examined,
+    for a repeated index, the combinatorial core of the refutation: a
+    sequence with a repeat cannot witness the sentence.  The same walk
+    skips each prefix that repeats an index, counting its completions,
+    so ``checked`` is again the number of all constrained sequences.
     """
     if n < 4 or m < 5:
         raise AlgebraError(
@@ -270,14 +273,21 @@ def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") ->
         raise AlgebraError(f"unknown search mode {mode!r}")
     space = n ** m
     if mode == "generator-assignments":
-        witness, checked = _search_generator_assignments(n, m)
+        graph = cycle_graph(n)
+        order = GeneratorOrder.ascending(n)
+        table = _BracketTable([LieElement.generator(graph, order, i) for i in range(n)])
+        checks: List[List[Atom]] = [[] for _ in range(m)]
+        for atom in theta_atoms(m):
+            checks[max(_atom_positions(atom, m))].append(atom)
+        # every atom reads two distinct positions, so none is grouped at position 0
+        found, checked = _walk(
+            n, m,
+            lambda seq, pos: not all(_atom_holds(atom, m, table, seq) for atom in checks[pos]),
+            first_only=True,
+        )
+        witness = found[0] if found else None
         return WitnessSearchReport(mode, n, m, witness, checked, space, witness is None)
-    checked = 0
-    no_repeat: List[Tuple[int, ...]] = []
-    for seq in _constrained_sequences(n, m):
-        checked += 1
-        if len(set(seq)) == m:
-            no_repeat.append(seq)
+    no_repeat, checked = _walk(n, m, lambda seq, pos: seq[pos] in seq[:pos], first_only=False)
     return WitnessSearchReport(
         mode, n, m, None, checked, space,
         exhausted=not no_repeat, no_repeat_sequences=tuple(no_repeat),
@@ -378,29 +388,8 @@ def phi_lambda(hom: PhiHom, g: LieElement) -> LieElement:
     if g.graph != hom.graph or g.order != hom.source_order:
         raise AlgebraError("element is not over the homomorphism's source algebra")
     n = hom.graph.n
-    last, kept = n - 1, n - 2
-    linear: Dict[int, int] = {}
-    for i, c in g.linear.items():
-        if i == last:
-            linear[kept] = linear.get(kept, 0) + c * hom.lam
-        else:
-            linear[i] = linear.get(i, 0) + c
-    derived: Dict[BasisMonomial, int] = {}
-    for m, c in g.derived.items():
-        letters = m.letters()
-        j = letters.count(last)
-        renamed = tuple(kept if v == last else v for v in letters)
-        head = (renamed[0], renamed[1])
-        if head[0] == head[1]:
-            continue
-        coeff = c * hom.lam ** j
-        for m2, c2 in monomial_normal_form(hom.target_graph, hom.target_order, head, renamed[2:]):
-            new = derived.get(m2, 0) + coeff * c2
-            if new:
-                derived[m2] = new
-            elif m2 in derived:
-                del derived[m2]
-    return LieElement(hom.target_graph, hom.target_order, linear, derived)
+    images = [(1, i) for i in range(n - 1)] + [(hom.lam, n - 2)]
+    return substitute(g, images, hom.target_graph, hom.target_order)
 
 
 # ---------------------------------------------------------------------------
@@ -482,48 +471,6 @@ def lambda_zero(g: LieElement, hom: PhiHom) -> int:
     return largest + 1
 
 
-def check_hombas(graph: Graph, glued: Tuple[int, ...], start: int, coeffs: Sequence[int], scales: Sequence[int] = (1, 2, 3)) -> bool:
-    """Instance check of the glued-component mapping laws.
-
-    Builds the component sum_j coeffs[j] * [u_{start,j}], verifies that
-    the j = 0 monomial is a basis monomial whenever any slot is, and
-    that the merge image equals (sum_j coeffs[j] lambda^j) [u_{start,0}]
-    by direct evaluation for each given scale.
-    """
-    hom = build_phi_hom(graph, 1)
-    n = graph.n
-    eps_last = glued[-1]
-    if len(coeffs) != eps_last + 1:
-        raise AlgebraError(
-            f"component of glued degree {glued} needs {eps_last + 1} coefficients"
-        )
-    slots: List[Optional[BasisMonomial]] = []
-    for j in range(eps_last + 1):
-        delta = glued[:-1] + (eps_last - j, j)
-        mono = basis_monomial_with_start(delta, start, graph, hom.source_order)
-        if coeffs[j] and mono is None:
-            raise AlgebraError(f"no basis monomial for slot j={j} of {glued}")
-        slots.append(mono)
-    if any(m is not None for m in slots) and slots[0] is None:
-        return False
-    base = basis_monomial_with_start(glued, start, hom.target_graph, hom.target_order)
-    if base is None:
-        return False
-    g = LieElement(graph, hom.source_order, {}, {
-        m: c for m, c in zip(slots, coeffs) if c
-    })
-    for lam in scales:
-        hom_l = build_phi_hom(graph, lam)
-        image = phi_lambda(hom_l, g)
-        scale = sum(c * lam ** j for j, c in enumerate(coeffs))
-        expected = LieElement.from_monomial(hom.target_graph, hom.target_order, base, scale)
-        if image != expected:
-            return False
-        if image.is_zero() != (scale == 0):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # finite-set witnesses
 # ---------------------------------------------------------------------------
@@ -566,22 +513,6 @@ def merge_relabeling(graph: Graph, keep: int, remove: int) -> Tuple[Dict[int, in
     return perm, new_graph
 
 
-def relabel_element(g: LieElement, perm: Dict[int, int], new_graph: Graph, new_order: GeneratorOrder) -> LieElement:
-    """Push an element through a vertex relabeling (a graph isomorphism)
-    and renormalize over the relabeled graph."""
-    linear = {perm[i]: c for i, c in g.linear.items()}
-    derived: Dict[BasisMonomial, int] = {}
-    for m, c in g.derived.items():
-        letters = tuple(perm[v] for v in m.letters())
-        for m2, c2 in monomial_normal_form(new_graph, new_order, (letters[0], letters[1]), letters[2:]):
-            new = derived.get(m2, 0) + c * c2
-            if new:
-                derived[m2] = new
-            elif m2 in derived:
-                del derived[m2]
-    return LieElement(new_graph, new_order, linear, derived)
-
-
 @dataclass
 class CompactionWitnessReport:
     lam: int
@@ -602,10 +533,12 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     The merged pair is chosen deterministically: in the neighborhood
     class with the smallest minimum that has at least two vertices, the
     two largest vertices are merged (largest removed).  Elements of
-    gamma may be given over any order on the original graph; they are
-    relabeled and reordered internally.
+    gamma must lie over ``graph`` but may be given over any order on it
+    (``order`` is not read); they are relabeled and reordered
+    internally.
     """
-    order = order or GeneratorOrder.ascending(graph.n)
+    if any(g.graph != graph for g in gamma):
+        raise AlgebraError("an element of gamma is not over the witness graph")
     classes = [b for b in perp_classes(graph) if len(b) >= 2]
     if not classes:
         raise GraphError("no neighborhood class with two or more vertices")
@@ -614,7 +547,8 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     keep = max(block - {remove})
     perm, new_graph = merge_relabeling(graph, keep, remove)
     hom1 = build_phi_hom(new_graph, 1)
-    moved = [relabel_element(g, perm, new_graph, hom1.source_order) for g in gamma]
+    images = [(1, perm[v]) for v in range(graph.n)]
+    moved = [substitute(g, images, new_graph, hom1.source_order) for g in gamma]
     closure = gamma_closure(moved)
     lam = 1
     for g in closure:

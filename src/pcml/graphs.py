@@ -69,7 +69,7 @@ class Graph:
 class Partition:
     """Disjoint nonempty vertex blocks covering a ground set."""
 
-    __slots__ = ("blocks", "ground", "_block_of")
+    __slots__ = ("blocks", "_block_of")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         raw = [frozenset(b) for b in blocks]
@@ -83,7 +83,6 @@ class Partition:
                     raise GraphError(f"vertex {v} appears in two blocks")
                 seen[v] = b
         self.blocks = blks
-        self.ground = frozenset(seen)
         self._block_of = seen
 
     def block_of(self, v: int) -> FrozenSet[int]:
@@ -102,35 +101,10 @@ class Partition:
         return f"Partition({[sorted(b) for b in self.blocks]})"
 
 
-@dataclass(frozen=True)
-class CircIndex:
-    """Residue in Z_n together with its modulus."""
-
-    n: int
-    value: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise GraphError(f"modulus must be positive, got {self.n}")
-        if not 0 <= self.value < self.n:
-            raise GraphError(f"value {self.value} out of range for Z_{self.n}")
-
-
 def circ_dist(n: int, r: int, s: int) -> int:
     """Cyclic distance in Z_n: the lesser of r-s and s-r mod n."""
     d = (r - s) % n
     return min(d, n - d)
-
-
-def circ_distance(a: CircIndex, b: CircIndex) -> int:
-    if a.n != b.n:
-        raise GraphError(f"modulus mismatch: {a.n} != {b.n}")
-    return circ_dist(a.n, a.value, b.value)
-
-
-def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
-    """Validate and build a graph; rejects loops and duplicate edges."""
-    return Graph(n, edges)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -147,25 +121,6 @@ def path_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"a path needs at least 1 vertex, got {n}")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
-    """Subgraph generated by a vertex subset.
-
-    Returns the subgraph on relabeled vertices 0..k-1 together with the
-    index map old->new that preserves vertex identities.
-    """
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < graph.n:
-            raise GraphError(f"vertex {v} is not a vertex of the host graph")
-    index = {v: k for k, v in enumerate(vs)}
-    edges = [
-        (index[i], index[j])
-        for (i, j) in graph.edges
-        if i in index and j in index
-    ]
-    return Graph(len(vs), edges), index
 
 
 def components_within(graph: Graph, vertices: Iterable[int]) -> Tuple[FrozenSet[int], ...]:
@@ -192,21 +147,6 @@ def components_within(graph: Graph, vertices: Iterable[int]) -> Tuple[FrozenSet[
         todo -= seen
         blocks.append(frozenset(seen))
     return tuple(sorted(blocks, key=min))
-
-
-def connected_components(graph: Graph) -> Partition:
-    return Partition(components_within(graph, range(graph.n)))
-
-
-def is_chain(graph: Graph, component: Iterable[int]) -> bool:
-    """True iff the component is an isolated vertex or a simple path."""
-    comp = frozenset(component)
-    if comp not in set(components_within(graph, range(graph.n))):
-        raise GraphError(f"{sorted(comp)} is not a connected component")
-    if len(comp) == 1:
-        return True
-    degrees = [len(graph.adj[v]) for v in comp]
-    return max(degrees) <= 2 and degrees.count(1) == 2
 
 
 def closed_neighborhood(graph: Graph, x: int) -> VertexSet:
@@ -253,17 +193,13 @@ def compaction(graph: Graph) -> CompactionResult:
     return CompactionResult(Graph(len(kept), edges), kept, vertex_map)
 
 
-def graph_to_json(graph: Graph) -> dict:
-    return {"n": graph.n, "edges": [list(e) for e in graph.edge_list()]}
-
-
 def graph_from_json(obj: dict) -> Graph:
     try:
         n = obj["n"]
         edges = [tuple(e) for e in obj["edges"]]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}")
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def parse_graph_spec(text: str) -> Graph:

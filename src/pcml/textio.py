@@ -4,7 +4,7 @@ Elements are sums of terms ``c*[xA,xB;xC,...]`` (head pair before the
 semicolon, action tail after) and ``c*xA`` for linear terms, with
 optional signs and an optional ``c*`` coefficient.  Whitespace is
 ignored.  Parsing always returns the normal form, so
-``parse_element(print_element(g)) == g`` holds exactly.
+``parse_element(format_element(g)) == g`` holds exactly.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from .core import (
     AssocPoly,
     GeneratorOrder,
     LieElement,
-    format_element,
+    _accumulate,
     monomial_normal_form,
 )
 from .errors import ParseError
 from .graphs import Graph
-
-print_element = format_element
 
 
 class _Scanner:
@@ -120,8 +118,7 @@ def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
             for v in head + tail:
                 if not 0 <= v < graph.n:
                     raise ParseError(f"unknown generator x{v}", sc.pos)
-            for m, c in monomial_normal_form(graph, order, head, tail):
-                derived[m] = derived.get(m, 0) + sign * coeff * c
+            _accumulate(derived, monomial_normal_form(graph, order, head, tail), sign * coeff)
         else:
             raise ParseError("expected a generator or a bracket monomial", sc.pos)
     return LieElement(graph, order, linear, derived)

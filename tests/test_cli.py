@@ -153,10 +153,9 @@ def test_gamma_witness(capsys, tmp_path):
     assert status == 0
     assert line_value(lines, "OK") == "true"
     assert int(line_value(lines, "LAMBDA")) >= 2
-    # the witness subcommand accepts the same flags
-    status, lines = invoke(capsys, "witness", "--graph", str(gpath), "--gamma", str(fpath))
-    assert status == 0
-    assert line_value(lines, "OK") == "true"
+    # the witness subcommand searches Theta only and needs --n/--m
+    status, _ = invoke(capsys, "witness", "--graph", str(gpath), "--gamma", str(fpath))
+    assert status == 2
 
 
 def test_usage_errors(capsys):

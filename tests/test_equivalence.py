@@ -7,6 +7,7 @@ from pcml.core import (
     LieElement,
     bracket,
     glued_decomposition,
+    substitute,
     word_element,
 )
 from pcml.equivalence import (
@@ -14,7 +15,6 @@ from pcml.equivalence import (
     ThetaInstance,
     _constrained_sequences,
     build_phi_hom,
-    check_hombas,
     compaction_witness,
     distinguish_cycles,
     eval_theta,
@@ -24,7 +24,6 @@ from pcml.equivalence import (
     merge_scaling_components,
     phi_lambda,
     positive_integer_roots,
-    relabel_element,
     search_theta_witness,
     theta_identity_holds,
 )
@@ -198,16 +197,40 @@ def test_eval_theta_matches_naive_atom_loop():
     assert seen == {"adjacent-zero", "distant-nonzero", "triple-nonzero", "holds"}
 
 
-def test_long_search_is_exhausted_and_counts_every_sequence():
-    n, m = 30, 40
-    report = search_theta_witness(n, m)
-    assert report.exhausted and report.witness is None
+def _closed_walks(n, m):
+    """trace(A^m) for the circulant A with ones on and next to the
+    diagonal: the number of constrained sequences, by integer matrix power."""
     a = [[int(circ_dist(n, i, j) <= 1) for j in range(n)] for i in range(n)]
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(m):
         power = [[sum(row[k] * a[k][j] for k in range(n)) for j in range(n)] for row in power]
-    assert report.checked == sum(power[i][i] for i in range(n))
+    return sum(power[i][i] for i in range(n))
+
+
+def test_long_search_is_exhausted_and_counts_every_sequence():
+    n, m = 30, 40
+    report = search_theta_witness(n, m)
+    assert report.exhausted and report.witness is None
+    assert report.checked == _closed_walks(n, m)
     assert search_theta_witness(4, 5).checked == 244
+
+
+@pytest.mark.parametrize("m", range(5, 9))
+def test_j_sequences_match_full_enumeration(m):
+    for n in range(4, m + 2):
+        report = search_theta_witness(n, m, mode="j-sequences")
+        sequences = list(_constrained_sequences(n, m))
+        no_repeat = tuple(seq for seq in sequences if len(set(seq)) == m)
+        assert report.checked == len(sequences)
+        assert report.no_repeat_sequences == no_repeat
+        assert report.exhausted == (not no_repeat)
+
+
+def test_long_j_sequence_search_counts_every_sequence():
+    n, m = 30, 40
+    report = search_theta_witness(n, m, mode="j-sequences")
+    assert report.exhausted and not report.no_repeat_sequences
+    assert report.checked == _closed_walks(n, m)
 
 def test_distinguish_equal_lengths():
     verdict = distinguish_cycles(5, 5)
@@ -344,14 +367,6 @@ def test_lambda_zero_threshold_property():
             assert not phi_lambda(build_phi_hom(graph, lam), g).is_zero()
 
 
-def test_check_hombas():
-    assert check_hombas(MERGE4, (1, 0, 1), 0, (1, 0))     # j = 0 slot only
-    assert check_hombas(MERGE4, (1, 0, 1), 0, (0, 1))     # the [x0,x3] slot
-    assert check_hombas(MERGE4, (1, 0, 1), 0, (2, -3))
-    with pytest.raises(AlgebraError):
-        check_hombas(MERGE4, (1, 0, 1), 0, (1, 1, 1))
-
-
 def test_gamma_closure_counts():
     o = GeneratorOrder.ascending(4)
     x = [LieElement.generator(MERGE4, o, i) for i in range(3)]
@@ -376,7 +391,7 @@ def test_merge_relabeling_round_trip():
         order = GeneratorOrder.ascending(n)
         hom = build_phi_hom(graph, 1)
         e = random_element(graph, order, rng)
-        moved = relabel_element(e, perm, new_graph, hom.source_order)
+        moved = substitute(e, [(1, perm[v]) for v in range(n)], new_graph, hom.source_order)
         assert moved.is_zero() == e.is_zero()
 
 
@@ -397,6 +412,20 @@ def test_compaction_witness_difference_pair():
     assert report.ok
     assert report.lam >= 2
     assert report.images_distinct and report.bracket_faithful
+
+
+def test_compaction_witness_rejects_elements_of_another_algebra():
+    # [x3,x1] is nonzero over the 4-cycle but would vanish over MERGE4
+    c4 = cycle_graph(4)
+    with pytest.raises(AlgebraError):
+        compaction_witness(MERGE4, [word_element(c4, GeneratorOrder.ascending(4), (3, 1))])
+    c5 = cycle_graph(5)
+    with pytest.raises(AlgebraError):
+        compaction_witness(MERGE4, [word_element(c5, GeneratorOrder.ascending(5), (4, 1))])
+    # no edge to violate: only the graph itself tells the algebras apart
+    free4 = Graph(4, [])
+    with pytest.raises(AlgebraError):
+        compaction_witness(MERGE4, [word_element(free4, GeneratorOrder.ascending(4), (2, 1))])
 
 
 def test_compaction_witness_requires_mergeable_class():

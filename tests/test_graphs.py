@@ -5,22 +5,15 @@ import pytest
 
 from pcml.errors import GraphError
 from pcml.graphs import (
-    CircIndex,
     Graph,
     Partition,
-    build_graph,
     circ_dist,
-    circ_distance,
     closed_neighborhood,
     compaction,
     complete_graph,
     components_within,
-    connected_components,
     cycle_graph,
     graph_from_json,
-    graph_to_json,
-    induced_subgraph,
-    is_chain,
     parse_graph_spec,
     path_graph,
     perp_classes,
@@ -33,21 +26,21 @@ def blocks(partition):
 
 
 def test_build_graph_triangle():
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    g = Graph(3, [(0, 1), (1, 2), (2, 0)])
     assert g.n == 3 and len(g.edges) == 3
     assert g == cycle_graph(3)
 
 
 def test_build_graph_rejects_loops():
     with pytest.raises(GraphError):
-        build_graph(4, [(0, 0)])
+        Graph(4, [(0, 0)])
 
 
 def test_build_graph_rejects_duplicates_and_range():
     with pytest.raises(GraphError):
-        build_graph(3, [(0, 1), (1, 0)])
+        Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
 
 
 def test_example_graph_builds():
@@ -64,32 +57,12 @@ def test_cycle_graph():
         cycle_graph(2)
 
 
-def test_induced_subgraph():
-    c5 = cycle_graph(5)
-    sub, index = induced_subgraph(c5, {0, 2})
-    assert sub.n == 2 and not sub.edges
-    sub, index = induced_subgraph(c5, {0, 1, 2})
-    assert sorted(sub.edges) == [(0, 1), (1, 2)]
-    # C4 on {0,1,3} is the path 1-0-3
-    sub, index = induced_subgraph(cycle_graph(4), {0, 1, 3})
-    assert sorted(sub.edges) == [(index[0], index[1]), (index[0], index[3])]
-    with pytest.raises(GraphError):
-        induced_subgraph(c5, {0, 9})
-
-
 def test_connected_components():
-    assert len(connected_components(cycle_graph(5))) == 1
+    assert len(components_within(cycle_graph(5), range(5))) == 1
     assert blocks(Partition(components_within(cycle_graph(5), {0, 2, 3}))) == [[0], [2, 3]]
-    assert len(connected_components(Graph(3, []))) == 3
-
-
-def test_is_chain():
-    g = Graph(4, [(0, 1), (1, 2)])
-    assert is_chain(g, {3})
-    assert is_chain(g, {0, 1, 2})
-    assert not is_chain(cycle_graph(3), {0, 1, 2})
+    assert len(components_within(Graph(3, []), range(3))) == 3
     with pytest.raises(GraphError):
-        is_chain(g, {0, 1})
+        components_within(cycle_graph(5), {0, 9})
 
 
 def test_closed_neighborhood():
@@ -194,14 +167,10 @@ def test_twin_removal_preserves_components():
 
 
 def test_circ_distance():
-    assert circ_distance(CircIndex(6, 0), CircIndex(6, 4)) == 2
-    assert circ_distance(CircIndex(5, 1), CircIndex(5, 1)) == 0
-    assert circ_distance(CircIndex(4, 0), CircIndex(4, 2)) == 2
+    assert circ_dist(6, 0, 4) == 2
+    assert circ_dist(5, 1, 1) == 0
+    assert circ_dist(4, 0, 2) == 2
     assert circ_dist(7, 6, 0) == 1
-    with pytest.raises(GraphError):
-        circ_distance(CircIndex(5, 0), CircIndex(6, 0))
-    with pytest.raises(GraphError):
-        CircIndex(4, 4)
 
 
 def test_partition_validation():
@@ -213,11 +182,12 @@ def test_partition_validation():
 
 def test_graph_json_round_trip(tmp_path):
     g = example_graph()
-    assert graph_from_json(graph_to_json(g)) == g
+    obj = {"n": g.n, "edges": [list(e) for e in g.edge_list()]}
+    assert graph_from_json(obj) == g
     path = tmp_path / "g.json"
     import json
 
-    path.write_text(json.dumps(graph_to_json(g)))
+    path.write_text(json.dumps(obj))
     assert parse_graph_spec(str(path)) == g
 
 
