@@ -200,8 +200,9 @@ def _bump(acc: Dict, key, value) -> None:
         del acc[key]
 
 
-def _accumulate(acc: Dict, terms: Iterable[Tuple[BasisMonomial, int]], coeff: int) -> None:
-    """acc += coeff * terms, for terms such as a monomial normal form."""
+def _accumulate(acc: Dict, terms: Iterable[Tuple[object, int]], coeff: int) -> None:
+    """acc += coeff * terms, for terms such as a monomial normal form or
+    the items of an element's dicts."""
     for m, c in terms:
         _bump(acc, m, coeff * c)
 
@@ -225,6 +226,17 @@ class LieElement:
         self.derived = _strip(derived)
 
     @classmethod
+    def _trusted(cls, graph: Graph, order: GeneratorOrder, linear: Dict[int, int], derived: Dict[BasisMonomial, int]) -> "LieElement":
+        """An element over a context already checked, from dicts that
+        hold no zero (such as those filled by `_bump`), stored as given."""
+        self = object.__new__(cls)
+        self.graph = graph
+        self.order = order
+        self.linear = linear
+        self.derived = derived
+        return self
+
+    @classmethod
     def zero(cls, graph: Graph, order: GeneratorOrder) -> "LieElement":
         return cls(graph, order, {}, {})
 
@@ -243,7 +255,10 @@ class LieElement:
 
     @classmethod
     def from_monomial(cls, graph: Graph, order: GeneratorOrder, m: BasisMonomial, coeff: int = 1) -> "LieElement":
-        return cls(graph, order, {}, {m: coeff})
+        element = cls(graph, order, {}, {m: coeff})
+        if not is_basis_monomial(m.head, m.tail, graph, order):
+            raise AlgebraError(f"{format_monomial(m)} is not a basis monomial over this graph and order")
+        return element
 
     def is_zero(self) -> bool:
         return not self.linear and not self.derived
@@ -251,18 +266,19 @@ class LieElement:
     def same_context(self, other: "LieElement") -> bool:
         return self.graph == other.graph and self.order == other.order
 
-    def __add__(self, other: "LieElement") -> "LieElement":
+    def _add_scaled(self, other: "LieElement", sign: int) -> "LieElement":
         _check_context(self, other)
         lin = dict(self.linear)
         der = dict(self.derived)
-        for i, c in other.linear.items():
-            _bump(lin, i, c)
-        for m, c in other.derived.items():
-            _bump(der, m, c)
-        return LieElement(self.graph, self.order, lin, der)
+        _accumulate(lin, other.linear.items(), sign)
+        _accumulate(der, other.derived.items(), sign)
+        return LieElement._trusted(self.graph, self.order, lin, der)
+
+    def __add__(self, other: "LieElement") -> "LieElement":
+        return self._add_scaled(other, 1)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + (-other)
+        return self._add_scaled(other, -1)
 
     def __neg__(self) -> "LieElement":
         return self * -1
@@ -270,7 +286,9 @@ class LieElement:
     def __mul__(self, scalar: int) -> "LieElement":
         if not isinstance(scalar, int):
             return NotImplemented
-        return LieElement(
+        if not scalar:
+            return LieElement._trusted(self.graph, self.order, {}, {})
+        return LieElement._trusted(
             self.graph,
             self.order,
             {i: c * scalar for i, c in self.linear.items()},
@@ -317,7 +335,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     for m2, c2 in b.derived.items():
         for i, ci in a.linear.items():
             _accumulate(acc, monomial_normal_form(graph, order, m2.head, m2.tail + (i,)), -c2 * ci)
-    return LieElement(graph, order, {}, acc)
+    return LieElement._trusted(graph, order, {}, acc)
 
 
 class AssocPoly:
@@ -393,7 +411,7 @@ def act(u: LieElement, f: AssocPoly) -> LieElement:
                 _bump(acc, m, cm * cf)
                 continue
             _accumulate(acc, monomial_normal_form(graph, order, m.head, m.tail + letters), cm * cf)
-    return LieElement(graph, order, {}, acc)
+    return LieElement._trusted(graph, order, {}, acc)
 
 
 def substitute(g: LieElement, images: Sequence[Tuple[int, int]], graph: Graph, order: GeneratorOrder) -> LieElement:
@@ -408,6 +426,8 @@ def substitute(g: LieElement, images: Sequence[Tuple[int, int]], graph: Graph, o
     """
     if len(images) != g.graph.n:
         raise AlgebraError(f"{len(images)} images for {g.graph.n} generators")
+    if order.n != graph.n:
+        raise AlgebraError(f"order on {order.n} generators does not fit a graph on {graph.n}")
     coeffs, targets = zip(*images) if images else ((), ())
     for j in targets:
         if not 0 <= j < graph.n:
@@ -429,7 +449,7 @@ def substitute(g: LieElement, images: Sequence[Tuple[int, int]], graph: Graph, o
         if c:
             tail = tuple(sorted([targets[t] for t in tail], key=rank))
             _accumulate(derived, _monomial_nf(graph, order, targets[a], targets[b], tail), c)
-    return LieElement(graph, order, linear, derived)
+    return LieElement._trusted(graph, order, linear, derived)
 
 
 def word_element(graph: Graph, order: GeneratorOrder, letters: Iterable[int]) -> LieElement:

@@ -18,10 +18,13 @@ The merge homomorphism phi_lambda sends x_{n-1} to lambda*x_{n-2} when
 those two vertices have equal closed neighborhoods, fixing all other
 generators; it and the relabeling that puts a mergeable pair last are
 both `pcml.core.substitute`.  For any nonzero element there is a
-threshold lambda_0 beyond which the image stays nonzero; taking the
-maximum over a closed finite set Gamma-bar gives an embedding-style
-witness that merging a neighborhood-equivalent vertex preserves the
-universal theory.
+threshold lambda_0 beyond which the image stays nonzero: each piece of
+the element maps to a multiple of one target monomial, with a
+polynomial in lambda as the multiple, and lambda_0 is one past the
+largest positive integer root of these polynomials, found by exact
+isolation.  Taking the maximum over a closed finite set Gamma-bar gives
+an embedding-style witness that merging a neighborhood-equivalent vertex
+preserves the universal theory.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .core import (
     LieElement,
     basis_monomial_with_start,
     bracket,
-    glued_decomposition,
     substitute,
 )
 from .errors import AlgebraError, CertificationError, GraphError
@@ -396,25 +398,83 @@ def phi_lambda(hom: PhiHom, g: LieElement) -> LieElement:
 # vanishing thresholds
 # ---------------------------------------------------------------------------
 
-def positive_integer_roots(coeffs: Sequence[int]) -> List[int]:
-    """Positive integer roots of sum_j coeffs[j] * t^j.
+def _horner(coeffs: Sequence[int], t: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = value * t + c
+    return value
 
-    Any such root divides the trailing nonzero coefficient, so testing
-    the divisors is exact and complete.
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _bracket_root(coeffs: Sequence[int], u: int, v: int) -> Tuple[int, ...]:
+    """For a polynomial strictly monotone on [u, v]: its root there as
+    (r,) if r is an integer, else the integers (t, t + 1) around it, or
+    () when it has no root in the open interval (u, v)."""
+    su, sv = _sign(_horner(coeffs, u)), _sign(_horner(coeffs, v))
+    if su * sv >= 0:
+        return ()
+    while v - u > 1:
+        mid = (u + v) // 2
+        s = _sign(_horner(coeffs, mid))
+        if not s:
+            return (mid,)
+        if s == su:
+            u = mid
+        else:
+            v = mid
+    return (u, v)
+
+
+def _cuts(coeffs: Sequence[int], lo: int, hi: int) -> List[int]:
+    """Sorted integers from lo to hi (lo <= hi), both included, among
+    them every integer root of a nonzero polynomial in that range and
+    the two integers on either side of each of its other real roots.
+
+    The cuts of the derivative come first.  Between two of them more
+    than 1 apart the derivative has no root, so the polynomial is
+    strictly monotone there and integer bisection brackets its one
+    root; a root between two cuts 1 apart is bracketed by them.
+    """
+    if len(coeffs) == 1:
+        return [lo, hi]
+    inner = _cuts([k * c for k, c in enumerate(coeffs)][1:], lo, hi)
+    out = set(inner)
+    for u, v in zip(inner, inner[1:]):
+        if v - u > 1:
+            out.update(_bracket_root(coeffs, u, v))
+    return sorted(out)
+
+
+def positive_integer_roots(coeffs: Sequence[int]) -> List[int]:
+    """Positive integer roots of sum_j coeffs[j] * t^j, ascending.
+
+    Exact, in time polynomial in the bit length of the coefficients:
+    after dividing out the power of t, every positive integer root
+    divides the trailing coefficient and is at most Cauchy's bound
+    1 + max|c_j| / |c_top|.  A linear polynomial is solved by one
+    division; otherwise `_cuts` isolates the real roots to integer
+    precision through the sequence of derivatives, with integer
+    bisection on the intervals where each is monotone.  This needs
+    neither a squarefree part nor Descartes' rule of signs (the
+    isolation of Collins & Akritas 1976): a repeated root is a root of
+    the derivative and is found there.
     """
     first = next((k for k, c in enumerate(coeffs) if c), None)
     if first is None:
         return []
-    if all(c == 0 for c in coeffs[first + 1:]):
+    poly = list(coeffs[first:])
+    while not poly[-1]:
+        poly.pop()
+    if len(poly) == 1:
         return []
-    trailing = abs(coeffs[first])
-    roots = []
-    for r in range(1, trailing + 1):
-        if trailing % r:
-            continue
-        if sum(c * r ** k for k, c in enumerate(coeffs)) == 0:
-            roots.append(r)
-    return roots
+    if len(poly) == 2:
+        root, rest = divmod(-poly[0], poly[1])
+        return [root] if root > 0 and not rest else []
+    hi = min(abs(poly[0]), 1 + max(abs(c) for c in poly[:-1]) // abs(poly[-1]))
+    return [t for t in _cuts(poly, 1, hi) if not _horner(poly, t)]
 
 
 class ScalingComponent(NamedTuple):
@@ -430,31 +490,53 @@ class ScalingComponent(NamedTuple):
     base: Optional[BasisMonomial]
 
 
-def merge_scaling_components(g: LieElement, hom: PhiHom) -> List[ScalingComponent]:
-    """Scale polynomials governing when phi_lambda kills each piece of g."""
+def _scale_polynomials(g: LieElement, hom: PhiHom) -> List[Tuple[Tuple, Tuple[int, ...]]]:
+    """(label, coeffs) of every scaling component of g, in the order of
+    `merge_scaling_components`, from one pass over g's terms.
+
+    A derived term is keyed by its glued multidegree and first letter,
+    which `glued_decomposition` groups by; within one key the number of
+    x_{n-1} fixes the multidegree and so the term, and is its power of
+    lambda.
+    """
     if g.graph != hom.graph or g.order != hom.source_order:
         raise AlgebraError("element is not over the homomorphism's source algebra")
     n = hom.graph.n
     last, kept = n - 1, n - 2
-    out: List[ScalingComponent] = []
-    for i in sorted(g.linear):
-        if i in (kept, last):
-            continue
-        out.append(ScalingComponent(("linear", i), (g.linear[i],), None))
+    out: List[Tuple[Tuple, Tuple[int, ...]]] = [
+        (("linear", i), (g.linear[i],)) for i in sorted(g.linear) if i != kept and i != last
+    ]
     pair = (g.linear.get(kept, 0), g.linear.get(last, 0))
     if pair != (0, 0):
-        out.append(ScalingComponent(("linear-pair",), pair, None))
-    if g.derived:
-        derived_part = LieElement(g.graph, g.order, {}, g.derived)
-        for comp in glued_decomposition(derived_part):
-            eps_last = comp.glued[-1]
-            coeffs = [0] * (eps_last + 1)
-            for m, c in comp.element.derived.items():
-                coeffs[m.letters().count(last)] = c
-            base = basis_monomial_with_start(
-                comp.glued, comp.start, hom.target_graph, hom.target_order
-            )
-            out.append(ScalingComponent(("glued", comp.glued, comp.start), tuple(coeffs), base))
+        out.append((("linear-pair",), pair))
+    polys: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
+    for m, c in g.derived.items():
+        glued = [0] * (n - 1)
+        power = 0
+        for v in m.letters():
+            if v == last:
+                power += 1
+                glued[kept] += 1
+            else:
+                glued[v] += 1
+        key = (tuple(glued), m.head[0])
+        coeffs = polys.get(key)
+        if coeffs is None:
+            coeffs = polys[key] = [0] * (glued[kept] + 1)
+        coeffs[power] = c
+    out.extend((("glued",) + key, tuple(coeffs)) for key, coeffs in sorted(polys.items()))
+    return out
+
+
+def merge_scaling_components(g: LieElement, hom: PhiHom) -> List[ScalingComponent]:
+    """Scale polynomials governing when phi_lambda kills each piece of g,
+    each glued one with the basis monomial its piece maps onto."""
+    out: List[ScalingComponent] = []
+    for label, coeffs in _scale_polynomials(g, hom):
+        base = None
+        if label[0] == "glued":
+            base = basis_monomial_with_start(label[1], label[2], hom.target_graph, hom.target_order)
+        out.append(ScalingComponent(label, coeffs, base))
     return out
 
 
@@ -463,12 +545,8 @@ def lambda_zero(g: LieElement, hom: PhiHom) -> int:
     scale at or above it."""
     if g.is_zero():
         raise AlgebraError("the zero element has no nonvanishing threshold")
-    largest = 0
-    for comp in merge_scaling_components(g, hom):
-        roots = positive_integer_roots(comp.coeffs)
-        if roots:
-            largest = max(largest, max(roots))
-    return largest + 1
+    roots = [r for _, coeffs in _scale_polynomials(g, hom) for r in positive_integer_roots(coeffs)]
+    return max(roots, default=0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +573,11 @@ def gamma_closure(gamma: Sequence[LieElement]) -> List[LieElement]:
             push(gamma[i] - gamma[j])
     for i in range(k):
         for j in range(k):
+            total = gamma[i] + gamma[j]
+            product = bracket(gamma[i], gamma[j])
             for l in range(k):
-                push(gamma[i] + gamma[j] - gamma[l])
-                push(bracket(gamma[i], gamma[j]) - gamma[l])
+                push(total - gamma[l])
+                push(product - gamma[l])
     return out
 
 

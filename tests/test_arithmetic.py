@@ -1,0 +1,86 @@
+"""Property tests of element arithmetic over random graphs and random
+generator orders: `+`, `-`, scalars, `bracket` and `substitute`."""
+
+from itertools import combinations
+
+import pytest
+
+from pcml.core import GeneratorOrder, LieElement, bracket, substitute, word_element
+from pcml.graphs import Graph
+
+hypothesis = pytest.importorskip("hypothesis")
+given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
+
+SETTINGS = settings(max_examples=80, deadline=None)
+
+
+@st.composite
+def algebras(draw, min_n=1):
+    n = draw(st.integers(min_n, 5))
+    edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+    return Graph(n, edges), GeneratorOrder(draw(st.permutations(range(n))))
+
+
+def _element(draw, graph, order):
+    """A random sum of scaled left-normed words of length 1 to 4."""
+    words = st.lists(st.integers(0, graph.n - 1), min_size=1, max_size=4)
+    out = LieElement.zero(graph, order)
+    for coeff, word in draw(st.lists(st.tuples(st.integers(-3, 3), words), max_size=4)):
+        out = out + word_element(graph, order, word) * coeff
+    return out
+
+
+@st.composite
+def triples(draw):
+    """Three elements of one random algebra; b is sometimes a multiple
+    of a, so that differences and sums cancel."""
+    graph, order = draw(algebras())
+    a = _element(draw, graph, order)
+    b = a * draw(st.integers(-2, 2)) if draw(st.booleans()) else _element(draw, graph, order)
+    return a, b, _element(draw, graph, order)
+
+
+def _no_stored_zero(e):
+    return all(e.linear.values()) and all(e.derived.values())
+
+
+@SETTINGS
+@given(triples())
+def test_subtraction_is_adding_the_negative(case):
+    a, b, _ = case
+    assert a - b == a + (-b)
+    assert (a - b) + b == a
+    assert (a - a).is_zero()
+
+
+@SETTINGS
+@given(triples(), st.integers(-3, 3))
+def test_results_store_no_zero_coefficient(case, scalar):
+    a, b, _ = case
+    results = [a + b, a - b, b - a, a * scalar, scalar * b, a * 0, -a, bracket(a, b), bracket(a, a)]
+    n = a.graph.n
+    # every pair commutes in the complete graph, so any images are allowed and much cancels
+    complete = Graph(n, combinations(range(n), 2))
+    results.append(substitute(a, [(scalar, (i + 1) % n) for i in range(n)], complete, GeneratorOrder.ascending(n)))
+    results.append(substitute(a, [(1, i) for i in range(n)], a.graph, GeneratorOrder(reversed(range(n)))))
+    for e in results:
+        assert _no_stored_zero(e)
+    assert (a * 0).is_zero() and (a * 0) == LieElement.zero(a.graph, a.order)
+
+
+@SETTINGS
+@given(triples())
+def test_bracket_is_anticommutative_and_satisfies_jacobi(case):
+    a, b, c = case
+    assert bracket(a, b) == -bracket(b, a)
+    assert bracket(a, a).is_zero()
+    jacobi = bracket(bracket(a, b), c) + bracket(bracket(b, c), a) + bracket(bracket(c, a), b)
+    assert jacobi.is_zero()
+
+
+@SETTINGS
+@given(triples(), st.integers(-3, 3))
+def test_scalars_distribute(case, scalar):
+    a, b, _ = case
+    assert (a + b) * scalar == a * scalar + b * scalar
+    assert bracket(a * scalar, b) == bracket(a, b) * scalar

@@ -144,6 +144,18 @@ def test_phi_and_lambda0(capsys, tmp_path):
     assert status == 2
 
 
+def test_lambda0_with_a_thirteen_digit_coefficient(capsys, tmp_path):
+    # the threshold is found by root isolation, not by scanning up to the coefficient
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[2, 3], [1, 2], [1, 3]]}))
+    status, lines = invoke(
+        capsys, "lambda0", "--graph", str(path),
+        "--element", "-1234567890123*[x2,x0;x2] + 1234567890124*[x2,x0;x3] - [x3,x0;x3]",
+    )
+    assert status == 0
+    assert line_value(lines, "LAMBDA0") == "1234567890124"
+
+
 def test_gamma_witness(capsys, tmp_path):
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"n": 4, "edges": [[2, 3], [1, 2], [1, 3]]}))

@@ -370,3 +370,26 @@ def test_basis_monomial_count_is_components_minus_one():
         supp = {i for i, d in enumerate(delta) if d}
         expected = max(len(components_within(g, supp)) - 1, 0) if len(supp) > 1 else 0
         assert len(basis_monomials_of_multidegree(g, o, delta)) == expected
+
+
+def test_from_monomial_accepts_only_basis_monomials():
+    from pcml.textio import parse_element
+
+    c4 = cycle_graph(4)
+    o4 = GeneratorOrder.ascending(4)
+    # [x1,x3] is -[x3,x1]; storing it as given would make a second,
+    # unequal representation of that element
+    with pytest.raises(AlgebraError):
+        LieElement.from_monomial(c4, o4, BasisMonomial((1, 3), ()))
+    with pytest.raises(AlgebraError):
+        LieElement.from_monomial(c4, o4, BasisMonomial((9, 0), ()))
+    # an edge head, an unsorted tail, and a head that is not the greatest of its component
+    for bad in (BasisMonomial((1, 0), ()), BasisMonomial((3, 0), (2, 1)), BasisMonomial((2, 0), (3,))):
+        with pytest.raises(AlgebraError):
+            LieElement.from_monomial(c4, o4, bad)
+    good = LieElement.from_monomial(c4, o4, BasisMonomial((3, 1), ()), -2)
+    assert good == parse_element("-2*[x3,x1]", c4, o4) == parse_element("2*[x1,x3]", c4, o4)
+    assert LieElement.from_monomial(c4, o4, BasisMonomial((3, 1), ()), 0).is_zero()
+    for delta in multidegrees(4, 4):
+        for m in basis_monomials_of_multidegree(c4, o4, delta):
+            assert LieElement.from_monomial(c4, o4, m).derived == {m: 1}

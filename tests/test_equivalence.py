@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from pcml.core import (
     GeneratorOrder,
     LieElement,
+    basis_monomial_with_start,
     bracket,
     glued_decomposition,
     substitute,
@@ -29,7 +31,7 @@ from pcml.equivalence import (
 )
 from pcml.errors import AlgebraError, GraphError
 from pcml.graphs import Graph, circ_dist, cycle_graph
-from pcml.sampling import random_element, random_graph, random_graph_with_merged_pair
+from pcml.sampling import random_element, random_graph, random_graph_with_merged_pair, random_word
 
 # four vertices, 2 and 3 neighborhood-equivalent, 0 isolated
 MERGE4 = Graph(4, [(2, 3), (1, 2), (1, 3)])
@@ -442,3 +444,226 @@ def test_compaction_witness_random():
         gamma = [random_element(graph, order, rng, max_degree=3) for _ in range(3)]
         report = compaction_witness(graph, gamma)
         assert report.ok and report.closure_size <= 3 + 9 + 2 * 27
+
+
+# ---------------------------------------------------------------------------
+# the merge witness path against its earlier, slower forms
+# ---------------------------------------------------------------------------
+
+def _scan_positive_integer_roots(coeffs):
+    """The earlier root finder: test every divisor of the trailing
+    nonzero coefficient (time linear in its value)."""
+    first = next((k for k, c in enumerate(coeffs) if c), None)
+    if first is None:
+        return []
+    if all(c == 0 for c in coeffs[first + 1:]):
+        return []
+    trailing = abs(coeffs[first])
+    roots = []
+    for r in range(1, trailing + 1):
+        if trailing % r:
+            continue
+        if sum(c * r ** k for k, c in enumerate(coeffs)) == 0:
+            roots.append(r)
+    return roots
+
+
+def _from_roots(lead, roots):
+    """Coefficients, constant first, of lead * prod (t - r)."""
+    coeffs = [lead]
+    for r in roots:
+        shifted = [0] + coeffs
+        coeffs = [shifted[k] - r * (coeffs[k] if k < len(coeffs) else 0) for k in range(len(shifted))]
+    return coeffs
+
+
+def _with_root(rng, degree, root, bound=30):
+    """A random polynomial of the given degree with every |c| <= bound
+    and the integer root `root`, or None when the draw fails.
+
+    It is (t - root) q(t) with q integral: each c_k is drawn among the
+    values congruent to q_{k-1} modulo root, which fixes q_k."""
+    q = rng.randint(-(bound // root), bound // root)
+    coeffs = [-root * q]
+    for _ in range(degree - 1):
+        c = rng.choice([c for c in range(-bound, bound + 1) if (c - q) % root == 0])
+        coeffs.append(c)
+        q = (q - c) // root
+    if not q or abs(q) > bound:
+        return None
+    return coeffs + [q]
+
+
+def _root_cases():
+    """Every polynomial of degree <= 4 over a coefficient box that
+    shrinks with the degree (|c| <= 30, 12, 5, 3), seeded random ones
+    with |c| <= 30, ones of degree 3 and 4 with |c| <= 30 and a root
+    up to 30, and products of linear factors, so roots and repeated
+    roots occur often."""
+    for degree, bound in ((1, 30), (2, 12), (3, 5), (4, 3)):
+        yield from product(range(-bound, bound + 1), repeat=degree + 1)
+    rng = random.Random(31)
+    for _ in range(4000):
+        yield [rng.randint(-30, 30) for _ in range(rng.randint(1, 5))]
+    for _ in range(2000):
+        roots = [rng.randint(-9, 30) for _ in range(rng.randint(1, 4))]
+        yield [0] * rng.randint(0, 1) + _from_roots(rng.choice([-3, -2, -1, 1, 2, 3]), roots)
+    made = 0
+    while made < 4000:
+        coeffs = _with_root(rng, rng.choice([3, 4]), rng.randint(1, 30))
+        if coeffs is not None:
+            made += 1
+            yield coeffs
+
+
+def test_positive_integer_roots_match_the_divisor_scan():
+    count = 0
+    for coeffs in _root_cases():
+        assert positive_integer_roots(coeffs) == _scan_positive_integer_roots(coeffs), coeffs
+        count += 1
+    assert count == 61 ** 2 + 25 ** 3 + 11 ** 4 + 7 ** 5 + 10000
+
+
+def test_positive_integer_roots_with_huge_coefficients():
+    big = 10 ** 30
+    assert positive_integer_roots(_from_roots(1, [big, 3, -7])) == [3, big]
+    assert positive_integer_roots(_from_roots(-2, [10 ** 15, 10 ** 15])) == [10 ** 15]
+    assert positive_integer_roots(_from_roots(5, [big + 7, big + 9, big + 7, -big])) == [big + 7, big + 9]
+    assert positive_integer_roots([0, 0] + _from_roots(1, [big, big - 1])) == [big - 1, big]
+    assert positive_integer_roots([-(big + 1), 0, 1]) == []  # irrational roots only
+    assert positive_integer_roots([big, 0, 1]) == []  # no real root
+    assert positive_integer_roots([-big * (big + 1), 1, 0, 1]) == []  # a root between two huge integers
+    assert positive_integer_roots([-big, 1]) == [big]
+    # (t - 2^100)^3 (t - 2^100 - 1): a triple root next to a simple one
+    r = 2 ** 100
+    assert positive_integer_roots(_from_roots(1, [r, r, r, r + 1])) == [r, r + 1]
+
+
+def _naive_gamma_closure(gamma):
+    """The earlier closure: one bracket per (i, j, l), k^3 in all."""
+    out, seen = [], set()
+
+    def push(e):
+        key = e.canonical_key()
+        if key not in seen:
+            seen.add(key)
+            out.append(e)
+
+    for g in gamma:
+        push(g)
+    k = len(gamma)
+    for i in range(k):
+        for j in range(k):
+            push(gamma[i] - gamma[j])
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                push(gamma[i] + gamma[j] - gamma[l])
+                push(bracket(gamma[i], gamma[j]) - gamma[l])
+    return out
+
+
+def _twin_element(rng, graph, order, max_degree=4):
+    """Random words; each word holding x_{n-2} gets a companion with one
+    x_{n-2} renamed to its twin x_{n-1}, so thresholds above 1 occur."""
+    n = graph.n
+    out = LieElement.zero(graph, order)
+    for _ in range(rng.randint(1, 3)):
+        word = random_word(rng, n, rng.randint(1, max_degree))
+        out = out + word_element(graph, order, word) * rng.choice([-3, -2, -1, 1, 2, 3])
+        if n - 2 in word:
+            k = word.index(n - 2)
+            twin = word[:k] + (n - 1,) + word[k + 1:]
+            out = out + word_element(graph, order, twin) * rng.choice([-3, -2, -1, 1, 2, 3])
+    return out
+
+
+def test_gamma_closure_matches_the_cubic_bracket_version():
+    rng = random.Random(37)
+    for _ in range(30):
+        n = rng.randint(4, 6)
+        graph = random_graph_with_merged_pair(rng, n)
+        order = GeneratorOrder(rng.sample(range(n), n))
+        gamma = [_twin_element(rng, graph, order, 3) for _ in range(rng.randint(0, 4))]
+        if gamma and rng.random() < 0.3:
+            gamma.append(gamma[0])  # a repeated element
+        closure = gamma_closure(gamma)
+        naive = _naive_gamma_closure(gamma)
+        assert [e.canonical_key() for e in closure] == [e.canonical_key() for e in naive]
+        assert closure == naive
+
+
+def _glued_scaling_components(g, hom):
+    """The earlier merge_scaling_components, through glued_decomposition."""
+    n = hom.graph.n
+    last, kept = n - 1, n - 2
+    out = [(("linear", i), (c,), None) for i, c in sorted(g.linear.items()) if i not in (kept, last)]
+    pair = (g.linear.get(kept, 0), g.linear.get(last, 0))
+    if pair != (0, 0):
+        out.append((("linear-pair",), pair, None))
+    if g.derived:
+        for comp in glued_decomposition(LieElement(g.graph, g.order, {}, g.derived)):
+            coeffs = [0] * (comp.glued[-1] + 1)
+            for m, c in comp.element.derived.items():
+                coeffs[m.letters().count(last)] = c
+            base = basis_monomial_with_start(comp.glued, comp.start, hom.target_graph, hom.target_order)
+            out.append((("glued", comp.glued, comp.start), tuple(coeffs), base))
+    return out
+
+
+def test_lambda_zero_is_one_past_the_largest_scale_root():
+    rng = random.Random(41)
+    thresholds = []
+    for _ in range(300):
+        n = rng.randint(4, 6)
+        graph = random_graph_with_merged_pair(rng, n)
+        hom = build_phi_hom(graph, 1)
+        g = _twin_element(rng, graph, hom.source_order)
+        if rng.random() < 0.3:
+            g = g + _twin_element(rng, graph, hom.source_order, 1)  # linear parts
+        if g.is_zero():
+            continue
+        components = merge_scaling_components(g, hom)
+        assert [tuple(sc) for sc in components] == _glued_scaling_components(g, hom)
+        roots = [r for sc in components for r in _scan_positive_integer_roots(sc.coeffs)]
+        thresholds.append(lambda_zero(g, hom))
+        assert thresholds[-1] == 1 + max(roots, default=0)
+    assert len(thresholds) > 200
+    assert sum(t > 1 for t in thresholds) > 20
+
+
+def _witness_cases(seed, count):
+    """Twin graphs with their vertices shuffled, and gamma sets over them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 6)
+        graph = random_graph_with_merged_pair(rng, n)
+        order = GeneratorOrder.ascending(n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = Graph(n, [(perm[i], perm[j]) for i, j in graph.edges])
+        images = [(1, perm[v]) for v in range(n)]
+        gamma = [substitute(_twin_element(rng, graph, order, 3), images, moved, order)
+                 for _ in range(rng.randint(1, 4))]
+        yield moved, gamma
+
+
+# (lam, gamma_size, closure_size, nonzero_in_closure, removed_vertex,
+# kept_vertex), as computed by the closure with one bracket per (i, j, l)
+# and the threshold read through glued_decomposition
+RECORDED_WITNESSES = [
+    (2, 1, 3, 2, 2, 0), (1, 3, 40, 39, 2, 0), (1, 1, 3, 2, 1, 0), (1, 4, 52, 51, 3, 0),
+    (1, 3, 4, 3, 2, 1), (1, 1, 1, 0, 3, 2), (7, 2, 9, 8, 3, 2), (3, 2, 9, 8, 5, 0),
+    (1, 1, 3, 2, 4, 0), (1, 3, 40, 39, 1, 0), (1, 3, 28, 27, 2, 1), (1, 1, 3, 2, 4, 3),
+    (1, 4, 4, 3, 3, 1), (1, 1, 3, 2, 3, 0), (4, 2, 9, 8, 3, 2), (2, 3, 22, 21, 5, 4),
+]
+
+
+def test_compaction_witness_reports_match_recorded_values():
+    cases = list(_witness_cases(22, len(RECORDED_WITNESSES)))
+    for (graph, gamma), expected in zip(cases, RECORDED_WITNESSES):
+        report = compaction_witness(graph, gamma)
+        assert report.ok and report.images_distinct and report.bracket_faithful
+        got = (report.lam, report.gamma_size, report.closure_size, report.nonzero_in_closure,
+               report.removed_vertex, report.kept_vertex)
+        assert got == expected
