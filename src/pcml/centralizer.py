@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .core import (
+    Algebra,
     AssocPoly,
     BasisMonomial,
     GeneratorOrder,
@@ -25,13 +26,14 @@ from .core import (
     basis_monomials_of_degree,
     basis_monomials_of_multidegree,
     bracket,
+    cycle_generators,
     homogeneous_components,
     mdeg,
     monomial_normal_form,
     multidegrees,
 )
 from .errors import AlgebraError, CertificationError
-from .graphs import Graph, circ_dist, cycle_graph
+from .graphs import Graph, circ_dist
 
 
 def _check_linear(g: LieElement) -> Dict[int, int]:
@@ -71,13 +73,13 @@ def _blocks(deltas: List[Tuple[int, ...]], supp: Sequence[int]) -> List[List[Tup
     return blocks
 
 
-def _kernel_elements(graph: Graph, order: GeneratorOrder, lin: Dict[int, int], columns: List[BasisMonomial]) -> List[Dict[BasisMonomial, int]]:
+def _kernel_elements(algebra: Algebra, lin: Dict[int, int], columns: List[BasisMonomial]) -> List[Dict[BasisMonomial, int]]:
     """Kernel of h -> [h, g] on the span of the given monomials."""
     images: List[Dict[BasisMonomial, int]] = []
     for m in columns:
         image: Dict[BasisMonomial, int] = {}
         for i, alpha in lin.items():
-            _accumulate(image, monomial_normal_form(graph, order, m.head, m.tail + (i,)), alpha)
+            _accumulate(image, monomial_normal_form(algebra, m.head, m.tail + (i,)), alpha)
         images.append(image)
     matrix = [[image.get(m2, 0) for image in images] for m2 in sorted(set().union(*images))]
     out = []
@@ -101,7 +103,7 @@ def centralizer_vectors_by_degree(g: LieElement, degree_bound: int) -> Dict[int,
         found: List[Dict[BasisMonomial, int]] = []
         for block in _blocks(sorted(mons_by_delta), supp):
             columns = [m for delta in sorted(block) for m in mons_by_delta[delta]]
-            found.extend(_kernel_elements(graph, order, lin, columns))
+            found.extend(_kernel_elements(g.algebra, lin, columns))
         result[k] = found
     return result
 
@@ -129,7 +131,7 @@ def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
     elements = []
     for k in sorted(vectors):
         for sparse in vectors[k]:
-            h = LieElement(g.graph, g.order, {}, dict(sparse))
+            h = LieElement._trusted(g.algebra, {}, dict(sparse))
             if not bracket(h, g).is_zero():
                 raise CertificationError("kernel vector fails the bracket check")
             elements.append(h)
@@ -173,7 +175,7 @@ def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[in
             mons = sorted(mons_by_delta[delta])
             current = None
             for i in indices:
-                vecs = _kernel_elements(graph, order, {i: 1}, mons)
+                vecs = _kernel_elements(g.algebra, {i: 1}, mons)
                 dense = _densify(vecs, mons)
                 current = dense if current is None else linalg.intersect_rowspans(current, dense)
                 if not current:
@@ -222,9 +224,8 @@ def classify_cycle_centralizer(n: int, i: int, j: int, degree_bound: int) -> Cyc
         raise AlgebraError("cycle centralizer classification needs n >= 4")
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise AlgebraError("need two distinct vertices of the cycle")
-    graph = cycle_graph(n)
-    order = GeneratorOrder.ascending(n)
-    g = LieElement.from_linear(graph, order, {i: 1, j: 1})
+    x = cycle_generators(n)
+    g = x[i] + x[j]
     slice_ = derived_centralizer(g, degree_bound)
     kind = "adjacent" if circ_dist(n, i, j) <= 1 else "distant"
     expected_support = frozenset(range(n)) - {i, j}
@@ -232,10 +233,7 @@ def classify_cycle_centralizer(n: int, i: int, j: int, degree_bound: int) -> Cyc
     form_ok = True
     homogeneous_ok = True
     counts: Dict[Tuple[int, ...], int] = {}
-    base = bracket(
-        LieElement.generator(graph, order, (i - 1) % n),
-        LieElement.generator(graph, order, (i + 1) % n),
-    )
+    base = bracket(x[(i - 1) % n], x[(i + 1) % n])
     for h in slice_.elements:
         for m in h.derived:
             if frozenset(m.letters()) != expected_support:

@@ -24,6 +24,10 @@ two basis monomials; `monomial_normal_form` emits that answer directly.
 Correctness is certified against the independent oracle module rather
 than assumed, see `pcml.oracle`.
 
+Every element carries one `Algebra`: the interned value of its graph
+and generator order, one object per equal pair, so two elements share a
+context exactly when their algebras are the same object.
+
 Every map the engine needs between these algebras (a vertex merge, a
 relabeling, a change of generator order) sends each generator to a
 scaled generator; `substitute` applies any such map that respects the
@@ -33,11 +37,13 @@ renormalised.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import AlgebraError
-from .graphs import Graph, components_within
+from .graphs import Graph, components_within, cycle_graph
 
 Multidegree = Tuple[int, ...]
 GluedMultidegree = Tuple[int, ...]
@@ -78,6 +84,36 @@ class GeneratorOrder:
 
     def __repr__(self) -> str:
         return f"GeneratorOrder({list(self.perm)})"
+
+
+class Algebra:
+    """M(X;G) under one generator order, immutable by convention.
+
+    `Algebra.of` returns one object per equal (graph, order) pair, so
+    elements share a context exactly when their algebras are identical.
+    """
+
+    __slots__ = ("graph", "order", "__weakref__")
+
+    @classmethod
+    def of(cls, graph: Graph, order: GeneratorOrder) -> "Algebra":
+        key = (graph.n, graph.edges, order.perm)
+        out = _ALGEBRAS.get(key)
+        if out is None:
+            if order.n != graph.n:
+                raise AlgebraError(f"order on {order.n} generators does not fit a graph on {graph.n}")
+            out = _ALGEBRAS[key] = object.__new__(cls)
+            out.graph = graph
+            out.order = order
+        return out
+
+
+# the live algebras, keyed by the values of their graph and order; an
+# algebra is dropped once no element, homomorphism or cache refers to it
+_ALGEBRAS: "weakref.WeakValueDictionary[tuple, Algebra]" = weakref.WeakValueDictionary()
+
+# monomial normal forms kept; far above the distinct entries of any workload
+NF_CACHE_SIZE = 1 << 16
 
 
 class BasisMonomial(NamedTuple):
@@ -142,8 +178,8 @@ def _headed(first: int, mu: int, letters: Iterable[int], rank: Tuple[int, ...]) 
     return BasisMonomial((first, mu), tuple(sorted(rest, key=rank.__getitem__)))
 
 
-@lru_cache(maxsize=None)
-def _monomial_nf(graph: Graph, order: GeneratorOrder, a: int, b: int, tail: Tuple[int, ...]) -> Tuple[Tuple[BasisMonomial, int], ...]:
+@lru_cache(maxsize=NF_CACHE_SIZE)
+def _monomial_nf(algebra: Algebra, a: int, b: int, tail: Tuple[int, ...]) -> Tuple[Tuple[BasisMonomial, int], ...]:
     """Normal form of [x_a,x_b].tail as ((basis monomial, coeff), ...).
 
     Case analysis (mu is the least letter of the support, C_v the
@@ -161,11 +197,11 @@ def _monomial_nf(graph: Graph, order: GeneratorOrder, a: int, b: int, tail: Tupl
         return ()
     letters = (a, b) + tail
     supp = frozenset(letters)
-    comps = components_within(graph, supp)
+    comps = components_within(algebra.graph, supp)
     comp_of = {v: k for k, block in enumerate(comps) for v in block}
     if comp_of[a] == comp_of[b]:
         return ()
-    rank = order.rank
+    rank = algebra.order.rank
     mu = min(supp, key=rank.__getitem__)
 
     def rep(block_index: int) -> BasisMonomial:
@@ -179,13 +215,14 @@ def _monomial_nf(graph: Graph, order: GeneratorOrder, a: int, b: int, tail: Tupl
     return ((rep(comp_of[a]), 1), (rep(comp_of[b]), -1))
 
 
-def monomial_normal_form(graph: Graph, order: GeneratorOrder, head: Tuple[int, int], tail: Iterable[int]) -> Tuple[Tuple[BasisMonomial, int], ...]:
+def monomial_normal_form(algebra: Algebra, head: Tuple[int, int], tail: Iterable[int]) -> Tuple[Tuple[BasisMonomial, int], ...]:
     a, b = head
-    tail_sorted = tuple(sorted(tail, key=order.rank.__getitem__))
+    tail_sorted = tuple(sorted(tail, key=algebra.order.rank.__getitem__))
+    n = algebra.graph.n
     for v in (a, b) + tail_sorted:
-        if not 0 <= v < graph.n:
-            raise AlgebraError(f"unknown generator x{v} for a graph on {graph.n} vertices")
-    return _monomial_nf(graph, order, a, b, tail_sorted)
+        if not 0 <= v < n:
+            raise AlgebraError(f"unknown generator x{v} for a graph on {n} vertices")
+    return _monomial_nf(algebra, a, b, tail_sorted)
 
 
 def _strip(mapping: Dict) -> Dict:
@@ -208,33 +245,32 @@ def _accumulate(acc: Dict, terms: Iterable[Tuple[object, int]], coeff: int) -> N
 
 
 class LieElement:
-    """Element of M(X;G) stored in normal form.
+    """Element of M(X;G), over its `algebra`, stored in normal form.
 
     ``linear`` maps generator index -> coefficient, ``derived`` maps
     BasisMonomial -> coefficient; zero coefficients are never stored.
     Instances are immutable by convention and all operations are pure.
     """
 
-    __slots__ = ("graph", "order", "linear", "derived")
+    __slots__ = ("algebra", "linear", "derived")
 
     def __init__(self, graph: Graph, order: GeneratorOrder, linear: Dict[int, int], derived: Dict[BasisMonomial, int]):
-        if order.n != graph.n:
-            raise AlgebraError(f"order on {order.n} generators does not fit a graph on {graph.n}")
-        self.graph = graph
-        self.order = order
+        self.algebra = Algebra.of(graph, order)
         self.linear = _strip(linear)
         self.derived = _strip(derived)
 
     @classmethod
-    def _trusted(cls, graph: Graph, order: GeneratorOrder, linear: Dict[int, int], derived: Dict[BasisMonomial, int]) -> "LieElement":
-        """An element over a context already checked, from dicts that
-        hold no zero (such as those filled by `_bump`), stored as given."""
+    def _trusted(cls, algebra: Algebra, linear: Dict[int, int], derived: Dict[BasisMonomial, int]) -> "LieElement":
+        """An element of ``algebra`` from dicts that hold no zero (such
+        as those filled by `_bump`), stored as given."""
         self = object.__new__(cls)
-        self.graph = graph
-        self.order = order
+        self.algebra = algebra
         self.linear = linear
         self.derived = derived
         return self
+
+    graph = property(attrgetter("algebra.graph"))
+    order = property(attrgetter("algebra.order"))
 
     @classmethod
     def zero(cls, graph: Graph, order: GeneratorOrder) -> "LieElement":
@@ -263,16 +299,13 @@ class LieElement:
     def is_zero(self) -> bool:
         return not self.linear and not self.derived
 
-    def same_context(self, other: "LieElement") -> bool:
-        return self.graph == other.graph and self.order == other.order
-
     def _add_scaled(self, other: "LieElement", sign: int) -> "LieElement":
         _check_context(self, other)
         lin = dict(self.linear)
         der = dict(self.derived)
         _accumulate(lin, other.linear.items(), sign)
         _accumulate(der, other.derived.items(), sign)
-        return LieElement._trusted(self.graph, self.order, lin, der)
+        return LieElement._trusted(self.algebra, lin, der)
 
     def __add__(self, other: "LieElement") -> "LieElement":
         return self._add_scaled(other, 1)
@@ -287,10 +320,9 @@ class LieElement:
         if not isinstance(scalar, int):
             return NotImplemented
         if not scalar:
-            return LieElement._trusted(self.graph, self.order, {}, {})
+            return LieElement._trusted(self.algebra, {}, {})
         return LieElement._trusted(
-            self.graph,
-            self.order,
+            self.algebra,
             {i: c * scalar for i, c in self.linear.items()},
             {m: c * scalar for m, c in self.derived.items()},
         )
@@ -301,7 +333,7 @@ class LieElement:
         if not isinstance(other, LieElement):
             return NotImplemented
         return (
-            self.same_context(other)
+            self.algebra is other.algebra
             and self.linear == other.linear
             and self.derived == other.derived
         )
@@ -317,25 +349,25 @@ class LieElement:
 
 
 def _check_context(a: LieElement, b: LieElement) -> None:
-    if not a.same_context(b):
+    if a.algebra is not b.algebra:
         raise AlgebraError("elements live over different graphs or orders")
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie product in normal form; derived x derived vanishes."""
     _check_context(a, b)
-    graph, order = a.graph, a.order
+    algebra = a.algebra
     acc: Dict[BasisMonomial, int] = {}
     for i, ci in a.linear.items():
         for j, cj in b.linear.items():
-            _accumulate(acc, _monomial_nf(graph, order, i, j, ()), ci * cj)
+            _accumulate(acc, _monomial_nf(algebra, i, j, ()), ci * cj)
     for m1, c1 in a.derived.items():
         for j, cj in b.linear.items():
-            _accumulate(acc, monomial_normal_form(graph, order, m1.head, m1.tail + (j,)), c1 * cj)
+            _accumulate(acc, monomial_normal_form(algebra, m1.head, m1.tail + (j,)), c1 * cj)
     for m2, c2 in b.derived.items():
         for i, ci in a.linear.items():
-            _accumulate(acc, monomial_normal_form(graph, order, m2.head, m2.tail + (i,)), -c2 * ci)
-    return LieElement._trusted(graph, order, {}, acc)
+            _accumulate(acc, monomial_normal_form(algebra, m2.head, m2.tail + (i,)), -c2 * ci)
+    return LieElement._trusted(algebra, {}, acc)
 
 
 class AssocPoly:
@@ -402,7 +434,6 @@ def act(u: LieElement, f: AssocPoly) -> LieElement:
         raise AlgebraError("module action is defined on the derived subalgebra only")
     if f.n != u.graph.n:
         raise AlgebraError("polynomial does not fit the element's generator set")
-    graph, order = u.graph, u.order
     acc: Dict[BasisMonomial, int] = {}
     for exps, cf in f.terms.items():
         letters = _exps_to_letters(exps)
@@ -410,8 +441,8 @@ def act(u: LieElement, f: AssocPoly) -> LieElement:
             if not letters:
                 _bump(acc, m, cm * cf)
                 continue
-            _accumulate(acc, monomial_normal_form(graph, order, m.head, m.tail + letters), cm * cf)
-    return LieElement._trusted(graph, order, {}, acc)
+            _accumulate(acc, monomial_normal_form(u.algebra, m.head, m.tail + letters), cm * cf)
+    return LieElement._trusted(u.algebra, {}, acc)
 
 
 def substitute(g: LieElement, images: Sequence[Tuple[int, int]], graph: Graph, order: GeneratorOrder) -> LieElement:
@@ -426,18 +457,23 @@ def substitute(g: LieElement, images: Sequence[Tuple[int, int]], graph: Graph, o
     """
     if len(images) != g.graph.n:
         raise AlgebraError(f"{len(images)} images for {g.graph.n} generators")
-    if order.n != graph.n:
-        raise AlgebraError(f"order on {order.n} generators does not fit a graph on {graph.n}")
-    coeffs, targets = zip(*images) if images else ((), ())
-    for j in targets:
+    target = Algebra.of(graph, order)
+    for _, j in images:
         if not 0 <= j < graph.n:
             raise AlgebraError(f"unknown generator x{j} for a graph on {graph.n} vertices")
     adj = graph.adj
     for a, b in g.graph.edges:
-        ja, jb = targets[a], targets[b]
-        if coeffs[a] and coeffs[b] and ja != jb and jb not in adj[ja]:
+        (ca, ja), (cb, jb) = images[a], images[b]
+        if ca and cb and ja != jb and jb not in adj[ja]:
             raise AlgebraError(f"edge ({a},{b}) goes to x{ja}, x{jb}, which do not commute")
-    rank = order.rank.__getitem__
+    return _substituted(g, images, target)
+
+
+def _substituted(g: LieElement, images: Sequence[Tuple[int, int]], target: Algebra) -> LieElement:
+    """The body of `substitute`, for images already known to respect
+    the edges of g's graph."""
+    coeffs, targets = zip(*images) if images else ((), ())
+    rank = target.order.rank.__getitem__
     linear: Dict[int, int] = {}
     for i, c in g.linear.items():
         _bump(linear, targets[i], c * coeffs[i])
@@ -448,8 +484,14 @@ def substitute(g: LieElement, images: Sequence[Tuple[int, int]], graph: Graph, o
             c *= coeffs[v]
         if c:
             tail = tuple(sorted([targets[t] for t in tail], key=rank))
-            _accumulate(derived, _monomial_nf(graph, order, targets[a], targets[b], tail), c)
-    return LieElement._trusted(graph, order, linear, derived)
+            _accumulate(derived, _monomial_nf(target, targets[a], targets[b], tail), c)
+    return LieElement._trusted(target, linear, derived)
+
+
+def cycle_generators(n: int) -> List[LieElement]:
+    """x_0..x_{n-1} in the algebra of the n-cycle, ascending order."""
+    graph, order = cycle_graph(n), GeneratorOrder.ascending(n)
+    return [LieElement.generator(graph, order, i) for i in range(n)]
 
 
 def word_element(graph: Graph, order: GeneratorOrder, letters: Iterable[int]) -> LieElement:
@@ -459,8 +501,9 @@ def word_element(graph: Graph, order: GeneratorOrder, letters: Iterable[int]) ->
         raise AlgebraError("empty word")
     if len(seq) == 1:
         return LieElement.generator(graph, order, seq[0])
-    nf = monomial_normal_form(graph, order, (seq[0], seq[1]), seq[2:])
-    return LieElement(graph, order, {}, dict(nf))
+    algebra = Algebra.of(graph, order)
+    nf = monomial_normal_form(algebra, (seq[0], seq[1]), seq[2:])
+    return LieElement._trusted(algebra, {}, dict(nf))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +521,7 @@ def homogeneous_components(g: LieElement) -> List[Tuple[Multidegree, LieElement]
     for m, c in g.derived.items():
         buckets.setdefault(mdeg(m, n), ({}, {}))[1][m] = c
     return [
-        (delta, LieElement(g.graph, g.order, lin, der))
+        (delta, LieElement._trusted(g.algebra, lin, der))
         for delta, (lin, der) in sorted(buckets.items())
     ]
 
@@ -501,7 +544,7 @@ def glued_decomposition(g: LieElement) -> List[GluedComponent]:
         key = (glued_mdeg(m, n), m.head[0])
         buckets.setdefault(key, {})[m] = c
     return [
-        GluedComponent(gd, start, LieElement(g.graph, g.order, {}, der))
+        GluedComponent(gd, start, LieElement._trusted(g.algebra, {}, der))
         for (gd, start), der in sorted(buckets.items())
     ]
 

@@ -29,20 +29,25 @@ preserves the universal theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import combinations
+from operator import attrgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
+    Algebra,
     BasisMonomial,
     GeneratorOrder,
     LieElement,
+    _substituted,
     basis_monomial_with_start,
     bracket,
+    cycle_generators,
     substitute,
 )
 from .errors import AlgebraError, CertificationError, GraphError
-from .graphs import Graph, circ_dist, closed_neighborhood, cycle_graph, perp_classes
+from .graphs import Graph, circ_dist, closed_neighborhood, perp_classes
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +61,12 @@ class ThetaInstance:
     m: int
     graph: Graph
     order: GeneratorOrder
+    algebra: Algebra = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 4:
             raise AlgebraError("the sentence needs at least 4 variables")
+        object.__setattr__(self, "algebra", Algebra.of(self.graph, self.order))
 
 
 class Atom(NamedTuple):
@@ -133,9 +140,8 @@ def eval_theta(inst: ThetaInstance, assignment: Sequence[LieElement]) -> ThetaRe
     """Evaluate all atoms; report the first violated one, if any."""
     if len(assignment) != inst.m:
         raise AlgebraError(f"assignment length {len(assignment)} != m = {inst.m}")
-    for z in assignment:
-        if z.graph != inst.graph or z.order != inst.order:
-            raise AlgebraError("assignment element over the wrong algebra")
+    if any(z.algebra is not inst.algebra for z in assignment):
+        raise AlgebraError("assignment element over the wrong algebra")
     m = inst.m
     table = _BracketTable(list(assignment))
     positions = range(m)
@@ -147,11 +153,8 @@ def eval_theta(inst: ThetaInstance, assignment: Sequence[LieElement]) -> ThetaRe
 
 def theta_identity_holds(m: int) -> bool:
     """Theta on the cycle of length m under z_i = x_i."""
-    graph = cycle_graph(m)
-    order = GeneratorOrder.ascending(m)
-    inst = ThetaInstance(m, graph, order)
-    assignment = [LieElement.generator(graph, order, i) for i in range(m)]
-    return eval_theta(inst, assignment).holds
+    assignment = cycle_generators(m)
+    return eval_theta(ThetaInstance(m, assignment[0].graph, assignment[0].order), assignment).holds
 
 
 # ---------------------------------------------------------------------------
@@ -174,26 +177,6 @@ def _steps(n: int, v: int) -> List[int]:
     return sorted({(v - 1) % n, v, (v + 1) % n})
 
 
-def _constrained_sequences(n: int, m: int) -> Iterator[Tuple[int, ...]]:
-    """All maps Z_m -> Z_n whose consecutive images (cyclically) are at
-    cyclic distance <= 1.  Any other map violates an adjacent-zero atom
-    under z_i = x_{j_i}, so pruning to these is sound and exhaustive."""
-    seq = [0] * m
-
-    def extend(pos: int) -> Iterator[Tuple[int, ...]]:
-        if pos == m:
-            if circ_dist(n, seq[m - 1], seq[0]) <= 1:
-                yield tuple(seq)
-            return
-        for step in _steps(n, seq[pos - 1]):
-            seq[pos] = step
-            yield from extend(pos + 1)
-
-    for start in range(n):
-        seq[0] = start
-        yield from extend(1)
-
-
 def _completion_counts(n: int, m: int) -> List[List[List[int]]]:
     """``counts[r][v][s]``: the number of ways to fill the last r
     positions of a constrained sequence that starts at s and has v just
@@ -210,8 +193,9 @@ def _completion_counts(n: int, m: int) -> List[List[List[int]]]:
 
 
 def _walk(n: int, m: int, fails: Callable[[List[int], int], bool], first_only: bool) -> Tuple[List[Tuple[int, ...]], int]:
-    """Depth-first walk over the constrained sequences, in the order of
-    `_constrained_sequences`.  A prefix for which ``fails(seq, pos)``
+    """Depth-first walk, in lexicographic order, over the constrained
+    sequences: the maps Z_m -> Z_n whose consecutive images (cyclically)
+    are at cyclic distance <= 1.  A prefix for which ``fails(seq, pos)``
     holds (asked once seq[pos] is set, pos >= 1) is skipped whole, and
     its constrained completions are counted from the transfer-matrix
     table.  Returns the full sequences no prefix of which fails and the
@@ -275,9 +259,7 @@ def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") ->
         raise AlgebraError(f"unknown search mode {mode!r}")
     space = n ** m
     if mode == "generator-assignments":
-        graph = cycle_graph(n)
-        order = GeneratorOrder.ascending(n)
-        table = _BracketTable([LieElement.generator(graph, order, i) for i in range(n)])
+        table = _BracketTable(cycle_generators(n))
         checks: List[List[Atom]] = [[] for _ in range(m)]
         for atom in theta_atoms(m):
             checks[max(_atom_positions(atom, m))].append(atom)
@@ -315,18 +297,9 @@ def distinguish_cycles(n: int, m: int) -> DistinguishReport:
         return DistinguishReport(n, m, True, "isomorphic", False, {})
     small, large = min(n, m), max(n, m)
     if small == 3:
-        g3 = cycle_graph(3)
-        o3 = GeneratorOrder.ascending(3)
-        abelian = all(
-            bracket(LieElement.generator(g3, o3, i), LieElement.generator(g3, o3, j)).is_zero()
-            for i in range(3)
-            for j in range(i + 1, 3)
-        )
-        gl = cycle_graph(large)
-        ol = GeneratorOrder.ascending(large)
-        counter = bracket(
-            LieElement.generator(gl, ol, 1), LieElement.generator(gl, ol, 3)
-        )
+        abelian = all(bracket(a, b).is_zero() for a, b in combinations(cycle_generators(3), 2))
+        x = cycle_generators(large)
+        counter = bracket(x[1], x[3])
         detail = {
             "abelian_small": abelian,
             "counterexample": "[x1,x3]",
@@ -354,19 +327,39 @@ class PhiHom:
     """Merge x_{n-1} onto lambda * x_{n-2}.
 
     Requires the two merged vertices to have equal closed neighborhoods
-    in the source graph.  The generator order puts x_{n-2} < x_{n-1}
-    below everything else; the target order drops x_{n-1}.
+    in the source graph.  The source order puts x_{n-2} < x_{n-1}
+    below everything else; the target order drops x_{n-1}.  ``images``
+    sends x_i to (coefficient, target generator).
     """
 
-    graph: Graph
+    source: Algebra
+    target: Algebra
     lam: int
-    source_order: GeneratorOrder
-    target_graph: Graph
-    target_order: GeneratorOrder
+    images: Tuple[Tuple[int, int], ...]
+
+    graph = property(attrgetter("source.graph"))
+    source_order = property(attrgetter("source.order"))
+    target_graph = property(attrgetter("target.graph"))
+    target_order = property(attrgetter("target.order"))
 
 
 def merge_order(n: int) -> GeneratorOrder:
     return GeneratorOrder((n - 2, n - 1) + tuple(range(n - 2)))
+
+
+# bounded: callers build all the homomorphisms of one graph in a row
+@lru_cache(maxsize=64)
+def _merge_algebras(graph: Graph) -> Tuple[Algebra, Algebra]:
+    """Source and target algebra of the merges of a graph's last two
+    vertices, after checking that they are twins."""
+    n = graph.n
+    if closed_neighborhood(graph, n - 1) != closed_neighborhood(graph, n - 2):
+        raise GraphError(
+            f"vertices {n - 2} and {n - 1} do not have equal closed neighborhoods"
+        )
+    target_edges = [(i, j) for (i, j) in graph.edges if i != n - 1 and j != n - 1]
+    target_order = GeneratorOrder((n - 2,) + tuple(range(n - 2)))
+    return Algebra.of(graph, merge_order(n)), Algebra.of(Graph(n - 1, target_edges), target_order)
 
 
 def build_phi_hom(graph: Graph, lam: int) -> PhiHom:
@@ -375,23 +368,20 @@ def build_phi_hom(graph: Graph, lam: int) -> PhiHom:
         raise GraphError("merging needs at least two vertices")
     if lam < 1:
         raise AlgebraError(f"the scale must be a positive integer, got {lam}")
-    if closed_neighborhood(graph, n - 1) != closed_neighborhood(graph, n - 2):
-        raise GraphError(
-            f"vertices {n - 2} and {n - 1} do not have equal closed neighborhoods"
-        )
-    target_edges = [(i, j) for (i, j) in graph.edges if i != n - 1 and j != n - 1]
-    target_graph = Graph(n - 1, target_edges)
-    target_order = GeneratorOrder((n - 2,) + tuple(range(n - 2)))
-    return PhiHom(graph, lam, merge_order(n), target_graph, target_order)
+    source, target = _merge_algebras(graph)
+    return PhiHom(source, target, lam, tuple((1, i) for i in range(n - 1)) + ((lam, n - 2),))
 
 
 def phi_lambda(hom: PhiHom, g: LieElement) -> LieElement:
-    """Image of g under the merge homomorphism, in normal form."""
-    if g.graph != hom.graph or g.order != hom.source_order:
+    """Image of g under the merge homomorphism, in normal form.
+
+    Unlike `substitute`, this checks no edge: the twin check in
+    `build_phi_hom` already implies that every edge goes to a commuting
+    pair, since an edge (a, n-1) goes to (a, n-2), an edge or one
+    generator twice, and every other edge is kept."""
+    if g.algebra is not hom.source:
         raise AlgebraError("element is not over the homomorphism's source algebra")
-    n = hom.graph.n
-    images = [(1, i) for i in range(n - 1)] + [(hom.lam, n - 2)]
-    return substitute(g, images, hom.target_graph, hom.target_order)
+    return _substituted(g, hom.images, hom.target)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +489,7 @@ def _scale_polynomials(g: LieElement, hom: PhiHom) -> List[Tuple[Tuple, Tuple[in
     x_{n-1} fixes the multidegree and so the term, and is its power of
     lambda.
     """
-    if g.graph != hom.graph or g.order != hom.source_order:
+    if g.algebra is not hom.source:
         raise AlgebraError("element is not over the homomorphism's source algebra")
     n = hom.graph.n
     last, kept = n - 1, n - 2
@@ -613,11 +603,11 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     The merged pair is chosen deterministically: in the neighborhood
     class with the smallest minimum that has at least two vertices, the
     two largest vertices are merged (largest removed).  Elements of
-    gamma must lie over ``graph`` but may be given over any order on it
-    (``order`` is not read); they are relabeled and reordered
-    internally.
+    gamma must lie over ``graph`` but may be given over any order on it;
+    they are relabeled and reordered internally.  ``order`` is not read
+    and stays only because callers pass it positionally.
     """
-    if any(g.graph != graph for g in gamma):
+    if any(g.graph.n != graph.n or g.algebra is not Algebra.of(graph, g.order) for g in gamma):
         raise AlgebraError("an element of gamma is not over the witness graph")
     classes = [b for b in perp_classes(graph) if len(b) >= 2]
     if not classes:
@@ -630,35 +620,17 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     images = [(1, perm[v]) for v in range(graph.n)]
     moved = [substitute(g, images, new_graph, hom1.source_order) for g in gamma]
     closure = gamma_closure(moved)
-    lam = 1
-    for g in closure:
-        if not g.is_zero():
-            lam = max(lam, lambda_zero(g, hom1))
+    nonzero = [g for g in closure if not g.is_zero()]
+    lam = max([1] + [lambda_zero(g, hom1) for g in nonzero])
     hom = build_phi_hom(new_graph, lam)
-    nonzero = 0
-    for g in closure:
-        if g.is_zero():
-            continue
-        nonzero += 1
-        if phi_lambda(hom, g).is_zero():
-            raise CertificationError(
-                f"phi with scale {lam} kills a nonzero closure element"
-            )
-    images = [phi_lambda(hom, g) for g in moved]
-    distinct = True
-    for i in range(len(moved)):
-        for j in range(i + 1, len(moved)):
-            if (moved[i] != moved[j]) and images[i] == images[j]:
-                distinct = False
-    faithful = True
-    for i in range(len(moved)):
-        for j in range(len(moved)):
-            lhs = phi_lambda(hom, bracket(moved[i], moved[j]))
-            if lhs != bracket(images[i], images[j]):
-                faithful = False
+    if any(phi_lambda(hom, g).is_zero() for g in nonzero):
+        raise CertificationError(f"phi with scale {lam} kills a nonzero closure element")
+    pairs = list(zip(moved, [phi_lambda(hom, g) for g in moved]))
+    distinct = all(a == b or pa != pb for (a, pa), (b, pb) in combinations(pairs, 2))
+    faithful = all(phi_lambda(hom, bracket(a, b)) == bracket(pa, pb) for a, pa in pairs for b, pb in pairs)
     ok = distinct and faithful
     if not ok:
         raise CertificationError("merge witness verification failed")
     return CompactionWitnessReport(
-        lam, len(gamma), len(closure), nonzero, remove, keep, distinct, faithful, ok,
+        lam, len(gamma), len(closure), len(nonzero), remove, keep, distinct, faithful, ok,
     )

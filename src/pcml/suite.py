@@ -28,6 +28,7 @@ from .core import (
 from .equivalence import (
     build_phi_hom,
     compaction_witness,
+    distinguish_cycles,
     lambda_zero,
     merge_scaling_components,
     phi_lambda,
@@ -225,16 +226,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
                 )
             searched.append(f"{n}<{m}:{report.checked}")
     for m in range(4, 8):
-        g3 = cycle_graph(3)
-        o3 = GeneratorOrder.ascending(3)
-        abelian = all(
-            bracket(LieElement.generator(g3, o3, i), LieElement.generator(g3, o3, j)).is_zero()
-            for i, j in combinations(range(3), 2)
-        )
-        gm = cycle_graph(m)
-        om = GeneratorOrder.ascending(m)
-        counter = bracket(LieElement.generator(gm, om, 1), LieElement.generator(gm, om, 3))
-        if not abelian or counter.is_zero():
+        if not distinguish_cycles(3, m).separated:
             return CriterionResult(5, "cycle-separation", False, f"psi check fails m={m}")
     return CriterionResult(5, "cycle-separation", True, "identity m=4..10; " + " ".join(searched))
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .core import (
+    Algebra,
     AssocPoly,
     GeneratorOrder,
     LieElement,
     _accumulate,
+    _bump,
     monomial_normal_form,
 )
 from .errors import ParseError
@@ -82,6 +84,7 @@ def _parse_monomial(sc: _Scanner) -> Tuple[Tuple[int, int], Tuple[int, ...]]:
 
 def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
     """Parse element text and return its normal form."""
+    algebra = Algebra.of(graph, order)
     sc = _Scanner(text)
     if sc.done():
         raise ParseError("empty element", 0)
@@ -89,12 +92,8 @@ def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
     derived = {}
     first = True
     while not sc.done():
-        sign = 1
-        if sc.try_take("+"):
-            sign = 1
-        elif sc.try_take("-"):
-            sign = -1
-        elif not first:
+        sign = -1 if sc.try_take("-") else 1
+        if sign == 1 and not sc.try_take("+") and not first:
             raise ParseError("expected + or - between terms", sc.pos)
         first = False
         ch = sc.peek()
@@ -112,16 +111,16 @@ def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
             i = sc.generator()
             if not 0 <= i < graph.n:
                 raise ParseError(f"unknown generator x{i}", sc.pos)
-            linear[i] = linear.get(i, 0) + sign * coeff
+            _bump(linear, i, sign * coeff)
         elif ch == "[":
             head, tail = _parse_monomial(sc)
             for v in head + tail:
                 if not 0 <= v < graph.n:
                     raise ParseError(f"unknown generator x{v}", sc.pos)
-            _accumulate(derived, monomial_normal_form(graph, order, head, tail), sign * coeff)
+            _accumulate(derived, monomial_normal_form(algebra, head, tail), sign * coeff)
         else:
             raise ParseError("expected a generator or a bracket monomial", sc.pos)
-    return LieElement(graph, order, linear, derived)
+    return LieElement._trusted(algebra, linear, derived)
 
 
 def parse_assoc_poly(text: str, n: int) -> AssocPoly:
@@ -132,12 +131,8 @@ def parse_assoc_poly(text: str, n: int) -> AssocPoly:
     terms = {}
     first = True
     while not sc.done():
-        sign = 1
-        if sc.try_take("+"):
-            sign = 1
-        elif sc.try_take("-"):
-            sign = -1
-        elif not first:
+        sign = -1 if sc.try_take("-") else 1
+        if sign == 1 and not sc.try_take("+") and not first:
             raise ParseError("expected + or - between terms", sc.pos)
         first = False
         coeff = 1

@@ -1,13 +1,18 @@
+import operator
 import random
+import weakref
 from itertools import combinations
 
 import pytest
 
 from pcml.core import (
+    NF_CACHE_SIZE,
+    Algebra,
     AssocPoly,
     BasisMonomial,
     GeneratorOrder,
     LieElement,
+    _monomial_nf,
     act,
     basis_monomial_with_start,
     basis_monomials_of_multidegree,
@@ -180,9 +185,39 @@ def test_equal_and_is_zero():
     assert a == a and not a.is_zero()
     assert (a - a).is_zero()
     other = LieElement.generator(Graph(3, [(0, 1)]), ASC3, 0)
-    assert x[0] != other
+    reordered = LieElement.generator(FREE3, GeneratorOrder([2, 1, 0]), 0)
+    for y in (other, reordered):
+        assert x[0] != y and x[0].linear == y.linear
+        for op in (operator.add, operator.sub, bracket):
+            with pytest.raises(AlgebraError):
+                op(x[0], y)
+
+
+def test_equal_graphs_and_orders_share_one_algebra():
+    g1, g2 = Graph(3, [(0, 1)]), Graph(3, [(1, 0)])
+    o1, o2 = GeneratorOrder([1, 0, 2]), GeneratorOrder([1, 0, 2])
+    assert g1 is not g2 and o1 is not o2
+    a = LieElement.generator(g1, o1, 0) + LieElement.generator(g1, o1, 2)
+    b = LieElement.generator(g2, o2, 2)
+    assert a.algebra is b.algebra is Algebra.of(g2, o1)
+    assert a - b == LieElement.generator(g2, o2, 0)
+    assert bracket(a, b) == word_element(g2, o2, (0, 2)) == word_element(g1, o1, (0, 2))
+    assert not bracket(a, b).is_zero()
+
+
+def test_an_algebra_checks_its_order_once_and_is_dropped_when_unused():
     with pytest.raises(AlgebraError):
-        x[0] + other
+        Algebra.of(cycle_graph(5), GeneratorOrder.ascending(4))
+    with pytest.raises(AlgebraError):
+        LieElement.zero(cycle_graph(5), GeneratorOrder.ascending(4))
+    # a graph no other test builds, so no cached normal form keeps it alive
+    ref = weakref.ref(Algebra.of(Graph(9, [(3, 7)]), GeneratorOrder.ascending(9)))
+    assert ref() is None
+
+
+def test_normal_form_cache_is_bounded():
+    # lru_cache reports maxsize None when it is unbounded
+    assert _monomial_nf.cache_info().maxsize == NF_CACHE_SIZE is not None
 
 
 def test_normal_form_idempotent():

@@ -15,7 +15,7 @@ from pcml.core import (
 from pcml.equivalence import (
     Atom,
     ThetaInstance,
-    _constrained_sequences,
+    _steps,
     build_phi_hom,
     compaction_witness,
     distinguish_cycles,
@@ -35,6 +35,26 @@ from pcml.sampling import random_element, random_graph, random_graph_with_merged
 
 # four vertices, 2 and 3 neighborhood-equivalent, 0 isolated
 MERGE4 = Graph(4, [(2, 3), (1, 2), (1, 3)])
+
+
+def _constrained_sequences(n, m):
+    """Every map Z_m -> Z_n whose consecutive images (cyclically) are at
+    cyclic distance <= 1, one by one in lexicographic order: the
+    unpruned reference for the witness searches."""
+    seq = [0] * m
+
+    def extend(pos):
+        if pos == m:
+            if circ_dist(n, seq[m - 1], seq[0]) <= 1:
+                yield tuple(seq)
+            return
+        for step in _steps(n, seq[pos - 1]):
+            seq[pos] = step
+            yield from extend(pos + 1)
+
+    for start in range(n):
+        seq[0] = start
+        yield from extend(1)
 
 
 def test_theta_identity_small_cycles():
@@ -82,6 +102,14 @@ def test_theta_validation():
     inst = ThetaInstance(5, c5, o5)
     with pytest.raises(AlgebraError):
         eval_theta(inst, [LieElement.zero(c5, o5)] * 4)
+    with pytest.raises(AlgebraError):
+        ThetaInstance(5, c5, GeneratorOrder.ascending(4))
+    reordered = GeneratorOrder([1, 0, 2, 3, 4])
+    with pytest.raises(AlgebraError):
+        eval_theta(inst, [LieElement.generator(c5, reordered, i) for i in range(5)])
+    # equal but distinct graph and order objects name the same algebra
+    same = [LieElement.generator(cycle_graph(5), GeneratorOrder.ascending(5), i) for i in range(5)]
+    assert eval_theta(inst, same).holds
 
 
 def test_search_witness_same_length():
@@ -313,6 +341,37 @@ def test_phi_is_a_homomorphism():
         b = random_element(graph, hom.source_order, rng, max_degree=3)
         assert phi_lambda(hom, a + b) == phi_lambda(hom, a) + phi_lambda(hom, b)
         assert phi_lambda(hom, bracket(a, b)) == bracket(phi_lambda(hom, a), phi_lambda(hom, b))
+
+
+def test_merge_algebras_are_built_once_per_graph(monkeypatch):
+    first = build_phi_hom(Graph(4, [(2, 3), (1, 2), (1, 3)]), 2)
+    graph = Graph(4, [(1, 3), (2, 3), (1, 2)])
+    built = []
+
+    def counted(init):
+        def wrapper(self, *args):
+            built.append(type(self).__name__)
+            init(self, *args)
+        return wrapper
+
+    for cls in (Graph, GeneratorOrder):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    second = build_phi_hom(graph, 3)
+    monkeypatch.undo()
+    assert built == []
+    assert second.target_graph is first.target_graph
+    assert second.target_order is first.target_order
+    assert second.source is first.source and second.graph is first.graph
+    rng = random.Random(5)
+    for hom in (first, second):
+        for _ in range(20):
+            g = random_element(graph, hom.source_order, rng, max_degree=4)
+            checked = substitute(g, hom.images, hom.target_graph, hom.target_order)
+            assert phi_lambda(hom, g) == checked
+    with pytest.raises(AlgebraError):
+        phi_lambda(first, LieElement.generator(graph, GeneratorOrder.ascending(4), 0))
+    with pytest.raises(AlgebraError):
+        lambda_zero(LieElement.generator(graph, GeneratorOrder.ascending(4), 0), first)
 
 
 def test_phi_rejects_bad_merge_pair():
