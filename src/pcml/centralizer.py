@@ -23,14 +23,10 @@ from .core import (
     LieElement,
     _accumulate,
     act,
-    basis_monomials_of_degree,
-    basis_monomials_of_multidegree,
     bracket,
     cycle_generators,
     homogeneous_components,
-    mdeg,
     monomial_normal_form,
-    multidegrees,
 )
 from .errors import AlgebraError, CertificationError
 from .graphs import Graph, circ_dist
@@ -73,7 +69,7 @@ def _blocks(deltas: List[Tuple[int, ...]], supp: Sequence[int]) -> List[List[Tup
     return blocks
 
 
-def _kernel_elements(algebra: Algebra, lin: Dict[int, int], columns: List[BasisMonomial]) -> List[Dict[BasisMonomial, int]]:
+def _kernel_elements(algebra: Algebra, lin: Dict[int, int], columns: Sequence[BasisMonomial]) -> List[Dict[BasisMonomial, int]]:
     """Kernel of h -> [h, g] on the span of the given monomials."""
     images: List[Dict[BasisMonomial, int]] = []
     for m in columns:
@@ -91,17 +87,12 @@ def _kernel_elements(algebra: Algebra, lin: Dict[int, int], columns: List[BasisM
 def centralizer_vectors_by_degree(g: LieElement, degree_bound: int) -> Dict[int, List[Dict[BasisMonomial, int]]]:
     """Kernel bases per total degree 2..degree_bound, as sparse vectors."""
     lin = _check_linear(g)
-    graph, order = g.graph, g.order
     supp = sorted(lin)
     result: Dict[int, List[Dict[BasisMonomial, int]]] = {}
     for k in range(2, degree_bound + 1):
-        mons_by_delta = {}
-        for delta in multidegrees(graph.n, k):
-            mons = basis_monomials_of_multidegree(graph, order, delta)
-            if mons:
-                mons_by_delta[delta] = mons
+        mons_by_delta = g.algebra.bases(k)
         found: List[Dict[BasisMonomial, int]] = []
-        for block in _blocks(sorted(mons_by_delta), supp):
+        for block in _blocks(list(mons_by_delta), supp):
             columns = [m for delta in sorted(block) for m in mons_by_delta[delta]]
             found.extend(_kernel_elements(g.algebra, lin, columns))
         result[k] = found
@@ -138,7 +129,7 @@ def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
     return CentralizerSlice(g, degree_bound, elements)
 
 
-def _densify(vectors: List[Dict[BasisMonomial, int]], columns: List[BasisMonomial]) -> List[List[int]]:
+def _densify(vectors: List[Dict[BasisMonomial, int]], columns: Sequence[BasisMonomial]) -> List[List[int]]:
     index = {m: i for i, m in enumerate(columns)}
     out = []
     for sparse in vectors:
@@ -160,34 +151,19 @@ def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[in
     g = LieElement.from_linear(graph, order, dict(zip(indices, coefficients)))
     direct = centralizer_vectors_by_degree(g, degree_bound)
     for k in range(2, degree_bound + 1):
-        columns = basis_monomials_of_degree(graph, order, k)
-        if not columns:
-            if direct[k]:
-                return False
-            continue
+        mons_by_delta = g.algebra.bases(k)
+        columns = [m for mons in mons_by_delta.values() for m in mons]
         # intersection of the single-generator kernels, multidegree-wise
-        position = {m: k for k, m in enumerate(columns)}
-        intersection_rows: List[List[int]] = []
-        mons_by_delta: Dict[Tuple[int, ...], List[BasisMonomial]] = {}
-        for m in columns:
-            mons_by_delta.setdefault(mdeg(m, graph.n), []).append(m)
-        for delta in sorted(mons_by_delta):
-            mons = sorted(mons_by_delta[delta])
+        intersection: List[Dict[BasisMonomial, int]] = []
+        for mons in mons_by_delta.values():
             current = None
             for i in indices:
-                vecs = _kernel_elements(g.algebra, {i: 1}, mons)
-                dense = _densify(vecs, mons)
+                dense = _densify(_kernel_elements(g.algebra, {i: 1}, mons), mons)
                 current = dense if current is None else linalg.intersect_rowspans(current, dense)
                 if not current:
                     break
-            if current:
-                for row in current:
-                    full = [0] * len(columns)
-                    for m, v in zip(mons, row):
-                        full[position[m]] = v
-                    intersection_rows.append(full)
-        direct_rows = _densify(direct[k], columns)
-        if not linalg.same_rowspan(direct_rows, intersection_rows):
+            intersection.extend(dict(zip(mons, row)) for row in current or ())
+        if not linalg.same_rowspan(_densify(direct[k], columns), _densify(intersection, columns)):
             return False
     return True
 

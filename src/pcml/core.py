@@ -26,7 +26,12 @@ than assumed, see `pcml.oracle`.
 
 Every element carries one `Algebra`: the interned value of its graph
 and generator order, one object per equal pair, so two elements share a
-context exactly when their algebras are the same object.
+context exactly when their algebras are the same object.  The engine's
+tables live in the objects they describe and die with them: the graph
+owns the components of each support (`Graph.component_labels`), the
+algebra its normal forms (`_monomial_nf`, cleared at `NF_CACHE_SIZE`
+entries) and the bases of each degree (`Algebra.bases`).  No table
+refers back to an algebra, so an algebra is dropped with its last element.
 
 Every map the engine needs between these algebras (a vertex merge, a
 relabeling, a change of generator order) sends each generator to a
@@ -38,12 +43,13 @@ renormalised.
 from __future__ import annotations
 
 import weakref
-from functools import lru_cache
+from collections import namedtuple
+from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import AlgebraError
-from .graphs import Graph, components_within, cycle_graph
+from .graphs import Graph, cycle_graph
 
 Multidegree = Tuple[int, ...]
 GluedMultidegree = Tuple[int, ...]
@@ -93,7 +99,7 @@ class Algebra:
     elements share a context exactly when their algebras are identical.
     """
 
-    __slots__ = ("graph", "order", "__weakref__")
+    __slots__ = ("graph", "order", "_nf", "_bases", "__weakref__")
 
     @classmethod
     def of(cls, graph: Graph, order: GeneratorOrder) -> "Algebra":
@@ -105,14 +111,29 @@ class Algebra:
             out = _ALGEBRAS[key] = object.__new__(cls)
             out.graph = graph
             out.order = order
+            out._nf = {}
+            out._bases = {}
         return out
+
+    def bases(self, degree: int) -> Dict[Multidegree, Tuple[BasisMonomial, ...]]:
+        """The nonempty bases of the multidegrees of one total degree,
+        by ascending multidegree, each sorted; computed once per degree."""
+        table = self._bases.get(degree)
+        if table is None:
+            found = {}
+            for ranked in combinations_with_replacement(self.order.perm, degree):
+                mons = _basis(self.graph, self.order, list(ranked))
+                if mons:
+                    found[mdeg(mons[0], self.graph.n)] = tuple(mons)
+            table = self._bases[degree] = dict(sorted(found.items()))
+        return table
 
 
 # the live algebras, keyed by the values of their graph and order; an
-# algebra is dropped once no element, homomorphism or cache refers to it
+# algebra is dropped once no element or homomorphism refers to it
 _ALGEBRAS: "weakref.WeakValueDictionary[tuple, Algebra]" = weakref.WeakValueDictionary()
 
-# monomial normal forms kept; far above the distinct entries of any workload
+# normal forms one algebra keeps; far above the distinct entries of any workload
 NF_CACHE_SIZE = 1 << 16
 
 
@@ -144,6 +165,19 @@ def glued_mdeg(m: BasisMonomial, n: int) -> GluedMultidegree:
     return d[: n - 2] + (d[n - 2] + d[n - 1],)
 
 
+def _components(graph: Graph, order: GeneratorOrder, letters: Iterable[int]) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+    """The component labels of the support of ``letters`` (see
+    `Graph.component_labels`) and the greatest vertex of each label."""
+    mask = 0
+    for v in letters:
+        mask |= 1 << v
+    labels = graph.component_labels(mask)
+    tops: Dict[int, int] = {}
+    for v in reversed(order.perm):
+        tops.setdefault(labels[v], v)
+    return labels, tops
+
+
 def is_basis_monomial(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph, order: GeneratorOrder) -> bool:
     """Check the four basis conditions literally."""
     a, b = head
@@ -160,27 +194,26 @@ def is_basis_monomial(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph
         if rank[t] < rank[prev]:
             return False
         prev = t
-    supp = frozenset(letters)
-    comps = components_within(graph, supp)
-    comp_of = {v: k for k, block in enumerate(comps) for v in block}
-    if comp_of[a] == comp_of[b]:
-        return False
-    block_a = comps[comp_of[a]]
-    return a == max(block_a, key=rank.__getitem__)
+    labels, tops = _components(graph, order, letters)
+    return labels[a] != labels[b] and tops[labels[a]] == a
 
 
-def _headed(first: int, mu: int, letters: Iterable[int], rank: Tuple[int, ...]) -> BasisMonomial:
-    """The monomial [x_first, x_mu] followed by the rest of ``letters``
-    (the whole support, with multiplicity) sorted by rank."""
-    rest = list(letters)
+def _headed(first: int, ranked: List[int]) -> BasisMonomial:
+    """The monomial [x_first, x_mu] followed by the rest of ``ranked``
+    (the whole support, with multiplicity, sorted by rank; mu = ranked[0])."""
+    rest = ranked[1:]
     rest.remove(first)
-    rest.remove(mu)
-    return BasisMonomial((first, mu), tuple(sorted(rest, key=rank.__getitem__)))
+    return BasisMonomial((first, ranked[0]), tuple(rest))
 
 
-@lru_cache(maxsize=NF_CACHE_SIZE)
+# hits and misses of every algebra's normal-form table since start-up
+_nf_counts = [0, 0]
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
 def _monomial_nf(algebra: Algebra, a: int, b: int, tail: Tuple[int, ...]) -> Tuple[Tuple[BasisMonomial, int], ...]:
-    """Normal form of [x_a,x_b].tail as ((basis monomial, coeff), ...).
+    """Normal form of [x_a,x_b].tail as ((basis monomial, coeff), ...),
+    looked up in, or else computed into, the algebra's table.
 
     Case analysis (mu is the least letter of the support, C_v the
     component of v in the support subgraph):
@@ -193,26 +226,40 @@ def _monomial_nf(algebra: Algebra, a: int, b: int, tail: Tuple[int, ...]) -> Tup
     where m(C) heads the monomial with the greatest vertex of C, puts
     mu second, and sorts the rest into the tail.
     """
+    table = algebra._nf
+    key = (a, b, tail)
+    out = table.get(key)
+    if out is not None:
+        _nf_counts[0] += 1
+        return out
+    _nf_counts[1] += 1
+    if len(table) >= NF_CACHE_SIZE:
+        table.clear()
+    out = table[key] = _nf_cases(algebra, a, b, tail)
+    return out
+
+
+# counts as `functools.lru_cache` reports them: the bound is per algebra,
+# the size summed over the live algebras
+_monomial_nf.cache_info = lambda: CacheInfo(
+    *_nf_counts, NF_CACHE_SIZE, sum(len(a._nf) for a in list(_ALGEBRAS.values())))
+
+
+def _nf_cases(algebra: Algebra, a: int, b: int, tail: Tuple[int, ...]) -> Tuple[Tuple[BasisMonomial, int], ...]:
     if a == b:
         return ()
     letters = (a, b) + tail
-    supp = frozenset(letters)
-    comps = components_within(algebra.graph, supp)
-    comp_of = {v: k for k, block in enumerate(comps) for v in block}
-    if comp_of[a] == comp_of[b]:
+    labels, tops = _components(algebra.graph, algebra.order, letters)
+    la, lb = labels[a], labels[b]
+    if la == lb:
         return ()
-    rank = algebra.order.rank
-    mu = min(supp, key=rank.__getitem__)
-
-    def rep(block_index: int) -> BasisMonomial:
-        return _headed(max(comps[block_index], key=rank.__getitem__), mu, letters, rank)
-
-    c_mu = comp_of[mu]
-    if c_mu == comp_of[b]:
-        return ((rep(comp_of[a]), 1),)
-    if c_mu == comp_of[a]:
-        return ((rep(comp_of[b]), -1),)
-    return ((rep(comp_of[a]), 1), (rep(comp_of[b]), -1))
+    ranked = sorted(letters, key=algebra.order.rank.__getitem__)
+    lmu = labels[ranked[0]]
+    if lmu == lb:
+        return ((_headed(tops[la], ranked), 1),)
+    if lmu == la:
+        return ((_headed(tops[lb], ranked), -1),)
+    return ((_headed(tops[la], ranked), 1), (_headed(tops[lb], ranked), -1))
 
 
 def monomial_normal_form(algebra: Algebra, head: Tuple[int, int], tail: Iterable[int]) -> Tuple[Tuple[BasisMonomial, int], ...]:
@@ -422,10 +469,7 @@ class AssocPoly:
 
 
 def _exps_to_letters(exps: AssocMonomial) -> Tuple[int, ...]:
-    out: List[int] = []
-    for i, e in enumerate(exps):
-        out.extend([i] * e)
-    return tuple(out)
+    return tuple(i for i, e in enumerate(exps) for _ in range(e))
 
 
 def act(u: LieElement, f: AssocPoly) -> LieElement:
@@ -554,17 +598,10 @@ def glued_decomposition(g: LieElement) -> List[GluedComponent]:
 # ---------------------------------------------------------------------------
 
 def multidegrees(n: int, total: int) -> Iterator[Multidegree]:
-    """All length-n vectors of nonnegative integers summing to total."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in multidegrees(n - 1, total - first):
-            yield (first,) + rest
-
-
-def delta_support(delta: Multidegree) -> FrozenSet[int]:
-    return frozenset(i for i, d in enumerate(delta) if d)
+    """All length-n vectors of nonnegative integers summing to total, in
+    ascending order: the gaps between n-1 bars among total+n-1 places."""
+    for bars in combinations(range(total + n - 1), n - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (total + n - 1,)))
 
 
 def basis_monomials_of_multidegree(graph: Graph, order: GeneratorOrder, delta: Multidegree) -> List[BasisMonomial]:
@@ -576,43 +613,27 @@ def basis_monomials_of_multidegree(graph: Graph, order: GeneratorOrder, delta: M
     """
     if len(delta) != graph.n:
         raise AlgebraError(f"multidegree {delta} does not fit a graph on {graph.n} vertices")
-    if sum(delta) < 2:
+    return _basis(graph, order, sorted(_exps_to_letters(delta), key=order.rank.__getitem__))
+
+
+def _basis(graph: Graph, order: GeneratorOrder, ranked: List[int]) -> List[BasisMonomial]:
+    """The basis monomials on the letters ``ranked``, sorted by rank."""
+    if len(ranked) < 2:
         return []
-    supp = delta_support(delta)
-    if len(supp) == 1:
-        return []
-    rank = order.rank
-    comps = components_within(graph, supp)
-    mu = min(supp, key=rank.__getitem__)
-    letters = _exps_to_letters(delta)
-    return sorted(
-        _headed(max(block, key=rank.__getitem__), mu, letters, rank)
-        for block in comps
-        if mu not in block
-    )
+    labels, tops = _components(graph, order, ranked)
+    return sorted(_headed(v, ranked) for label, v in tops.items() if label not in (-1, labels[ranked[0]]))
 
 
 def basis_monomials_of_degree(graph: Graph, order: GeneratorOrder, degree: int) -> List[BasisMonomial]:
-    out: List[BasisMonomial] = []
-    for delta in multidegrees(graph.n, degree):
-        out.extend(basis_monomials_of_multidegree(graph, order, delta))
-    return out
+    return [m for mons in Algebra.of(graph, order).bases(degree).values() for m in mons]
 
 
 def basis_monomial_with_start(delta: Multidegree, start: int, graph: Graph, order: GeneratorOrder) -> Optional[BasisMonomial]:
     """The unique basis monomial of a multidegree with a given first
     letter, or None when no such monomial is valid."""
-    if sum(delta) < 2 or len(delta) != graph.n:
+    if len(delta) != graph.n or any(d < 0 for d in delta):
         return None
-    if not 0 <= start < graph.n or delta[start] == 0:
-        return None
-    supp = delta_support(delta)
-    rank = order.rank
-    mu = min(supp, key=rank.__getitem__)
-    if start == mu:
-        return None
-    m = _headed(start, mu, _exps_to_letters(delta), rank)
-    return m if is_basis_monomial(m.head, m.tail, graph, order) else None
+    return next((m for m in basis_monomials_of_multidegree(graph, order, delta) if m.head[0] == start), None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Finite simple graphs and the graph-side operations of the engine.
 
 Vertices are the integers 0..n-1 and stand for the generators x_0..x_{n-1}
-of the algebra defined by the graph.  Graphs are immutable values; every
-derived quantity (components, neighborhood classes, compactions) is
-computed by a pure function, so everything here is safe to share across
-threads.
+of the algebra defined by the graph.  Graphs are immutable values, save
+for one lazily filled table of integer tuples that each graph owns: the
+components of each induced vertex set asked for, keyed by its bitmask
+(`Graph.component_labels`).  Everything else is a pure function.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ VertexSet = FrozenSet[int]
 class Graph:
     """Undirected graph without loops or multi-edges on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj", "_hash")
+    __slots__ = ("n", "edges", "adj", "_hash", "_labels")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -45,6 +45,25 @@ class Graph:
             adj[j].add(i)
         self.adj = tuple(frozenset(s) for s in adj)
         self._hash = hash((n, self.edges))
+        self._labels: Dict[int, Tuple[int, ...]] = {}
+
+    def component_labels(self, mask: int) -> Tuple[int, ...]:
+        """Components induced on the vertex bitmask ``mask``, once per mask:
+        per vertex the least vertex of its component, -1 outside ``mask``."""
+        labels = self._labels.get(mask)
+        if labels is None:
+            out = [-1] * self.n
+            for v in range(self.n):
+                if mask >> v & 1 and out[v] < 0:
+                    out[v] = v
+                    stack = [v]
+                    while stack:
+                        for w in self.adj[stack.pop()]:
+                            if mask >> w & 1 and out[w] < 0:
+                                out[w] = v
+                                stack.append(w)
+            labels = self._labels[mask] = tuple(out)
+        return labels
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.adj[i]
@@ -127,26 +146,18 @@ def components_within(graph: Graph, vertices: Iterable[int]) -> Tuple[FrozenSet[
     """Connected components of the subgraph induced on ``vertices``.
 
     Vertices keep their original labels.  Blocks come back sorted by
-    their least element, so the result is deterministic.
+    their least element; a view of `Graph.component_labels`.
     """
-    todo = set(vertices)
-    for v in todo:
+    mask = 0
+    for v in vertices:
         if not 0 <= v < graph.n:
             raise GraphError(f"vertex {v} out of range")
-    blocks = []
-    while todo:
-        start = min(todo)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in graph.adj[v]:
-                if w in todo and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        todo -= seen
-        blocks.append(frozenset(seen))
-    return tuple(sorted(blocks, key=min))
+        mask |= 1 << v
+    blocks: Dict[int, List[int]] = {}
+    for v, label in enumerate(graph.component_labels(mask)):
+        if label >= 0:
+            blocks.setdefault(label, []).append(v)
+    return tuple(frozenset(b) for b in blocks.values())
 
 
 def closed_neighborhood(graph: Graph, x: int) -> VertexSet:

@@ -5,8 +5,9 @@ from itertools import combinations
 
 import pytest
 
+from pcml import core
+from pcml.centralizer import derived_centralizer
 from pcml.core import (
-    NF_CACHE_SIZE,
     Algebra,
     AssocPoly,
     BasisMonomial,
@@ -210,14 +211,37 @@ def test_an_algebra_checks_its_order_once_and_is_dropped_when_unused():
         Algebra.of(cycle_graph(5), GeneratorOrder.ascending(4))
     with pytest.raises(AlgebraError):
         LieElement.zero(cycle_graph(5), GeneratorOrder.ascending(4))
-    # a graph no other test builds, so no cached normal form keeps it alive
+    # a graph no other test builds, so no live element keeps it alive
     ref = weakref.ref(Algebra.of(Graph(9, [(3, 7)]), GeneratorOrder.ascending(9)))
     assert ref() is None
+    # filled normal-form and basis tables, and the components table of a
+    # graph that outlives the algebra, keep no algebra alive
+    graph = Graph(7, [(2, 5), (0, 6)])
+    x = gens(graph, GeneratorOrder.ascending(7))
+    ref = weakref.ref(x[0].algebra)
+    assert not bracket(x[1], x[0]).is_zero()
+    derived_centralizer(x[0] + x[3], 3)
+    assert ref()._nf and ref()._bases and graph._labels
+    del x
+    assert ref() is None
+    assert graph._labels
 
 
-def test_normal_form_cache_is_bounded():
-    # lru_cache reports maxsize None when it is unbounded
-    assert _monomial_nf.cache_info().maxsize == NF_CACHE_SIZE is not None
+def test_normal_form_cache_is_bounded(monkeypatch):
+    # each algebra's table holds at most NF_CACHE_SIZE entries, and
+    # _monomial_nf.cache_info() counts as functools.lru_cache does
+    monkeypatch.setattr(core, "NF_CACHE_SIZE", 5)
+    x = gens(Graph(6, [(0, 1)]), GeneratorOrder.ascending(6))
+    table = x[0].algebra._nf
+    before = _monomial_nf.cache_info()
+    for i, j in combinations(range(6), 2):
+        bracket(x[j], x[i])
+        assert len(table) <= 5
+    bracket(x[5], x[4])
+    after = _monomial_nf.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 15)
+    assert after.maxsize == 5 and len(table) == 5
+    assert after.currsize == sum(len(a._nf) for a in list(core._ALGEBRAS.values()))
 
 
 def test_normal_form_idempotent():

@@ -63,6 +63,16 @@ def test_connected_components():
     assert len(components_within(Graph(3, []), range(3))) == 3
     with pytest.raises(GraphError):
         components_within(cycle_graph(5), {0, 9})
+    # out-of-range vertices raise before any bitmask is formed, whether
+    # the graph's components table is cold or already holds the support
+    for bad in ({-1, 0}, {0, 5}):
+        with pytest.raises(GraphError):
+            components_within(cycle_graph(5), bad)
+        warm = cycle_graph(5)
+        assert components_within(warm, {0}) == (frozenset({0}),)
+        assert components_within(warm, range(5)) == (frozenset(range(5)),)
+        with pytest.raises(GraphError):
+            components_within(warm, bad)
 
 
 def test_closed_neighborhood():
