@@ -6,13 +6,16 @@ degree-k element with g lands in degree k+1, so the kernel splits by
 total degree and is found degree by degree with exact elimination.
 Within one degree the constraint matrix further splits into blocks of
 multidegrees linked by moves e_a - e_b over the support of g, which
-keeps the matrices small.
+keeps the matrices small.  Kernels stay as `linalg.kernel_basis` rows
+over a block's basis monomials.  Both the kernel and the intersection
+of the generators' kernels (taken per multidegree) are direct sums over
+the blocks, so `check_intersection_theorem` compares them per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import linalg
 from .core import (
@@ -21,12 +24,12 @@ from .core import (
     BasisMonomial,
     GeneratorOrder,
     LieElement,
-    _accumulate,
+    Multidegree,
+    _add_nf,
     act,
     bracket,
     cycle_generators,
     homogeneous_components,
-    monomial_normal_form,
 )
 from .errors import AlgebraError, CertificationError
 from .graphs import Graph, circ_dist
@@ -69,34 +72,30 @@ def _blocks(deltas: List[Tuple[int, ...]], supp: Sequence[int]) -> List[List[Tup
     return blocks
 
 
-def _kernel_elements(algebra: Algebra, lin: Dict[int, int], columns: Sequence[BasisMonomial]) -> List[Dict[BasisMonomial, int]]:
-    """Kernel of h -> [h, g] on the span of the given monomials."""
+def _kernel_rows(algebra: Algebra, lin: Dict[int, int], columns: Sequence[BasisMonomial]) -> List[Tuple[int, ...]]:
+    """Kernel of h -> [h, g] on the span of ``columns``, for
+    g = sum lin[i] x_i, as `linalg.kernel_basis` rows over the columns."""
     images: List[Dict[BasisMonomial, int]] = []
-    for m in columns:
+    for (a, b), tail in columns:
         image: Dict[BasisMonomial, int] = {}
         for i, alpha in lin.items():
-            _accumulate(image, monomial_normal_form(algebra, m.head, m.tail + (i,)), alpha)
+            _add_nf(image, algebra, a, b, tail + (i,), alpha)
         images.append(image)
-    matrix = [[image.get(m2, 0) for image in images] for m2 in sorted(set().union(*images))]
-    out = []
-    for vec in linalg.kernel_basis(matrix, len(columns)):
-        out.append({m: v for m, v in zip(columns, vec) if v})
-    return out
+    matrix = [[image.get(m, 0) for image in images] for m in set().union(*images)]
+    return linalg.kernel_basis(matrix, len(columns))
 
 
-def centralizer_vectors_by_degree(g: LieElement, degree_bound: int) -> Dict[int, List[Dict[BasisMonomial, int]]]:
-    """Kernel bases per total degree 2..degree_bound, as sparse vectors."""
+def _kernel_blocks(g: LieElement, degree_bound: int) -> Iterator[Tuple[int, List[Multidegree], List[BasisMonomial], List[Tuple[int, ...]]]]:
+    """(degree, multidegrees, columns, kernel rows) of every block of
+    every degree 2..degree_bound, in ascending degree and block order."""
     lin = _check_linear(g)
     supp = sorted(lin)
-    result: Dict[int, List[Dict[BasisMonomial, int]]] = {}
     for k in range(2, degree_bound + 1):
-        mons_by_delta = g.algebra.bases(k)
-        found: List[Dict[BasisMonomial, int]] = []
-        for block in _blocks(list(mons_by_delta), supp):
-            columns = [m for delta in sorted(block) for m in mons_by_delta[delta]]
-            found.extend(_kernel_elements(g.algebra, lin, columns))
-        result[k] = found
-    return result
+        bases = g.algebra.bases(k)
+        for block in _blocks(list(bases), supp):
+            deltas = sorted(block)
+            columns = [m for delta in deltas for m in bases[delta]]
+            yield k, deltas, columns, _kernel_rows(g.algebra, lin, columns)
 
 
 @dataclass
@@ -118,52 +117,43 @@ def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
     """Exact basis of the derived centralizer up to a total degree."""
     if degree_bound < 2:
         raise AlgebraError("degree bound must be at least 2")
-    vectors = centralizer_vectors_by_degree(g, degree_bound)
     elements = []
-    for k in sorted(vectors):
-        for sparse in vectors[k]:
-            h = LieElement._trusted(g.algebra, {}, dict(sparse))
+    for _, _, columns, rows in _kernel_blocks(g, degree_bound):
+        for row in rows:
+            h = LieElement._trusted(g.algebra, {}, {m: v for m, v in zip(columns, row) if v})
             if not bracket(h, g).is_zero():
                 raise CertificationError("kernel vector fails the bracket check")
             elements.append(h)
     return CentralizerSlice(g, degree_bound, elements)
 
 
-def _densify(vectors: List[Dict[BasisMonomial, int]], columns: Sequence[BasisMonomial]) -> List[List[int]]:
-    index = {m: i for i, m in enumerate(columns)}
-    out = []
-    for sparse in vectors:
-        row = [0] * len(columns)
-        for m, v in sparse.items():
-            row[index[m]] = v
-        out.append(row)
-    return out
-
-
 def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[int], graph: Graph, degree_bound: int, order: GeneratorOrder = None) -> bool:
     """Compare the centralizer of a combination with the intersection
-    of the generators' centralizers, as subspaces per total degree."""
+    of the generators' centralizers, as subspaces per block."""
     if len(indices) != len(coefficients) or len(set(indices)) != len(indices):
         raise AlgebraError("indices must be distinct and match the coefficients")
     if any(c == 0 for c in coefficients):
         raise AlgebraError("coefficients must be nonzero")
     order = order or GeneratorOrder.ascending(graph.n)
     g = LieElement.from_linear(graph, order, dict(zip(indices, coefficients)))
-    direct = centralizer_vectors_by_degree(g, degree_bound)
-    for k in range(2, degree_bound + 1):
-        mons_by_delta = g.algebra.bases(k)
-        columns = [m for mons in mons_by_delta.values() for m in mons]
-        # intersection of the single-generator kernels, multidegree-wise
-        intersection: List[Dict[BasisMonomial, int]] = []
-        for mons in mons_by_delta.values():
+    for k, deltas, columns, rows in _kernel_blocks(g, degree_bound):
+        # intersection of the single-generator kernels, multidegree-wise,
+        # each padded from its multidegree's columns to the block's
+        bases = g.algebra.bases(k)
+        intersection: List[Tuple[int, ...]] = []
+        before = 0
+        for delta in deltas:
+            mons = bases[delta]
+            after = len(columns) - before - len(mons)
             current = None
             for i in indices:
-                dense = _densify(_kernel_elements(g.algebra, {i: 1}, mons), mons)
-                current = dense if current is None else linalg.intersect_rowspans(current, dense)
+                kernel = _kernel_rows(g.algebra, {i: 1}, mons)
+                current = kernel if current is None else linalg.intersect_rowspans(current, kernel)
                 if not current:
                     break
-            intersection.extend(dict(zip(mons, row)) for row in current or ())
-        if not linalg.same_rowspan(_densify(direct[k], columns), _densify(intersection, columns)):
+            intersection.extend((0,) * before + tuple(row) + (0,) * after for row in current)
+            before += len(mons)
+        if not linalg.same_rowspan(rows, intersection):
             return False
     return True
 
@@ -205,9 +195,7 @@ def classify_cycle_centralizer(n: int, i: int, j: int, degree_bound: int) -> Cyc
     slice_ = derived_centralizer(g, degree_bound)
     kind = "adjacent" if circ_dist(n, i, j) <= 1 else "distant"
     expected_support = frozenset(range(n)) - {i, j}
-    support_ok = True
-    form_ok = True
-    homogeneous_ok = True
+    support_ok = form_ok = homogeneous_ok = True
     counts: Dict[Tuple[int, ...], int] = {}
     base = bracket(x[(i - 1) % n], x[(i + 1) % n])
     for h in slice_.elements:

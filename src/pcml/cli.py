@@ -31,7 +31,7 @@ from .equivalence import (
     phi_lambda,
     search_theta_witness,
 )
-from .errors import AlgebraError, CertificationError, GraphError, ParseError, PcmlError
+from .errors import AlgebraError, GraphError, ParseError, PcmlError
 from .graphs import compaction, cycle_graph, parse_graph_spec, perp_classes
 from .suite import run_suite
 from .textio import parse_assoc_poly, parse_element, split_top_level
@@ -74,8 +74,6 @@ def _graph_and_order(args):
         except ValueError:
             raise AlgebraError(f"bad order {args.order!r}")
         order = GeneratorOrder(perm)
-        if order.n != graph.n:
-            raise AlgebraError("order length does not match the graph")
     else:
         order = GeneratorOrder.ascending(graph.n)
     return graph, order
@@ -265,7 +263,7 @@ def _cmd_gamma_witness(args, report: Report) -> None:
 
 
 def _cmd_suite(args, report: Report) -> None:
-    results = run_suite(seed=args.seed, fail_fast=True, emit=report.add_raw)
+    results = run_suite(seed=args.seed, emit=report.add_raw)
     if any(not r.ok for r in results):
         report.status = 1
 
@@ -377,9 +375,6 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (GraphError, AlgebraError) as exc:
         report.add("ERROR", exc)
         report.status = 2
-    except CertificationError as exc:
-        report.add("ERROR", exc)
-        report.status = 1
     except PcmlError as exc:
         report.add("ERROR", exc)
         report.status = 1

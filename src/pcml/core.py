@@ -33,15 +33,19 @@ algebra its normal forms (`_monomial_nf`, cleared at `NF_CACHE_SIZE`
 entries) and the bases of each degree (`Algebra.bases`).  No table
 refers back to an algebra, so an algebra is dropped with its last element.
 
-Every map the engine needs between these algebras (a vertex merge, a
-relabeling, a change of generator order) sends each generator to a
-scaled generator; `substitute` applies any such map that respects the
-edge relations and is the one place where letters are renamed and
-renormalised.
+Outside data is checked once, where it enters: the `LieElement`
+constructor checks generators and basis monomials, the parsers their
+text, `monomial_normal_form` the letters of a word.  Letters the engine
+builds itself (products, actions, substitutions, centralizer images) go
+through one unchecked step, `_add_nf`.  Every map between algebras (a
+vertex merge, a relabeling, a change of generator order) sends each
+generator to a scaled generator; `substitute` applies any such map that
+respects the edge relations.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
@@ -106,13 +110,12 @@ class Algebra:
         key = (graph.n, graph.edges, order.perm)
         out = _ALGEBRAS.get(key)
         if out is None:
-            if order.n != graph.n:
-                raise AlgebraError(f"order on {order.n} generators does not fit a graph on {graph.n}")
-            out = _ALGEBRAS[key] = object.__new__(cls)
-            out.graph = graph
-            out.order = order
-            out._nf = {}
-            out._bases = {}
+            _check_fits(graph, order)
+            with _INTERNING:
+                out = _ALGEBRAS.get(key)
+                if out is None:
+                    out = _ALGEBRAS[key] = object.__new__(cls)
+                    out.graph, out.order, out._nf, out._bases = graph, order, {}, {}
         return out
 
     def bases(self, degree: int) -> Dict[Multidegree, Tuple[BasisMonomial, ...]]:
@@ -130,8 +133,16 @@ class Algebra:
 
 
 # the live algebras, keyed by the values of their graph and order; an
-# algebra is dropped once no element or homomorphism refers to it
+# algebra is dropped once no element or homomorphism refers to it.  A
+# miss looks again under the lock, so threads never intern a key twice.
 _ALGEBRAS: "weakref.WeakValueDictionary[tuple, Algebra]" = weakref.WeakValueDictionary()
+_INTERNING = threading.Lock()
+
+
+def _check_fits(graph: Graph, order: GeneratorOrder) -> None:
+    if order.n != graph.n:
+        raise AlgebraError(f"order on {order.n} generators does not fit a graph on {graph.n}")
+
 
 # normal forms one algebra keeps; far above the distinct entries of any workload
 NF_CACHE_SIZE = 1 << 16
@@ -180,11 +191,10 @@ def _components(graph: Graph, order: GeneratorOrder, letters: Iterable[int]) -> 
 
 def is_basis_monomial(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph, order: GeneratorOrder) -> bool:
     """Check the four basis conditions literally."""
+    _check_fits(graph, order)
     a, b = head
     letters = (a, b) + tuple(tail)
-    if any(not 0 <= v < graph.n for v in letters):
-        return False
-    if a == b:
+    if a == b or any(not 0 <= v < graph.n for v in letters):
         return False
     rank = order.rank
     if rank[b] > rank[a]:
@@ -263,6 +273,8 @@ def _nf_cases(algebra: Algebra, a: int, b: int, tail: Tuple[int, ...]) -> Tuple[
 
 
 def monomial_normal_form(algebra: Algebra, head: Tuple[int, int], tail: Iterable[int]) -> Tuple[Tuple[BasisMonomial, int], ...]:
+    """Normal form of [x_a,x_b].tail for letters from outside the
+    engine: the tail in any order, every letter checked."""
     a, b = head
     tail_sorted = tuple(sorted(tail, key=algebra.order.rank.__getitem__))
     n = algebra.graph.n
@@ -291,6 +303,12 @@ def _accumulate(acc: Dict, terms: Iterable[Tuple[object, int]], coeff: int) -> N
         _bump(acc, m, coeff * c)
 
 
+def _add_nf(acc: Dict, algebra: Algebra, a: int, b: int, tail: Iterable[int], coeff: int) -> None:
+    """acc += coeff * NF([x_a,x_b].tail), for letters the engine built
+    itself (so in range), the tail in any order."""
+    _accumulate(acc, _monomial_nf(algebra, a, b, tuple(sorted(tail, key=algebra.order.rank.__getitem__))), coeff)
+
+
 class LieElement:
     """Element of M(X;G), over its `algebra`, stored in normal form.
 
@@ -303,6 +321,12 @@ class LieElement:
 
     def __init__(self, graph: Graph, order: GeneratorOrder, linear: Dict[int, int], derived: Dict[BasisMonomial, int]):
         self.algebra = Algebra.of(graph, order)
+        for i in linear:
+            if not 0 <= i < graph.n:
+                raise AlgebraError(f"unknown generator x{i}")
+        for m in derived:
+            if not is_basis_monomial(m.head, m.tail, graph, order):
+                raise AlgebraError(f"{format_monomial(m)} is not a basis monomial over this graph and order")
         self.linear = _strip(linear)
         self.derived = _strip(derived)
 
@@ -325,23 +349,15 @@ class LieElement:
 
     @classmethod
     def generator(cls, graph: Graph, order: GeneratorOrder, i: int) -> "LieElement":
-        if not 0 <= i < graph.n:
-            raise AlgebraError(f"unknown generator x{i}")
         return cls(graph, order, {i: 1}, {})
 
     @classmethod
     def from_linear(cls, graph: Graph, order: GeneratorOrder, coeffs: Dict[int, int]) -> "LieElement":
-        for i in coeffs:
-            if not 0 <= i < graph.n:
-                raise AlgebraError(f"unknown generator x{i}")
-        return cls(graph, order, dict(coeffs), {})
+        return cls(graph, order, coeffs, {})
 
     @classmethod
     def from_monomial(cls, graph: Graph, order: GeneratorOrder, m: BasisMonomial, coeff: int = 1) -> "LieElement":
-        element = cls(graph, order, {}, {m: coeff})
-        if not is_basis_monomial(m.head, m.tail, graph, order):
-            raise AlgebraError(f"{format_monomial(m)} is not a basis monomial over this graph and order")
-        return element
+        return cls(graph, order, {}, {m: coeff})
 
     def is_zero(self) -> bool:
         return not self.linear and not self.derived
@@ -408,12 +424,12 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     for i, ci in a.linear.items():
         for j, cj in b.linear.items():
             _accumulate(acc, _monomial_nf(algebra, i, j, ()), ci * cj)
-    for m1, c1 in a.derived.items():
+    for ((p, q), tail), c1 in a.derived.items():
         for j, cj in b.linear.items():
-            _accumulate(acc, monomial_normal_form(algebra, m1.head, m1.tail + (j,)), c1 * cj)
-    for m2, c2 in b.derived.items():
+            _add_nf(acc, algebra, p, q, tail + (j,), c1 * cj)
+    for ((p, q), tail), c2 in b.derived.items():
         for i, ci in a.linear.items():
-            _accumulate(acc, monomial_normal_form(algebra, m2.head, m2.tail + (i,)), -c2 * ci)
+            _add_nf(acc, algebra, p, q, tail + (i,), -c2 * ci)
     return LieElement._trusted(algebra, {}, acc)
 
 
@@ -481,11 +497,8 @@ def act(u: LieElement, f: AssocPoly) -> LieElement:
     acc: Dict[BasisMonomial, int] = {}
     for exps, cf in f.terms.items():
         letters = _exps_to_letters(exps)
-        for m, cm in u.derived.items():
-            if not letters:
-                _bump(acc, m, cm * cf)
-                continue
-            _accumulate(acc, monomial_normal_form(u.algebra, m.head, m.tail + letters), cm * cf)
+        for ((a, b), tail), cm in u.derived.items():
+            _add_nf(acc, u.algebra, a, b, tail + letters, cm * cf)
     return LieElement._trusted(u.algebra, {}, acc)
 
 
@@ -517,7 +530,6 @@ def _substituted(g: LieElement, images: Sequence[Tuple[int, int]], target: Algeb
     """The body of `substitute`, for images already known to respect
     the edges of g's graph."""
     coeffs, targets = zip(*images) if images else ((), ())
-    rank = target.order.rank.__getitem__
     linear: Dict[int, int] = {}
     for i, c in g.linear.items():
         _bump(linear, targets[i], c * coeffs[i])
@@ -527,8 +539,7 @@ def _substituted(g: LieElement, images: Sequence[Tuple[int, int]], target: Algeb
         for v in m.letters():
             c *= coeffs[v]
         if c:
-            tail = tuple(sorted([targets[t] for t in tail], key=rank))
-            _accumulate(derived, _monomial_nf(target, targets[a], targets[b], tail), c)
+            _add_nf(derived, target, targets[a], targets[b], [targets[t] for t in tail], c)
     return LieElement._trusted(target, linear, derived)
 
 
@@ -611,6 +622,7 @@ def basis_monomials_of_multidegree(graph: Graph, order: GeneratorOrder, delta: M
     subgraph that avoids the least support letter, headed by that
     component's greatest vertex.
     """
+    _check_fits(graph, order)
     if len(delta) != graph.n:
         raise AlgebraError(f"multidegree {delta} does not fit a graph on {graph.n} vertices")
     return _basis(graph, order, sorted(_exps_to_letters(delta), key=order.rank.__getitem__))
@@ -631,6 +643,7 @@ def basis_monomials_of_degree(graph: Graph, order: GeneratorOrder, degree: int) 
 def basis_monomial_with_start(delta: Multidegree, start: int, graph: Graph, order: GeneratorOrder) -> Optional[BasisMonomial]:
     """The unique basis monomial of a multidegree with a given first
     letter, or None when no such monomial is valid."""
+    _check_fits(graph, order)
     if len(delta) != graph.n or any(d < 0 for d in delta):
         return None
     return next((m for m in basis_monomials_of_multidegree(graph, order, delta) if m.head[0] == start), None)

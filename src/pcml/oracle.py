@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .core import GeneratorOrder, Multidegree, is_basis_monomial
+from .core import GeneratorOrder, Multidegree, _check_fits, is_basis_monomial
 from .errors import AlgebraError
 from .graphs import Graph
 
@@ -174,6 +174,7 @@ def certify_basis(graph: Graph, delta: Multidegree, order: GeneratorOrder) -> Ce
     number with the oracle dimension and checked to be independent
     modulo the ideal slice.
     """
+    _check_fits(graph, order)
     total = sum(delta)
     if total < 2:
         count = 1 if total == 1 else 0

@@ -345,23 +345,17 @@ def criterion_7(seed: int = 0) -> CriterionResult:
 
 
 CRITERIA: Sequence[Callable[[int], CriterionResult]] = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
+    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6, criterion_7,
 )
 
 
-def run_suite(seed: int = 0, fail_fast: bool = True, emit: Optional[Callable[[str], None]] = None) -> List[CriterionResult]:
+def run_suite(seed: int = 0, emit: Optional[Callable[[str], None]] = None) -> List[CriterionResult]:
     results = []
     for check in CRITERIA:
         result = check(seed)
         results.append(result)
         if emit:
             emit(result.line())
-        if fail_fast and not result.ok:
+        if not result.ok:
             break
     return results

@@ -16,12 +16,13 @@ from .core import (
     AssocPoly,
     GeneratorOrder,
     LieElement,
-    _accumulate,
+    _add_nf,
     _bump,
-    monomial_normal_form,
 )
 from .errors import ParseError
 from .graphs import Graph
+
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes "²", which int() rejects
 
 
 class _Scanner:
@@ -51,11 +52,14 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_space()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than int()'s digit limit
+            raise ParseError(f"integer of {self.pos - start} digits is too long", start) from None
 
     def generator(self) -> int:
         if self.peek() != "x":
@@ -98,7 +102,7 @@ def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
         first = False
         ch = sc.peek()
         coeff = 1
-        if ch.isdigit():
+        if ch in _DIGITS:
             coeff = sc.integer()
             if sc.try_take("*"):
                 ch = sc.peek()
@@ -117,7 +121,7 @@ def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
             for v in head + tail:
                 if not 0 <= v < graph.n:
                     raise ParseError(f"unknown generator x{v}", sc.pos)
-            _accumulate(derived, monomial_normal_form(algebra, head, tail), sign * coeff)
+            _add_nf(derived, algebra, *head, tail, sign * coeff)
         else:
             raise ParseError("expected a generator or a bracket monomial", sc.pos)
     return LieElement._trusted(algebra, linear, derived)
@@ -137,7 +141,7 @@ def parse_assoc_poly(text: str, n: int) -> AssocPoly:
         first = False
         coeff = 1
         have_coeff = False
-        if sc.peek().isdigit():
+        if sc.peek() in _DIGITS:
             coeff = sc.integer()
             have_coeff = True
         exps = [0] * n

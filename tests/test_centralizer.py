@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pcml import linalg
 from pcml.centralizer import (
     check_intersection_theorem,
     classify_cycle_centralizer,
@@ -16,7 +17,7 @@ from pcml.core import (
     mdeg,
     word_element,
 )
-from pcml.errors import AlgebraError
+from pcml.errors import AlgebraError, CertificationError
 from pcml.graphs import cycle_graph
 from pcml.sampling import random_graph
 
@@ -88,6 +89,22 @@ def test_intersection_theorem_random():
         indices = rng.sample(range(n), m)
         coeffs = [rng.choice([-2, -1, 1, 2]) for _ in indices]
         assert check_intersection_theorem(indices, coeffs, graph, 4)
+
+
+def test_intersection_check_sees_a_lost_intersection_row(monkeypatch):
+    intersect = linalg.intersect_rowspans
+    monkeypatch.setattr(linalg, "intersect_rowspans", lambda a, b: intersect(a, b)[:-1])
+    assert not check_intersection_theorem([0, 2], [1, 1], C5, 4)
+
+
+def test_centralizer_rejects_a_kernel_vector_that_does_not_commute(monkeypatch):
+    # every unit vector, where some column's bracket with g is nonzero
+    monkeypatch.setattr(
+        linalg, "kernel_basis",
+        lambda rows, ncols: [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)],
+    )
+    with pytest.raises(CertificationError, match="fails the bracket check"):
+        derived_centralizer(linear(C5, O5, {0: 1, 2: 1}), 3)
 
 
 def test_intersection_theorem_validation():

@@ -181,6 +181,18 @@ def test_usage_errors(capsys):
     assert status == 2
 
 
+def test_digits_int_rejects_are_usage_errors(capsys):
+    for argv, position in (
+        (("nf", "--graph", "cycle:4", "--element", "x\u00b2"), "1"),
+        (("act", "--graph", "cycle:4", "--element", "[x3,x1]", "--poly", "x1^\u00b2"), "3"),
+        (("nf", "--graph", "cycle:4", "--element", "x0+" + "7" * 4400 + "*x1"), "3"),
+    ):
+        status, lines = invoke(capsys, *argv)
+        assert status == 2
+        assert line_value(lines, "ERROR").startswith(("expected an integer", "integer of 4400 digits"))
+        assert line_value(lines, "POSITION") == position
+
+
 def test_certify_rejects_max_degree_below_two(capsys):
     for bound in ("-3", "0", "1"):
         status, lines = invoke(capsys, "certify", "--graph", "cycle:4", "--max-degree", bound)

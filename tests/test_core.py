@@ -1,11 +1,13 @@
 import operator
 import random
+import sys
+import threading
 import weakref
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from pcml import core
+from pcml import core, oracle
 from pcml.centralizer import derived_centralizer
 from pcml.core import (
     Algebra,
@@ -452,3 +454,96 @@ def test_from_monomial_accepts_only_basis_monomials():
     for delta in multidegrees(4, 4):
         for m in basis_monomials_of_multidegree(c4, o4, delta):
             assert LieElement.from_monomial(c4, o4, m).derived == {m: 1}
+
+
+def test_the_constructor_checks_outside_terms():
+    c4, o4 = cycle_graph(4), GeneratorOrder.ascending(4)
+    # stored as given, x9 would break a later bracket, and the non-basis
+    # [x1,x3] would compare unequal to the equal -[x3,x1]
+    with pytest.raises(AlgebraError, match="unknown generator x9"):
+        LieElement(c4, o4, {9: 1}, {})
+    with pytest.raises(AlgebraError, match=r"\[x1,x3\] is not a basis monomial"):
+        LieElement(c4, o4, {}, {BasisMonomial((1, 3), ()): 1})
+    for bad in (-1, 4):
+        with pytest.raises(AlgebraError):
+            LieElement.generator(c4, o4, bad)
+        with pytest.raises(AlgebraError):
+            LieElement.from_linear(c4, o4, {0: 1, bad: 2})
+    u = LieElement(c4, o4, {2: 3}, {BasisMonomial((3, 1), ()): -2})
+    assert u == LieElement.generator(c4, o4, 2) * 3 + LieElement.from_monomial(c4, o4, BasisMonomial((3, 1), ()), -2)
+    # a constant polynomial acts as a scalar
+    v = LieElement(c4, o4, {}, u.derived)
+    assert act(v, AssocPoly(4, {(0, 0, 0, 0): 5})) == v * 5
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_basis_functions_reject_an_order_that_does_not_fit(n):
+    c4, order = cycle_graph(4), GeneratorOrder.ascending(n)
+    # letters and multidegrees inside the shorter order, so that without
+    # the check the shorter order gives an answer
+    message = f"order on {n} generators does not fit a graph on 4"
+    with pytest.raises(AlgebraError, match=message):
+        is_basis_monomial((2, 0), (), c4, order)
+    with pytest.raises(AlgebraError, match=message):
+        basis_monomials_of_multidegree(c4, order, (1, 1, 1, 0))
+    with pytest.raises(AlgebraError, match=message):
+        basis_monomial_with_start((1, 1, 1, 0), 2, c4, order)
+    with pytest.raises(AlgebraError, match=message):
+        oracle.certify_basis(c4, (1, 0, 1, 0), order)
+
+
+def test_two_threads_that_both_miss_intern_one_algebra(monkeypatch):
+    # each thread's first lookup waits for the other's, so both miss
+    # before either stores
+    barrier = threading.Barrier(2, timeout=10)
+    first = set()
+
+    class Racing(weakref.WeakValueDictionary):
+        def get(self, key, default=None):
+            out = super().get(key, default)
+            if threading.get_ident() not in first:
+                first.add(threading.get_ident())
+                barrier.wait()
+            return out
+
+    monkeypatch.setattr(core, "_ALGEBRAS", Racing())
+    graph, order = Graph(6, [(1, 4)]), GeneratorOrder([5, 0, 4, 1, 3, 2])
+    found = [None, None]
+
+    def intern(k):
+        found[k] = Algebra.of(graph, order)
+
+    threads = [threading.Thread(target=intern, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert found[0] is not None and found[0] is found[1]
+
+
+def test_threads_interning_fresh_pairs_share_one_algebra_per_pair():
+    # more threads than cores, switching every microsecond; every result
+    # is kept, so no algebra is dropped and interned again
+    graph = Graph(6, [(0, 3), (2, 5)])
+    orders = [GeneratorOrder(p) for p in permutations(range(6))]
+    found = [[] for _ in range(4)]
+
+    def intern(k):
+        step = 1 if k % 2 else -1
+        found[k] = [Algebra.of(graph, order) for order in orders[::step]][::step]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=intern, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for per_order in zip(*found):
+        assert len(per_order) == 4 and all(a is per_order[0] for a in per_order)
+    assert len(found[0]) == 720

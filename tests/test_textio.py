@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -64,6 +65,36 @@ def test_parse_errors_carry_positions():
         parse_element("3", FREE4, O4)
     with pytest.raises(ParseError):
         parse_element("x0 x1", FREE4, O4)
+
+
+def test_digits_int_rejects_are_parse_errors():
+    # str.isdigit accepts a superscript two, int() does not
+    for parse, text, position in (
+        (lambda t: parse_element(t, FREE4, O4), "x\u00b2", 1),
+        (lambda t: parse_element(t, FREE4, O4), "\u00b2*x0", 0),
+        (lambda t: parse_assoc_poly(t, 4), "x1^\u00b2", 3),
+        (lambda t: parse_assoc_poly(t, 4), "2 + \u00b2", 4),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit")
+def test_integers_beyond_the_digit_limit_are_parse_errors():
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 100)
+    for parse, text, position in (
+        (lambda t: parse_element(t, FREE4, O4), "x0 - " + long + "*x1", 5),
+        (lambda t: parse_element(t, FREE4, O4), "x" + long, 1),
+        (lambda t: parse_assoc_poly(t, 4), long + "*x0", 0),
+        (lambda t: parse_assoc_poly(t, 4), "x0^" + long, 3),
+    ):
+        with pytest.raises(ParseError, match=f"integer of {limit + 100} digits") as info:
+            parse(text)
+        assert info.value.position == position
+    at_limit = parse_element("9" * limit + "*x2", FREE4, O4)
+    assert at_limit.linear == {2: 10 ** limit - 1}
 
 
 def test_parse_assoc_poly():
