@@ -51,18 +51,16 @@ from .errors import (
 from .graphs import (
     CompactionResult,
     Graph,
-    Partition,
     circ_dist,
     closed_neighborhood,
     compaction,
     complete_graph,
     cycle_graph,
-    parse_graph_spec,
     path_graph,
     perp_classes,
 )
 from .oracle import certify_basis, graded_dimension, ideal_member
-from .textio import parse_assoc_poly, parse_element
+from .textio import parse_assoc_poly, parse_element, parse_graph_spec
 
 __version__ = "0.1.0"
 

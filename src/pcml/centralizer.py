@@ -106,9 +106,6 @@ class CentralizerSlice:
     degree_bound: int
     elements: List[LieElement] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def is_empty(self) -> bool:
         return not self.elements
 
@@ -172,10 +169,6 @@ class CycleCentralizerReport:
     support_ok: bool
     form_ok: bool
     homogeneous_ok: bool
-
-    @property
-    def empty(self) -> bool:
-        return self.count == 0
 
 
 def classify_cycle_centralizer(n: int, i: int, j: int, degree_bound: int) -> CycleCentralizerReport:

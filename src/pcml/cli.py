@@ -7,7 +7,6 @@ seed.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -32,12 +31,19 @@ from .equivalence import (
     search_theta_witness,
 )
 from .errors import AlgebraError, GraphError, ParseError, PcmlError
-from .graphs import compaction, cycle_graph, parse_graph_spec, perp_classes
+from .graphs import compaction, cycle_graph, perp_classes
 from .suite import run_suite
-from .textio import parse_assoc_poly, parse_element, split_top_level
+from .textio import (
+    parse_assoc_poly,
+    parse_element,
+    parse_elements,
+    parse_graph_spec,
+    parse_integer,
+    parse_integers,
+    read_file,
+)
 
 DEFAULT_DEGREE_BOUND = 6
-DEGREE_ENV_VAR = "PCML_DEGREE_BOUND"
 
 
 @dataclass
@@ -54,39 +60,22 @@ class Report:
         self.lines.append(line)
 
 
-def _degree_bound(args) -> int:
-    if getattr(args, "degree", None) is not None:
-        return args.degree
-    env = os.environ.get(DEGREE_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise AlgebraError(f"{DEGREE_ENV_VAR} must be an integer, got {env!r}")
-    return DEFAULT_DEGREE_BOUND
-
-
 def _graph_and_order(args):
     graph = parse_graph_spec(args.graph)
     if getattr(args, "order", None):
-        try:
-            perm = [int(x) for x in args.order.split(",")]
-        except ValueError:
-            raise AlgebraError(f"bad order {args.order!r}")
-        order = GeneratorOrder(perm)
+        order = GeneratorOrder(parse_integers(args.order))
     else:
         order = GeneratorOrder.ascending(graph.n)
     return graph, order
 
 
-def _parse_mdeg(text: str, n: int):
-    try:
-        delta = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise AlgebraError(f"bad multidegree {text!r}")
-    if len(delta) != n or any(d < 0 for d in delta):
-        raise AlgebraError(f"multidegree {text!r} does not fit a graph on {n} vertices")
-    return delta
+def _certify(report: Report, graph, delta, order) -> bool:
+    """Certify one multidegree's basis and add its line; True if it holds."""
+    cert = oracle.certify_basis(graph, delta, order)
+    vec = ",".join(str(d) for d in delta)
+    status = "OK" if cert.ok else "FAIL"
+    report.add_raw(f"delta={vec} count={cert.count} dim={cert.dim} {status}")
+    return cert.ok
 
 
 def _cmd_nf(args, report: Report) -> None:
@@ -111,12 +100,10 @@ def _cmd_act(args, report: Report) -> None:
 
 def _cmd_dim(args, report: Report) -> None:
     graph, order = _graph_and_order(args)
-    delta = _parse_mdeg(args.mdeg, graph.n)
-    cert = oracle.certify_basis(graph, delta, order)
-    vec = ",".join(str(d) for d in delta)
-    status = "OK" if cert.ok else "FAIL"
-    report.add_raw(f"delta={vec} count={cert.count} dim={cert.dim} {status}")
-    if not cert.ok:
+    delta = tuple(parse_integers(args.mdeg))
+    if len(delta) != graph.n:
+        raise AlgebraError(f"multidegree {args.mdeg!r} does not fit a graph on {graph.n} vertices")
+    if not _certify(report, graph, delta, order):
         report.status = 1
 
 
@@ -128,12 +115,7 @@ def _cmd_certify(args, report: Report) -> None:
     failures = 0
     for degree in range(2, bound + 1):
         for delta in multidegrees(graph.n, degree):
-            cert = oracle.certify_basis(graph, delta, order)
-            vec = ",".join(str(d) for d in delta)
-            status = "OK" if cert.ok else "FAIL"
-            report.add_raw(f"delta={vec} count={cert.count} dim={cert.dim} {status}")
-            if not cert.ok:
-                failures += 1
+            failures += not _certify(report, graph, delta, order)
     report.add("FAILURES", failures)
     if failures:
         report.status = 1
@@ -142,7 +124,7 @@ def _cmd_certify(args, report: Report) -> None:
 def _cmd_centralizer(args, report: Report) -> None:
     graph, order = _graph_and_order(args)
     g = parse_element(args.element, graph, order)
-    slice_ = derived_centralizer(g, _degree_bound(args))
+    slice_ = derived_centralizer(g, args.degree)
     report.add("ELEMENT", format_element(g))
     report.add("DEGREE_BOUND", slice_.degree_bound)
     report.add("COUNT", len(slice_.elements))
@@ -153,11 +135,10 @@ def _cmd_centralizer(args, report: Report) -> None:
 def _cmd_theta(args, report: Report) -> None:
     graph = cycle_graph(args.n)
     order = GeneratorOrder.ascending(args.n)
-    texts = split_top_level(args.assign, ",")
-    m = args.m if args.m is not None else len(texts)
-    if len(texts) != m:
-        raise AlgebraError(f"assignment has {len(texts)} entries but m = {m}")
-    assignment = [parse_element(t, graph, order) for t in texts]
+    assignment = parse_elements(args.assign, graph, order)
+    m = args.m if args.m is not None else len(assignment)
+    if len(assignment) != m:
+        raise AlgebraError(f"assignment has {len(assignment)} entries but m = {m}")
     result = eval_theta(ThetaInstance(m, graph, order), assignment)
     report.add("RESULT", result.holds)
     if result.failing_atom is not None:
@@ -214,23 +195,8 @@ def _cmd_perp(args, report: Report) -> None:
         report.add(f"CLASS_{k}", ",".join(map(str, sorted(block))))
 
 
-def _parse_merge(args, graph) -> None:
-    if args.merge is None:
-        return
-    try:
-        remove, keep = (int(x) for x in args.merge.split(":"))
-    except ValueError:
-        raise AlgebraError(f"bad merge spec {args.merge!r}, expected REMOVE:KEEP")
-    if (remove, keep) != (graph.n - 1, graph.n - 2):
-        raise AlgebraError(
-            f"the merge pair must be {graph.n - 1}:{graph.n - 2}; relabel the "
-            "graph so the merged vertices are the last two"
-        )
-
-
 def _cmd_phi(args, report: Report) -> None:
     graph = parse_graph_spec(args.graph)
-    _parse_merge(args, graph)
     hom = build_phi_hom(graph, args.lam)
     element = parse_element(args.element, graph, hom.source_order)
     image = phi_lambda(hom, element)
@@ -240,7 +206,6 @@ def _cmd_phi(args, report: Report) -> None:
 
 def _cmd_lambda0(args, report: Report) -> None:
     graph = parse_graph_spec(args.graph)
-    _parse_merge(args, graph)
     hom = build_phi_hom(graph, 1)
     element = parse_element(args.element, graph, hom.source_order)
     report.add("LAMBDA0", lambda_zero(element, hom))
@@ -249,9 +214,8 @@ def _cmd_lambda0(args, report: Report) -> None:
 def _cmd_gamma_witness(args, report: Report) -> None:
     graph = parse_graph_spec(args.graph)
     order = GeneratorOrder.ascending(graph.n)
-    with open(args.gamma, "r", encoding="utf-8") as fh:
-        texts = [line.strip() for line in fh if line.strip()]
-    gamma = [parse_element(t, graph, order) for t in texts]
+    lines = read_file(args.gamma, "gamma file", AlgebraError).split("\n")
+    gamma = [parse_element(t, graph, order) for t in lines if t.strip()]
     result = compaction_witness(graph, gamma)
     report.add("GAMMA_SIZE", result.gamma_size)
     report.add("CLOSURE_SIZE", result.closure_size)
@@ -276,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, graph=False, order=False, degree=False):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=parse_integer, default=0)
         p.add_argument("--output", default=None, help="also write the report to a file")
         if graph:
             p.add_argument("--graph", required=True, help="cycle:<n>, complete:<n>, path:<n>, or a JSON file")
         if order:
             p.add_argument("--order", default=None, help="comma list of generators, least first")
         if degree:
-            p.add_argument("--degree", type=int, default=None, help=f"degree bound (default {DEFAULT_DEGREE_BOUND}, env {DEGREE_ENV_VAR})")
+            p.add_argument("--degree", type=parse_integer, default=DEFAULT_DEGREE_BOUND, help=f"degree bound (default {DEFAULT_DEGREE_BOUND})")
         return p
 
     p = common(sub.add_parser("nf", help="normal form of an element"), graph=True, order=True)
@@ -301,35 +265,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdeg", required=True)
 
     p = common(sub.add_parser("certify", help="certify all multidegrees up to a degree"), graph=True, order=True)
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=parse_integer, default=4)
 
     p = common(sub.add_parser("centralizer", help="derived centralizer of a linear element"), graph=True, order=True, degree=True)
     p.add_argument("--element", required=True)
 
     p = common(sub.add_parser("theta", help="evaluate the cycle sentence"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=parse_integer, required=True)
+    p.add_argument("--m", type=parse_integer, default=None)
     p.add_argument("--assign", required=True, help="comma-separated element list")
 
     p = common(sub.add_parser("witness", help="search for a sentence witness"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=parse_integer, required=True)
+    p.add_argument("--m", type=parse_integer, required=True)
     p.add_argument("--mode", default="generator-assignments", choices=["generator-assignments", "j-sequences"])
 
     p = common(sub.add_parser("distinguish", help="separate two cycle algebras"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=parse_integer, required=True)
+    p.add_argument("--m", type=parse_integer, required=True)
 
     common(sub.add_parser("compact", help="compaction of a graph"), graph=True)
     common(sub.add_parser("perp", help="closed-neighborhood classes"), graph=True)
 
     p = common(sub.add_parser("phi", help="merge homomorphism image"), graph=True)
-    p.add_argument("--merge", default=None, help="REMOVE:KEEP, must be the last two vertices")
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", type=parse_integer, required=True)
     p.add_argument("--element", required=True)
 
     p = common(sub.add_parser("lambda0", help="nonvanishing threshold of an element"), graph=True)
-    p.add_argument("--merge", default=None, help="REMOVE:KEEP, must be the last two vertices")
     p.add_argument("--element", required=True)
 
     p = common(sub.add_parser("gamma-witness", help="finite-set merge witness"), graph=True)

@@ -45,6 +45,7 @@ respects the edge relations.
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from collections import namedtuple
@@ -677,7 +678,14 @@ def format_element(g: LieElement) -> str:
     parts: List[str] = []
     for k, (c, body) in enumerate(chunks):
         mag = abs(c)
-        text = body if mag == 1 else f"{mag}*{body}"
+        try:
+            text = body if mag == 1 else f"{mag}*{body}"
+        except ValueError:  # longer than str()'s digit limit
+            digits = round(mag.bit_length() * 0.30103)  # log10(2)
+            raise AlgebraError(
+                f"coefficient of about {digits} digits is over the "
+                f"{sys.get_int_max_str_digits()}-digit limit for printing"
+            ) from None
         if k == 0:
             parts.append(("-" if c < 0 else "") + text)
         else:

@@ -609,10 +609,9 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     """
     if any(g.graph.n != graph.n or g.algebra is not Algebra.of(graph, g.order) for g in gamma):
         raise AlgebraError("an element of gamma is not over the witness graph")
-    classes = [b for b in perp_classes(graph) if len(b) >= 2]
-    if not classes:
+    block = next((b for b in perp_classes(graph) if len(b) >= 2), None)
+    if block is None:
         raise GraphError("no neighborhood class with two or more vertices")
-    block = sorted(classes, key=min)[0]
     remove = max(block)
     keep = max(block - {remove})
     perm, new_graph = merge_relabeling(graph, keep, remove)

@@ -4,12 +4,13 @@ Vertices are the integers 0..n-1 and stand for the generators x_0..x_{n-1}
 of the algebra defined by the graph.  Graphs are immutable values, save
 for one lazily filled table of integer tuples that each graph owns: the
 components of each induced vertex set asked for, keyed by its bitmask
-(`Graph.component_labels`).  Everything else is a pure function.
+(`Graph.component_labels`).  Everything else is a pure function, and
+nothing here reads text or files: graph specs and JSON graph files are
+read by `pcml.textio`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
@@ -85,41 +86,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_list()})"
 
 
-class Partition:
-    """Disjoint nonempty vertex blocks covering a ground set."""
-
-    __slots__ = ("blocks", "_block_of")
-
-    def __init__(self, blocks: Iterable[Iterable[int]]):
-        raw = [frozenset(b) for b in blocks]
-        if any(not b for b in raw):
-            raise GraphError("empty block in partition")
-        blks = tuple(sorted(raw, key=min))
-        seen: Dict[int, FrozenSet[int]] = {}
-        for b in blks:
-            for v in b:
-                if v in seen:
-                    raise GraphError(f"vertex {v} appears in two blocks")
-                seen[v] = b
-        self.blocks = blks
-        self._block_of = seen
-
-    def block_of(self, v: int) -> FrozenSet[int]:
-        return self._block_of[v]
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.blocks == other.blocks
-
-    def __repr__(self) -> str:
-        return f"Partition({[sorted(b) for b in self.blocks]})"
-
-
 def circ_dist(n: int, r: int, s: int) -> int:
     """Cyclic distance in Z_n: the lesser of r-s and s-r mod n."""
     d = (r - s) % n
@@ -167,12 +133,13 @@ def closed_neighborhood(graph: Graph, x: int) -> VertexSet:
     return graph.adj[x] | {x}
 
 
-def perp_classes(graph: Graph) -> Partition:
-    """Partition of the vertices by equality of closed neighborhoods."""
-    by_nbhd: Dict[FrozenSet[int], List[int]] = {}
+def perp_classes(graph: Graph) -> Tuple[VertexSet, ...]:
+    """The vertices grouped by equality of closed neighborhoods, as
+    blocks ordered by their least vertex."""
+    by_nbhd: Dict[VertexSet, List[int]] = {}
     for v in range(graph.n):
         by_nbhd.setdefault(closed_neighborhood(graph, v), []).append(v)
-    return Partition(by_nbhd.values())
+    return tuple(frozenset(b) for b in by_nbhd.values())
 
 
 @dataclass(frozen=True)
@@ -191,42 +158,7 @@ class CompactionResult:
 def compaction(graph: Graph) -> CompactionResult:
     """Keep the smallest-index representative of each neighborhood class."""
     classes = perp_classes(graph)
-    kept = tuple(sorted(min(b) for b in classes))
-    new_index = {v: k for k, v in enumerate(kept)}
-    vertex_map = {
-        v: new_index[min(classes.block_of(v))] for v in range(graph.n)
-    }
-    edges = [
-        (new_index[i], new_index[j])
-        for (i, j) in graph.edges
-        if i in new_index and j in new_index
-    ]
+    kept = tuple(min(b) for b in classes)
+    vertex_map = {v: k for k, b in enumerate(classes) for v in b}
+    edges = [(vertex_map[i], vertex_map[j]) for (i, j) in graph.edges if i in kept and j in kept]
     return CompactionResult(Graph(len(kept), edges), kept, vertex_map)
-
-
-def graph_from_json(obj: dict) -> Graph:
-    try:
-        n = obj["n"]
-        edges = [tuple(e) for e in obj["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph JSON: {exc}")
-    return Graph(n, edges)
-
-
-def parse_graph_spec(text: str) -> Graph:
-    """Build a graph from ``cycle:<n>``, ``complete:<n>``, ``path:<n>``,
-    or the path of a JSON file ``{"n": ..., "edges": [[i,j], ...]}``."""
-    name, sep, arg = text.partition(":")
-    if sep and name in ("cycle", "complete", "path"):
-        try:
-            k = int(arg)
-        except ValueError:
-            raise GraphError(f"bad vertex count in graph spec {text!r}")
-        return {"cycle": cycle_graph, "complete": complete_graph, "path": path_graph}[name](k)
-    try:
-        with open(text, "r", encoding="utf-8") as fh:
-            return graph_from_json(json.load(fh))
-    except OSError as exc:
-        raise GraphError(f"cannot read graph spec {text!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"invalid JSON in {text!r}: {exc}")

@@ -1,14 +1,19 @@
-"""Textual element and polynomial formats.
+"""Every string pcml reads from outside: elements, element lists,
+polynomials, integers and graph specs.
 
-Elements are sums of terms ``c*[xA,xB;xC,...]`` (head pair before the
-semicolon, action tail after) and ``c*xA`` for linear terms, with
-optional signs and an optional ``c*`` coefficient.  Whitespace is
-ignored.  Parsing always returns the normal form, so
+One set of lexical rules covers them all.  Integers are ASCII digits
+only and at most ``sys.get_int_max_str_digits()`` long, whitespace is
+ignored, and every `ParseError` carries the offset of the fault in the
+text it was given.  Elements are sums of terms ``c*[xA,xB;xC,...]``
+(head pair before the semicolon, action tail after) and ``c*xA`` for
+linear terms, with optional signs and an optional ``c*`` coefficient.
+Parsing always returns the normal form, so
 ``parse_element(format_element(g)) == g`` holds exactly.
 """
 
 from __future__ import annotations
 
+import json
 from typing import List, Tuple
 
 from .core import (
@@ -19,8 +24,8 @@ from .core import (
     _add_nf,
     _bump,
 )
-from .errors import ParseError
-from .graphs import Graph
+from .errors import GraphError, ParseError
+from .graphs import Graph, complete_graph, cycle_graph, path_graph
 
 _DIGITS = frozenset("0123456789")  # str.isdigit also takes "²", which int() rejects
 
@@ -86,16 +91,17 @@ def _parse_monomial(sc: _Scanner) -> Tuple[Tuple[int, int], Tuple[int, ...]]:
     return (a, b), tuple(tail)
 
 
-def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
-    """Parse element text and return its normal form."""
-    algebra = Algebra.of(graph, order)
-    sc = _Scanner(text)
-    if sc.done():
-        raise ParseError("empty element", 0)
+def _read_element(sc: _Scanner, algebra: Algebra, ends: Tuple[str, ...]) -> LieElement:
+    """Read one element's terms up to a character in ``ends``, where ""
+    stands for the end of the text."""
+    n = algebra.graph.n
+    start = sc.pos
+    if sc.peek() in ends:
+        raise ParseError("empty element", start)
     linear = {}
     derived = {}
     first = True
-    while not sc.done():
+    while sc.peek() not in ends:
         sign = -1 if sc.try_take("-") else 1
         if sign == 1 and not sc.try_take("+") and not first:
             raise ParseError("expected + or - between terms", sc.pos)
@@ -113,18 +119,35 @@ def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
                 raise ParseError("a constant term needs a generator or monomial", sc.pos)
         if ch == "x":
             i = sc.generator()
-            if not 0 <= i < graph.n:
+            if not 0 <= i < n:
                 raise ParseError(f"unknown generator x{i}", sc.pos)
             _bump(linear, i, sign * coeff)
         elif ch == "[":
             head, tail = _parse_monomial(sc)
             for v in head + tail:
-                if not 0 <= v < graph.n:
+                if not 0 <= v < n:
                     raise ParseError(f"unknown generator x{v}", sc.pos)
             _add_nf(derived, algebra, *head, tail, sign * coeff)
         else:
             raise ParseError("expected a generator or a bracket monomial", sc.pos)
     return LieElement._trusted(algebra, linear, derived)
+
+
+def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
+    """Parse element text and return its normal form."""
+    return _read_element(_Scanner(text), Algebra.of(graph, order), ("",))
+
+
+def parse_elements(text: str, graph: Graph, order: GeneratorOrder) -> List[LieElement]:
+    """Parse comma-separated elements, as in ``x0, [x2,x1;x3], x1``.
+    Commas inside brackets belong to the monomial; an empty entry is an
+    error, and offsets count from the start of ``text``."""
+    algebra = Algebra.of(graph, order)
+    sc = _Scanner(text)
+    elements = [_read_element(sc, algebra, ("", ","))]
+    while sc.try_take(","):
+        elements.append(_read_element(sc, algebra, ("", ",")))
+    return elements
 
 
 def parse_assoc_poly(text: str, n: int) -> AssocPoly:
@@ -139,11 +162,8 @@ def parse_assoc_poly(text: str, n: int) -> AssocPoly:
         if sign == 1 and not sc.try_take("+") and not first:
             raise ParseError("expected + or - between terms", sc.pos)
         first = False
-        coeff = 1
-        have_coeff = False
-        if sc.peek() in _DIGITS:
-            coeff = sc.integer()
-            have_coeff = True
+        have_coeff = sc.peek() in _DIGITS
+        coeff = sc.integer() if have_coeff else 1
         exps = [0] * n
         have_var = False
         while True:
@@ -166,20 +186,68 @@ def parse_assoc_poly(text: str, n: int) -> AssocPoly:
     return AssocPoly(n, terms)
 
 
-def split_top_level(text: str, sep: str = ",") -> List[str]:
-    """Split on a separator, ignoring separators inside brackets."""
-    parts: List[str] = []
-    depth = 0
-    current: List[str] = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current).strip())
-    return [p for p in parts if p]
+def parse_integers(text: str) -> List[int]:
+    """Parse comma-separated nonnegative integers, as in ``--order 2,0,1``."""
+    sc = _Scanner(text)
+    values = [sc.integer()]
+    while sc.try_take(","):
+        values.append(sc.integer())
+    if not sc.done():
+        raise ParseError("expected a comma", sc.pos)
+    return values
+
+
+def parse_integer(text: str) -> int:
+    """Parse one integer with an optional minus sign: the type of every
+    integer option on the command line."""
+    sc = _Scanner(text)
+    value = -sc.integer() if sc.try_take("-") else sc.integer()
+    if not sc.done():
+        raise ParseError("expected the end of the integer", sc.pos)
+    return value
+
+
+def graph_from_json(obj) -> Graph:
+    """Build a graph from decoded JSON ``{"n": 4, "edges": [[0, 1], ...]}``."""
+    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        raise GraphError('graph JSON must be an object with "n" and "edges"')
+    n, edges = obj["n"], obj["edges"]
+    if type(n) is not int:  # bool is a subclass of int
+        raise GraphError(f"vertex count must be an integer, got {json.dumps(n)}")
+    if not isinstance(edges, list):
+        raise GraphError(f"edges must be a list, got {json.dumps(edges)}")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int):
+            raise GraphError(f"an edge must be a pair of integers, got {json.dumps(e)}")
+    return Graph(n, edges)
+
+
+def read_file(path: str, what: str, error: type) -> str:
+    """The UTF-8 text of a file named on the command line; a file that
+    cannot be read or decoded raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path!r}: {exc}") from None
+
+
+_FAMILIES = {"cycle": cycle_graph, "complete": complete_graph, "path": path_graph}
+
+
+def parse_graph_spec(text: str) -> Graph:
+    """Build a graph from ``cycle:<n>``, ``complete:<n>``, ``path:<n>``,
+    or the path of a JSON file read by `graph_from_json`."""
+    name, sep, arg = text.partition(":")
+    if sep and name in _FAMILIES:
+        try:
+            k = parse_integer(arg)
+        except ParseError:
+            raise GraphError(f"bad vertex count in graph spec {text!r}") from None
+        return _FAMILIES[name](k)
+    data = read_file(text, "graph spec", GraphError)
+    try:
+        obj = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # bad JSON or nesting too deep
+        raise GraphError(f"invalid JSON in {text!r}: {exc}") from None
+    return graph_from_json(obj)

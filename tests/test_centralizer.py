@@ -132,7 +132,7 @@ def test_classify_c6_distant():
 def test_classify_adjacent_reports_empty():
     report = classify_cycle_centralizer(5, 0, 1, 4)
     assert report.kind == "adjacent"
-    assert report.empty
+    assert report.count == 0
 
 
 def test_classify_validation():

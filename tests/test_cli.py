@@ -67,15 +67,6 @@ def test_centralizer_output(capsys):
     assert line_value(lines, "BASIS_0") == "[x4,x1;x3]"
 
 
-def test_centralizer_env_bound(capsys, monkeypatch):
-    monkeypatch.setenv("PCML_DEGREE_BOUND", "3")
-    status, lines = invoke(
-        capsys, "centralizer", "--graph", "cycle:5", "--element", "x0 + x2"
-    )
-    assert status == 0
-    assert line_value(lines, "DEGREE_BOUND") == "3"
-
-
 def test_theta_assignment(capsys):
     status, lines = invoke(
         capsys, "theta", "--n", "5", "--m", "5", "--assign", "x0,x1,x2,x3,x4"
@@ -127,7 +118,7 @@ def test_phi_and_lambda0(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 4, "edges": [[2, 3], [1, 2], [1, 3]]}))
     status, lines = invoke(
-        capsys, "phi", "--graph", str(path), "--merge", "3:2", "--lambda", "2",
+        capsys, "phi", "--graph", str(path), "--lambda", "2",
         "--element", "[x2,x0] - [x3,x0]",
     )
     assert status == 0
@@ -137,11 +128,12 @@ def test_phi_and_lambda0(capsys, tmp_path):
     )
     assert status == 0
     assert line_value(lines, "LAMBDA0") == "2"
-    status, _ = invoke(
-        capsys, "phi", "--graph", str(path), "--merge", "1:2", "--lambda", "2",
-        "--element", "x0",
+    # the merged pair is always the last two vertices, which must be twins
+    status, lines = invoke(
+        capsys, "phi", "--graph", "path:4", "--lambda", "2", "--element", "x0",
     )
     assert status == 2
+    assert line_value(lines, "ERROR") == "vertices 2 and 3 do not have equal closed neighborhoods"
 
 
 def test_lambda0_with_a_thirteen_digit_coefficient(capsys, tmp_path):
@@ -168,6 +160,9 @@ def test_gamma_witness(capsys, tmp_path):
     # the witness subcommand searches Theta only and needs --n/--m
     status, _ = invoke(capsys, "witness", "--graph", str(gpath), "--gamma", str(fpath))
     assert status == 2
+    status, lines = invoke(capsys, "gamma-witness", "--graph", str(gpath), "--gamma", str(tmp_path / "missing.txt"))
+    assert status == 2
+    assert line_value(lines, "ERROR").startswith("cannot read gamma file")
 
 
 def test_usage_errors(capsys):
@@ -178,6 +173,9 @@ def test_usage_errors(capsys):
     assert any(line.startswith("ERROR=") for line in lines)
     assert any(line.startswith("POSITION=") for line in lines)
     status, _ = invoke(capsys, "nf", "--graph", "cycle:2", "--element", "x0")
+    assert status == 2
+    # integer options take ASCII digits only, like every other integer
+    status, _ = invoke(capsys, "witness", "--n", "\u0664", "--m", "5")
     assert status == 2
 
 

@@ -20,6 +20,7 @@ from pcml.core import (
     basis_monomial_with_start,
     basis_monomials_of_multidegree,
     bracket,
+    format_element,
     glued_decomposition,
     glued_mdeg,
     homogeneous_components,
@@ -547,3 +548,15 @@ def test_threads_interning_fresh_pairs_share_one_algebra_per_pair():
     for per_order in zip(*found):
         assert len(per_order) == 4 and all(a is per_order[0] for a in per_order)
     assert len(found[0]) == 720
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit")
+def test_format_element_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    c4, order = cycle_graph(4), GeneratorOrder.ascending(4)
+    big = int("7" * (limit // 2 + 50))
+    left = LieElement.generator(c4, order, 0) * big
+    right = LieElement.generator(c4, order, 2) * big
+    assert format_element(left).startswith("7" * 100)
+    with pytest.raises(AlgebraError, match=f"coefficient of about .* digits is over the {limit}-digit limit"):
+        format_element(bracket(left, right))

@@ -6,19 +6,17 @@ import pytest
 from pcml.errors import GraphError
 from pcml.graphs import (
     Graph,
-    Partition,
     circ_dist,
     closed_neighborhood,
     compaction,
     complete_graph,
     components_within,
     cycle_graph,
-    graph_from_json,
-    parse_graph_spec,
     path_graph,
     perp_classes,
 )
 from pcml.suite import example_graph, spider_graph, _is_isomorphic_small
+from pcml.textio import graph_from_json, parse_graph_spec
 
 
 def blocks(partition):
@@ -59,7 +57,7 @@ def test_cycle_graph():
 
 def test_connected_components():
     assert len(components_within(cycle_graph(5), range(5))) == 1
-    assert blocks(Partition(components_within(cycle_graph(5), {0, 2, 3}))) == [[0], [2, 3]]
+    assert blocks(components_within(cycle_graph(5), {0, 2, 3})) == [[0], [2, 3]]
     assert len(components_within(Graph(3, []), range(3))) == 3
     with pytest.raises(GraphError):
         components_within(cycle_graph(5), {0, 9})
@@ -181,13 +179,6 @@ def test_circ_distance():
     assert circ_dist(5, 1, 1) == 0
     assert circ_dist(4, 0, 2) == 2
     assert circ_dist(7, 6, 0) == 1
-
-
-def test_partition_validation():
-    with pytest.raises(GraphError):
-        Partition([[0, 1], [1, 2]])
-    with pytest.raises(GraphError):
-        Partition([[0], []])
 
 
 def test_graph_json_round_trip(tmp_path):

@@ -1,13 +1,22 @@
 import random
+import re
 import sys
 
 import pytest
 
 from pcml.core import AssocPoly, GeneratorOrder, LieElement, format_element, word_element
-from pcml.errors import ParseError
+from pcml.errors import GraphError, ParseError
 from pcml.graphs import Graph, cycle_graph
 from pcml.sampling import random_element, random_graph
-from pcml.textio import parse_assoc_poly, parse_element, split_top_level
+from pcml.textio import (
+    graph_from_json,
+    parse_assoc_poly,
+    parse_element,
+    parse_elements,
+    parse_graph_spec,
+    parse_integer,
+    parse_integers,
+)
 
 FREE4 = Graph(4, [])
 O4 = GeneratorOrder.ascending(4)
@@ -108,10 +117,73 @@ def test_parse_assoc_poly():
         parse_assoc_poly("x7", 3)
 
 
-def test_split_top_level():
-    assert split_top_level("x0,x1,x2") == ["x0", "x1", "x2"]
-    assert split_top_level("[x1,x0;x2],x3") == ["[x1,x0;x2]", "x3"]
-    assert split_top_level("x0 + [x2,x1], x3") == ["x0 + [x2,x1]", "x3"]
+def test_parse_elements_splits_at_top_level_commas():
+    parse = lambda t: parse_elements(t, FREE4, O4)
+    assert parse("x0,x1,x2") == [parse_element(f"x{i}", FREE4, O4) for i in range(3)]
+    assert parse("[x1,x0;x2],x3") == [parse_element(t, FREE4, O4) for t in ("[x1,x0;x2]", "x3")]
+    assert parse(" x0 + [x2,x1] , x3 ") == [parse_element(t, FREE4, O4) for t in ("x0 + [x2,x1]", "x3")]
+    assert parse("0") == [parse_element("0", FREE4, O4)]
+
+
+def test_parse_elements_offsets_count_from_the_whole_text():
+    for text, message, position in (
+        ("x0,x1,,x2", "empty element", 6),
+        ("x0, ,x1", "empty element", 3),
+        ("x0,x1,", "empty element", 6),
+        (",x0", "empty element", 0),
+        ("", "empty element", 0),
+        ("x0,x1 x2", "expected + or - between terms", 6),
+        ("x0,[x1,x9]", "unknown generator x9", 10),
+        ("x0, 2*[x1;x2]", "expected ','", 9),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)) as info:
+            parse_elements(text, FREE4, O4)
+        assert info.value.position == position, text
+
+
+def test_parse_integers():
+    assert parse_integers("2, 0,1 ") == [2, 0, 1]
+    assert parse_integer(" -3") == -3
+    for text, position in (("", 0), ("1,,2", 2), ("1_0", 1), ("\u0663,0", 0), ("+1", 0), ("1,-2", 2)):
+        with pytest.raises(ParseError) as info:
+            parse_integers(text)
+        assert info.value.position == position, text
+    for text in ("", "-", "1,2", "\u0663", "1 2"):
+        with pytest.raises(ParseError):
+            parse_integer(text)
+
+
+def test_graph_from_json_rejects_non_integers():
+    assert graph_from_json({"n": 3, "edges": [[0, 1], [1, 2]]}) == Graph(3, [(0, 1), (1, 2)])
+    for obj in (
+        [],
+        {"n": 3},
+        {"n": 5.0, "edges": []},
+        {"n": "4", "edges": []},
+        {"n": True, "edges": []},
+        {"n": 3, "edges": "01"},
+        {"n": 3, "edges": [[0, 1, 2]]},
+        {"n": 3, "edges": [[0, 1.0]]},
+        {"n": 3, "edges": [[False, 1]]},
+    ):
+        with pytest.raises(GraphError):
+            graph_from_json(obj)
+
+
+def test_parse_graph_spec_reports_unreadable_files(tmp_path):
+    for name, data, message in (
+        ("deep.json", b"[" * 100000, "invalid JSON"),
+        ("latin1.json", b'{"n": 1, "edges": []}\xff', "cannot read graph spec"),
+        ("missing.json", None, "cannot read graph spec"),
+    ):
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        with pytest.raises(GraphError, match=f"^{message}"):
+            parse_graph_spec(str(path))
+    for spec in ("cycle:1_0", "cycle:\u0663", "path:", "complete:2,3"):
+        with pytest.raises(GraphError, match="bad vertex count"):
+            parse_graph_spec(spec)
 
 
 def test_print_monomial_shapes():
