@@ -7,9 +7,12 @@ total degree and is found degree by degree with exact elimination.
 Within one degree the constraint matrix further splits into blocks of
 multidegrees linked by moves e_a - e_b over the support of g, which
 keeps the matrices small.  Kernels stay as `linalg.kernel_basis` rows
-over a block's basis monomials.  Both the kernel and the intersection
-of the generators' kernels (taken per multidegree) are direct sums over
-the blocks, so `check_intersection_theorem` compares them per block.
+over a block's basis monomials.  Both sides of the intersection theorem,
+C(sum a_i x_i) = intersection of the C(x_i), are common kernels over a
+block: of the one form g on the left, of the forms x_i on the right.
+ad g keeps blocks apart and each ad x_i keeps multidegrees apart, so
+each side is a direct sum over the blocks, and
+`check_intersection_theorem` compares them block by block.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .core import (
     BasisMonomial,
     GeneratorOrder,
     LieElement,
-    Multidegree,
     _add_nf,
     act,
     bracket,
@@ -72,30 +74,32 @@ def _blocks(deltas: List[Tuple[int, ...]], supp: Sequence[int]) -> List[List[Tup
     return blocks
 
 
-def _kernel_rows(algebra: Algebra, lin: Dict[int, int], columns: Sequence[BasisMonomial]) -> List[Tuple[int, ...]]:
-    """Kernel of h -> [h, g] on the span of ``columns``, for
-    g = sum lin[i] x_i, as `linalg.kernel_basis` rows over the columns."""
-    images: List[Dict[BasisMonomial, int]] = []
-    for (a, b), tail in columns:
-        image: Dict[BasisMonomial, int] = {}
-        for i, alpha in lin.items():
-            _add_nf(image, algebra, a, b, tail + (i,), alpha)
-        images.append(image)
-    matrix = [[image.get(m, 0) for image in images] for m in set().union(*images)]
+def _kernel_rows(algebra: Algebra, forms: Sequence[Dict[int, int]], columns: Sequence[BasisMonomial]) -> List[Tuple[int, ...]]:
+    """Common kernel on the span of ``columns`` of h -> [h, g] for every
+    g = sum lin[i] x_i with lin in ``forms``, by one `linalg.kernel_basis`
+    call on the stacked image rows; rows over the columns."""
+    matrix: List[List[int]] = []
+    for lin in forms:
+        images: List[Dict[BasisMonomial, int]] = []
+        for (a, b), tail in columns:
+            image: Dict[BasisMonomial, int] = {}
+            for i, alpha in lin.items():
+                _add_nf(image, algebra, a, b, tail + (i,), alpha)
+            images.append(image)
+        matrix += [[image.get(m, 0) for image in images] for m in set().union(*images)]
     return linalg.kernel_basis(matrix, len(columns))
 
 
-def _kernel_blocks(g: LieElement, degree_bound: int) -> Iterator[Tuple[int, List[Multidegree], List[BasisMonomial], List[Tuple[int, ...]]]]:
-    """(degree, multidegrees, columns, kernel rows) of every block of
-    every degree 2..degree_bound, in ascending degree and block order."""
+def _kernel_blocks(g: LieElement, degree_bound: int) -> Iterator[Tuple[List[BasisMonomial], List[Tuple[int, ...]]]]:
+    """(columns, kernel rows of ad g) of every block of every degree
+    2..degree_bound, in ascending degree and block order."""
     lin = _check_linear(g)
     supp = sorted(lin)
     for k in range(2, degree_bound + 1):
         bases = g.algebra.bases(k)
         for block in _blocks(list(bases), supp):
-            deltas = sorted(block)
-            columns = [m for delta in deltas for m in bases[delta]]
-            yield k, deltas, columns, _kernel_rows(g.algebra, lin, columns)
+            columns = [m for delta in sorted(block) for m in bases[delta]]
+            yield columns, _kernel_rows(g.algebra, [lin], columns)
 
 
 @dataclass
@@ -115,7 +119,7 @@ def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
     if degree_bound < 2:
         raise AlgebraError("degree bound must be at least 2")
     elements = []
-    for _, _, columns, rows in _kernel_blocks(g, degree_bound):
+    for columns, rows in _kernel_blocks(g, degree_bound):
         for row in rows:
             h = LieElement._trusted(g.algebra, {}, {m: v for m, v in zip(columns, row) if v})
             if not bracket(h, g).is_zero():
@@ -133,26 +137,11 @@ def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[in
         raise AlgebraError("coefficients must be nonzero")
     order = order or GeneratorOrder.ascending(graph.n)
     g = LieElement.from_linear(graph, order, dict(zip(indices, coefficients)))
-    for k, deltas, columns, rows in _kernel_blocks(g, degree_bound):
-        # intersection of the single-generator kernels, multidegree-wise,
-        # each padded from its multidegree's columns to the block's
-        bases = g.algebra.bases(k)
-        intersection: List[Tuple[int, ...]] = []
-        before = 0
-        for delta in deltas:
-            mons = bases[delta]
-            after = len(columns) - before - len(mons)
-            current = None
-            for i in indices:
-                kernel = _kernel_rows(g.algebra, {i: 1}, mons)
-                current = kernel if current is None else linalg.intersect_rowspans(current, kernel)
-                if not current:
-                    break
-            intersection.extend((0,) * before + tuple(row) + (0,) * after for row in current)
-            before += len(mons)
-        if not linalg.same_rowspan(rows, intersection):
-            return False
-    return True
+    forms = [{i: 1} for i in indices]
+    return all(
+        linalg.same_rowspan(rows, _kernel_rows(g.algebra, forms, columns))
+        for columns, rows in _kernel_blocks(g, degree_bound)
+    )
 
 
 @dataclass

@@ -62,7 +62,7 @@ class Report:
 
 def _graph_and_order(args):
     graph = parse_graph_spec(args.graph)
-    if getattr(args, "order", None):
+    if args.order:
         order = GeneratorOrder(parse_integers(args.order))
     else:
         order = GeneratorOrder.ascending(graph.n)
@@ -136,10 +136,7 @@ def _cmd_theta(args, report: Report) -> None:
     graph = cycle_graph(args.n)
     order = GeneratorOrder.ascending(args.n)
     assignment = parse_elements(args.assign, graph, order)
-    m = args.m if args.m is not None else len(assignment)
-    if len(assignment) != m:
-        raise AlgebraError(f"assignment has {len(assignment)} entries but m = {m}")
-    result = eval_theta(ThetaInstance(m, graph, order), assignment)
+    result = eval_theta(ThetaInstance(len(assignment), graph, order), assignment)
     report.add("RESULT", result.holds)
     if result.failing_atom is not None:
         atom = result.failing_atom
@@ -179,8 +176,7 @@ def _cmd_distinguish(args, report: Report) -> None:
 
 
 def _cmd_compact(args, report: Report) -> None:
-    graph, _ = _graph_and_order(args)
-    result = compaction(graph)
+    result = compaction(parse_graph_spec(args.graph))
     report.add("VERTICES", result.graph.n)
     report.add("KEPT", ",".join(map(str, result.kept)))
     report.add("EDGES", ";".join(f"{i},{j}" for i, j in result.graph.edge_list()))
@@ -188,8 +184,7 @@ def _cmd_compact(args, report: Report) -> None:
 
 
 def _cmd_perp(args, report: Report) -> None:
-    graph, _ = _graph_and_order(args)
-    classes = perp_classes(graph)
+    classes = perp_classes(parse_graph_spec(args.graph))
     report.add("CLASSES", len(classes))
     for k, block in enumerate(classes):
         report.add(f"CLASS_{k}", ",".join(map(str, sorted(block))))
@@ -239,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=False, order=False, degree=False):
+    def common(p, handler, graph=False, order=False, degree=False):
+        p.set_defaults(run=handler)
         p.add_argument("--seed", type=parse_integer, default=0)
         p.add_argument("--output", default=None, help="also write the report to a file")
         if graph:
@@ -250,74 +246,54 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--degree", type=parse_integer, default=DEFAULT_DEGREE_BOUND, help=f"degree bound (default {DEFAULT_DEGREE_BOUND})")
         return p
 
-    p = common(sub.add_parser("nf", help="normal form of an element"), graph=True, order=True)
+    p = common(sub.add_parser("nf", help="normal form of an element"), _cmd_nf, graph=True, order=True)
     p.add_argument("--element", required=True)
 
-    p = common(sub.add_parser("bracket", help="Lie product of two elements"), graph=True, order=True)
+    p = common(sub.add_parser("bracket", help="Lie product of two elements"), _cmd_bracket, graph=True, order=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
-    p = common(sub.add_parser("act", help="polynomial action on a derived element"), graph=True, order=True)
+    p = common(sub.add_parser("act", help="polynomial action on a derived element"), _cmd_act, graph=True, order=True)
     p.add_argument("--element", required=True)
     p.add_argument("--poly", required=True)
 
-    p = common(sub.add_parser("dim", help="certify one multidegree against the oracle"), graph=True, order=True)
+    p = common(sub.add_parser("dim", help="certify one multidegree against the oracle"), _cmd_dim, graph=True, order=True)
     p.add_argument("--mdeg", required=True)
 
-    p = common(sub.add_parser("certify", help="certify all multidegrees up to a degree"), graph=True, order=True)
+    p = common(sub.add_parser("certify", help="certify all multidegrees up to a degree"), _cmd_certify, graph=True, order=True)
     p.add_argument("--max-degree", type=parse_integer, default=4)
 
-    p = common(sub.add_parser("centralizer", help="derived centralizer of a linear element"), graph=True, order=True, degree=True)
+    p = common(sub.add_parser("centralizer", help="derived centralizer of a linear element"), _cmd_centralizer, graph=True, order=True, degree=True)
     p.add_argument("--element", required=True)
 
-    p = common(sub.add_parser("theta", help="evaluate the cycle sentence"))
+    p = common(sub.add_parser("theta", help="evaluate the cycle sentence"), _cmd_theta)
     p.add_argument("--n", type=parse_integer, required=True)
-    p.add_argument("--m", type=parse_integer, default=None)
-    p.add_argument("--assign", required=True, help="comma-separated element list")
+    p.add_argument("--assign", required=True, help="comma-separated element list, one per variable")
 
-    p = common(sub.add_parser("witness", help="search for a sentence witness"))
+    p = common(sub.add_parser("witness", help="search for a sentence witness"), _cmd_witness)
     p.add_argument("--n", type=parse_integer, required=True)
     p.add_argument("--m", type=parse_integer, required=True)
     p.add_argument("--mode", default="generator-assignments", choices=["generator-assignments", "j-sequences"])
 
-    p = common(sub.add_parser("distinguish", help="separate two cycle algebras"))
+    p = common(sub.add_parser("distinguish", help="separate two cycle algebras"), _cmd_distinguish)
     p.add_argument("--n", type=parse_integer, required=True)
     p.add_argument("--m", type=parse_integer, required=True)
 
-    common(sub.add_parser("compact", help="compaction of a graph"), graph=True)
-    common(sub.add_parser("perp", help="closed-neighborhood classes"), graph=True)
+    common(sub.add_parser("compact", help="compaction of a graph"), _cmd_compact, graph=True)
+    common(sub.add_parser("perp", help="closed-neighborhood classes"), _cmd_perp, graph=True)
 
-    p = common(sub.add_parser("phi", help="merge homomorphism image"), graph=True)
+    p = common(sub.add_parser("phi", help="merge homomorphism image"), _cmd_phi, graph=True)
     p.add_argument("--lambda", dest="lam", type=parse_integer, required=True)
     p.add_argument("--element", required=True)
 
-    p = common(sub.add_parser("lambda0", help="nonvanishing threshold of an element"), graph=True)
+    p = common(sub.add_parser("lambda0", help="nonvanishing threshold of an element"), _cmd_lambda0, graph=True)
     p.add_argument("--element", required=True)
 
-    p = common(sub.add_parser("gamma-witness", help="finite-set merge witness"), graph=True)
+    p = common(sub.add_parser("gamma-witness", help="finite-set merge witness"), _cmd_gamma_witness, graph=True)
     p.add_argument("--gamma", required=True, help="file with one element per line")
 
-    common(sub.add_parser("suite", help="run the acceptance suite"))
+    common(sub.add_parser("suite", help="run the acceptance suite"), _cmd_suite)
     return parser
-
-
-COMMANDS = {
-    "nf": _cmd_nf,
-    "bracket": _cmd_bracket,
-    "act": _cmd_act,
-    "dim": _cmd_dim,
-    "certify": _cmd_certify,
-    "centralizer": _cmd_centralizer,
-    "theta": _cmd_theta,
-    "witness": _cmd_witness,
-    "distinguish": _cmd_distinguish,
-    "compact": _cmd_compact,
-    "perp": _cmd_perp,
-    "phi": _cmd_phi,
-    "lambda0": _cmd_lambda0,
-    "gamma-witness": _cmd_gamma_witness,
-    "suite": _cmd_suite,
-}
 
 
 def run(argv: Optional[List[str]] = None) -> int:
@@ -329,7 +305,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     report = Report()
     report.add("SEED", args.seed)
     try:
-        COMMANDS[args.command](args, report)
+        args.run(args, report)
     except ParseError as exc:
         report.add("ERROR", exc)
         report.add("POSITION", exc.position)
@@ -340,11 +316,14 @@ def run(argv: Optional[List[str]] = None) -> int:
     except PcmlError as exc:
         report.add("ERROR", exc)
         report.status = 1
-    text = "\n".join(report.lines)
-    print(text)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(report.lines) + "\n")
+        except OSError as exc:
+            report.add("ERROR", f"cannot write report to {args.output!r}: {exc.strerror or exc}")
+            report.status = 2
+    print("\n".join(report.lines))
     return report.status
 
 

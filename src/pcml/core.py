@@ -450,9 +450,9 @@ class AssocPoly:
         self.terms = _strip(terms)
 
     @classmethod
-    def variable(cls, n: int, i: int, power: int = 1) -> "AssocPoly":
+    def variable(cls, n: int, i: int) -> "AssocPoly":
         exps = [0] * n
-        exps[i] = power
+        exps[i] = 1
         return cls(n, {tuple(exps): 1})
 
     def __add__(self, other: "AssocPoly") -> "AssocPoly":

@@ -585,15 +585,16 @@ def merge_relabeling(graph: Graph, keep: int, remove: int) -> Tuple[Dict[int, in
 
 @dataclass
 class CompactionWitnessReport:
+    """A verified merge witness.  ``ok`` is always True: a witness that
+    fails verification raises `CertificationError` instead."""
+
     lam: int
     gamma_size: int
     closure_size: int
     nonzero_in_closure: int
     removed_vertex: int
     kept_vertex: int
-    images_distinct: bool
-    bracket_faithful: bool
-    ok: bool
+    ok: bool = True
 
 
 def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: GeneratorOrder = None) -> CompactionWitnessReport:
@@ -627,9 +628,6 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     pairs = list(zip(moved, [phi_lambda(hom, g) for g in moved]))
     distinct = all(a == b or pa != pb for (a, pa), (b, pb) in combinations(pairs, 2))
     faithful = all(phi_lambda(hom, bracket(a, b)) == bracket(pa, pb) for a, pa in pairs for b, pb in pairs)
-    ok = distinct and faithful
-    if not ok:
+    if not (distinct and faithful):
         raise CertificationError("merge witness verification failed")
-    return CompactionWitnessReport(
-        lam, len(gamma), len(closure), len(nonzero), remove, keep, distinct, faithful, ok,
-    )
+    return CompactionWitnessReport(lam, len(gamma), len(closure), len(nonzero), remove, keep)

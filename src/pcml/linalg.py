@@ -115,7 +115,8 @@ def intersect_rowspans(rows_a: Sequence[Sequence[int]], rows_b: Sequence[Sequenc
 
     Zassenhaus: in the echelon form of the rows (a | a) and (b | 0), the
     rows whose left half is zero carry a basis of the intersection in
-    their right half, already reduced and primitive.
+    their right half, already reduced and primitive.  Only tests and
+    `perfbench/tracer.py` call it.
     """
     if not rows_a or not rows_b:
         return []

@@ -1,8 +1,9 @@
 import random
+from itertools import groupby
 
 import pytest
 
-from pcml import linalg
+from pcml import centralizer, linalg
 from pcml.centralizer import (
     check_intersection_theorem,
     classify_cycle_centralizer,
@@ -92,9 +93,57 @@ def test_intersection_theorem_random():
 
 
 def test_intersection_check_sees_a_lost_intersection_row(monkeypatch):
-    intersect = linalg.intersect_rowspans
-    monkeypatch.setattr(linalg, "intersect_rowspans", lambda a, b: intersect(a, b)[:-1])
+    # drop the last row of the generators' common kernel only
+    kernel_rows = centralizer._kernel_rows
+
+    def lossy(algebra, forms, columns):
+        rows = kernel_rows(algebra, forms, columns)
+        return rows[:-1] if len(forms) > 1 else rows
+
+    monkeypatch.setattr(centralizer, "_kernel_rows", lossy)
     assert not check_intersection_theorem([0, 2], [1, 1], C5, 4)
+
+
+def _zassenhaus_kernel(algebra, forms, columns, part):
+    """Reference for the common kernel of ``forms`` on the span of
+    ``columns``: one-form kernels on each run of columns with equal
+    ``part``, folded by Zassenhaus intersections and padded back to the
+    columns."""
+    rows = []
+    before = 0
+    for _, group in groupby(columns, key=part):
+        mons = list(group)
+        after = len(columns) - before - len(mons)
+        current = centralizer._kernel_rows(algebra, forms[:1], mons)
+        for form in forms[1:]:
+            current = linalg.intersect_rowspans(current, centralizer._kernel_rows(algebra, [form], mons))
+        rows += [(0,) * before + tuple(row) + (0,) * after for row in current]
+        before += len(mons)
+    return rows
+
+
+def test_common_kernel_matches_the_per_multidegree_intersection():
+    # generators: the old per-multidegree intersection of criterion 4;
+    # two random combinations, whose common kernel is not that of their
+    # sum: one intersection over the whole block
+    rng = random.Random(41)
+    for _ in range(30):
+        n = rng.randint(3, 5)
+        graph = random_graph(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        order = GeneratorOrder(perm)
+        indices = rng.sample(range(n), rng.randint(2, n))
+        g = linear(graph, order, {i: rng.choice([-2, -1, 1, 2]) for i in indices})
+        generators = [{i: 1} for i in indices]
+        combinations = [{i: rng.choice([-2, -1, 1, 2]) for i in indices} for _ in range(2)]
+        for columns, _ in centralizer._kernel_blocks(g, rng.randint(2, 4)):
+            common = centralizer._kernel_rows(g.algebra, generators, columns)
+            reference = _zassenhaus_kernel(g.algebra, generators, columns, lambda m: mdeg(m, n))
+            assert linalg.same_rowspan(common, reference)
+            common = centralizer._kernel_rows(g.algebra, combinations, columns)
+            reference = _zassenhaus_kernel(g.algebra, combinations, columns, lambda m: 0)
+            assert linalg.same_rowspan(common, reference)
 
 
 def test_centralizer_rejects_a_kernel_vector_that_does_not_commute(monkeypatch):

@@ -1,6 +1,8 @@
 import json
 
+from pcml import equivalence
 from pcml.cli import run
+from pcml.core import LieElement
 from pcml.suite import EXAMPLE_GRAPH_EDGES
 
 
@@ -68,9 +70,7 @@ def test_centralizer_output(capsys):
 
 
 def test_theta_assignment(capsys):
-    status, lines = invoke(
-        capsys, "theta", "--n", "5", "--m", "5", "--assign", "x0,x1,x2,x3,x4"
-    )
+    status, lines = invoke(capsys, "theta", "--n", "5", "--assign", "x0,x1,x2,x3,x4")
     assert status == 0
     assert line_value(lines, "RESULT") == "true"
 
@@ -165,6 +165,20 @@ def test_gamma_witness(capsys, tmp_path):
     assert line_value(lines, "ERROR").startswith("cannot read gamma file")
 
 
+def test_gamma_witness_reports_a_failed_verification(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        equivalence, "phi_lambda",
+        lambda hom, g: LieElement.generator(hom.target_graph, hom.target_order, 0),
+    )
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"n": 4, "edges": [[2, 3], [1, 2], [1, 3]]}))
+    fpath = tmp_path / "gamma.txt"
+    fpath.write_text("[x2,x0]\nx0\n")
+    status, lines = invoke(capsys, "gamma-witness", "--graph", str(gpath), "--gamma", str(fpath))
+    assert status == 1
+    assert lines == ["SEED=0", "ERROR=merge witness verification failed"]
+
+
 def test_usage_errors(capsys):
     status, _ = invoke(capsys, "nope")
     assert status == 2
@@ -213,6 +227,19 @@ def test_output_file(capsys, tmp_path):
     )
     assert status == 0
     assert out.read_text().strip().splitlines() == lines
+
+
+def test_output_to_an_unwritable_path(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "report.txt"
+    status = run(["nf", "--graph", "cycle:4", "--element", "x0", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert status == 2
+    lines = captured.out.splitlines()
+    assert lines[:2] == ["SEED=0", "RESULT=x0"] and len(lines) == 3
+    assert lines[2].startswith(f"ERROR=cannot write report to {str(out)!r}: ")
+    assert captured.err == ""
 
 
 def test_seed_in_header(capsys):

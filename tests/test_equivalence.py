@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from pcml import equivalence
 from pcml.core import (
     GeneratorOrder,
     LieElement,
@@ -29,7 +30,7 @@ from pcml.equivalence import (
     search_theta_witness,
     theta_identity_holds,
 )
-from pcml.errors import AlgebraError, GraphError
+from pcml.errors import AlgebraError, CertificationError, GraphError
 from pcml.graphs import Graph, circ_dist, cycle_graph
 from pcml.sampling import random_element, random_graph, random_graph_with_merged_pair, random_word
 
@@ -472,7 +473,18 @@ def test_compaction_witness_difference_pair():
     report = compaction_witness(MERGE4, gamma)
     assert report.ok
     assert report.lam >= 2
-    assert report.images_distinct and report.bracket_faithful
+
+
+def test_compaction_witness_raises_on_a_failed_verification(monkeypatch):
+    # every image x0: distinct elements meet, and brackets of images vanish
+    monkeypatch.setattr(
+        equivalence, "phi_lambda",
+        lambda hom, g: LieElement.generator(hom.target_graph, hom.target_order, 0),
+    )
+    order = GeneratorOrder.ascending(4)
+    gamma = [word_element(MERGE4, order, (2, 0)), LieElement.generator(MERGE4, order, 0)]
+    with pytest.raises(CertificationError, match="merge witness verification failed"):
+        compaction_witness(MERGE4, gamma)
 
 
 def test_compaction_witness_rejects_elements_of_another_algebra():
@@ -722,7 +734,7 @@ def test_compaction_witness_reports_match_recorded_values():
     cases = list(_witness_cases(22, len(RECORDED_WITNESSES)))
     for (graph, gamma), expected in zip(cases, RECORDED_WITNESSES):
         report = compaction_witness(graph, gamma)
-        assert report.ok and report.images_distinct and report.bracket_faithful
+        assert report.ok
         got = (report.lam, report.gamma_size, report.closure_size, report.nonzero_in_closure,
                report.removed_vertex, report.kept_vertex)
         assert got == expected

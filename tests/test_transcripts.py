@@ -6,6 +6,7 @@ per command, its argv (``{name}`` stands for the path of input file
 error message or a normal form shows up here as a diff.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pcml.cli import run
+from pcml.cli import build_parser, run
 
 DATA = json.loads((Path(__file__).parent / "cli_transcripts.json").read_text(encoding="utf-8"))
 
@@ -31,3 +32,10 @@ def test_cli_transcript(case, tmp_path):
     with contextlib.redirect_stdout(out):
         status = run(argv)
     assert (status, out.getvalue()) == (case["exit"], case["stdout"])
+
+
+def test_every_subcommand_has_a_transcript():
+    # `suite` is exempt: test_acceptance.py pins each of its lines
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    covered = {case["argv"][0] for case in DATA["cases"]}
+    assert set(sub.choices) - {"suite"} <= covered
