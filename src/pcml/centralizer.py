@@ -7,7 +7,14 @@ total degree and is found degree by degree with exact elimination.
 Within one degree the constraint matrix further splits into blocks of
 multidegrees linked by moves e_a - e_b over the support of g, which
 keeps the matrices small.  Kernels stay as `linalg.kernel_basis` rows
-over a block's basis monomials.  Both sides of the intersection theorem,
+over a block's basis monomials.  Image rows are built in head
+coordinates: [x_a,x_b].tail.x_i is written as (multidegree, first
+letter) -> coefficient, read from the algebra's tops table by the four
+cases of `core._monomial_nf`, without building a monomial or filling the
+normal-form table.  The keys fix the normal-form monomials one to one,
+so the kernels are those of the normal-form images; `derived_centralizer`
+cross-checks every vector it returns with `bracket`, which does go
+through the normal-form table.  Both sides of the intersection theorem,
 C(sum a_i x_i) = intersection of the C(x_i), are common kernels over a
 block: of the one form g on the left, of the forms x_i on the right.
 ad g keeps blocks apart and each ad x_i keeps multidegrees apart, so
@@ -27,7 +34,7 @@ from .core import (
     BasisMonomial,
     GeneratorOrder,
     LieElement,
-    _add_nf,
+    _bump,
     act,
     bracket,
     cycle_generators,
@@ -74,19 +81,53 @@ def _blocks(deltas: List[Tuple[int, ...]], supp: Sequence[int]) -> List[List[Tup
     return blocks
 
 
+HeadKey = Tuple[Tuple[int, ...], int]  # (multidegree, first letter)
+
+
+def _head_image(algebra: Algebra, column: BasisMonomial, lin: Dict[int, int]) -> Dict[HeadKey, int]:
+    """[h, g] for the basis monomial h = ``column`` and g = sum lin[i] x_i,
+    in head coordinates.
+
+    [x_a,x_b].tail.x_i has multidegree delta + e_i, and its least letter
+    is b (the least letter of a basis monomial's support) unless x_i
+    precedes it.  With the tops of that support, the cases of
+    `core._monomial_nf` give first letters and signs: zero when a and b
+    share a top, +top(a) unless the least letter shares it, -top(b)
+    unless the least letter shares that.
+    """
+    (a, b), tail = column
+    rank = algebra.order.rank
+    delta = [0] * algebra.graph.n
+    mask = 0
+    for v in (a, b) + tail:
+        delta[v] += 1
+        mask |= 1 << v
+    image: Dict[HeadKey, int] = {}
+    for i, alpha in lin.items():
+        top = algebra.tops(mask | 1 << i)
+        ta, tb = top[a], top[b]
+        if ta == tb:
+            continue
+        tmu = top[b if rank[b] < rank[i] else i]
+        delta[i] += 1
+        up = tuple(delta)
+        delta[i] -= 1
+        if tmu != ta:
+            _bump(image, (up, ta), alpha)
+        if tmu != tb:
+            _bump(image, (up, tb), -alpha)
+    return image
+
+
 def _kernel_rows(algebra: Algebra, forms: Sequence[Dict[int, int]], columns: Sequence[BasisMonomial]) -> List[Tuple[int, ...]]:
-    """Common kernel on the span of ``columns`` of h -> [h, g] for every
-    g = sum lin[i] x_i with lin in ``forms``, by one `linalg.kernel_basis`
-    call on the stacked image rows; rows over the columns."""
+    """Common kernel on the span of the basis monomials ``columns`` of
+    h -> [h, g] for every g = sum lin[i] x_i with lin in ``forms``, by one
+    `linalg.kernel_basis` call on the stacked image rows in head
+    coordinates; rows over the columns."""
     matrix: List[List[int]] = []
     for lin in forms:
-        images: List[Dict[BasisMonomial, int]] = []
-        for (a, b), tail in columns:
-            image: Dict[BasisMonomial, int] = {}
-            for i, alpha in lin.items():
-                _add_nf(image, algebra, a, b, tail + (i,), alpha)
-            images.append(image)
-        matrix += [[image.get(m, 0) for image in images] for m in set().union(*images)]
+        images = [_head_image(algebra, column, lin) for column in columns]
+        matrix += [[image.get(key, 0) for image in images] for key in set().union(*images)]
     return linalg.kernel_basis(matrix, len(columns))
 
 

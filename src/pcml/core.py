@@ -29,9 +29,16 @@ and generator order, one object per equal pair, so two elements share a
 context exactly when their algebras are the same object.  The engine's
 tables live in the objects they describe and die with them: the graph
 owns the components of each support (`Graph.component_labels`), the
-algebra its normal forms (`_monomial_nf`, cleared at `NF_CACHE_SIZE`
-entries) and the bases of each degree (`Algebra.bases`).  No table
-refers back to an algebra, so an algebra is dropped with its last element.
+algebra the greatest vertex of each of those components in its order
+(`Algebra.tops`), its normal forms (`_monomial_nf`, cleared at
+`NF_CACHE_SIZE` entries) and the bases of each degree (`Algebra.bases`).
+No table refers back to an algebra, so an algebra is dropped with its
+last element.  The case analysis reads only the head pair, the tops of
+the support and its least letter, and every monomial it returns is fixed
+by its multidegree and first letter; so a normal form in head
+coordinates, (multidegree, first letter) -> coefficient, depends only on
+the support, the head pair and the least letter.  The centralizer layer
+builds its matrices in those coordinates, without the normal-form table.
 
 Outside data is checked once, where it enters: the `LieElement`
 constructor checks generators and basis monomials, the parsers their
@@ -104,7 +111,7 @@ class Algebra:
     elements share a context exactly when their algebras are identical.
     """
 
-    __slots__ = ("graph", "order", "_nf", "_bases", "__weakref__")
+    __slots__ = ("graph", "order", "_nf", "_bases", "_tops", "__weakref__")
 
     @classmethod
     def of(cls, graph: Graph, order: GeneratorOrder) -> "Algebra":
@@ -116,7 +123,21 @@ class Algebra:
                 out = _ALGEBRAS.get(key)
                 if out is None:
                     out = _ALGEBRAS[key] = object.__new__(cls)
-                    out.graph, out.order, out._nf, out._bases = graph, order, {}, {}
+                    out.graph, out.order = graph, order
+                    out._nf, out._bases, out._tops = {}, {}, {}
+        return out
+
+    def tops(self, mask: int) -> Tuple[int, ...]:
+        """Components induced on the vertex bitmask ``mask``, once per mask:
+        per vertex the greatest vertex of its component in this order, -1
+        outside ``mask``."""
+        out = self._tops.get(mask)
+        if out is None:
+            labels = self.graph.component_labels(mask)
+            top = {-1: -1}
+            for v in reversed(self.order.perm):
+                top.setdefault(labels[v], v)
+            out = self._tops[mask] = tuple([top[label] for label in labels])
         return out
 
     def bases(self, degree: int) -> Dict[Multidegree, Tuple[BasisMonomial, ...]]:
@@ -126,7 +147,7 @@ class Algebra:
         if table is None:
             found = {}
             for ranked in combinations_with_replacement(self.order.perm, degree):
-                mons = _basis(self.graph, self.order, list(ranked))
+                mons = _basis(self, list(ranked))
                 if mons:
                     found[mdeg(mons[0], self.graph.n)] = tuple(mons)
             table = self._bases[degree] = dict(sorted(found.items()))
@@ -177,21 +198,17 @@ def glued_mdeg(m: BasisMonomial, n: int) -> GluedMultidegree:
     return d[: n - 2] + (d[n - 2] + d[n - 1],)
 
 
-def _components(graph: Graph, order: GeneratorOrder, letters: Iterable[int]) -> Tuple[Tuple[int, ...], Dict[int, int]]:
-    """The component labels of the support of ``letters`` (see
-    `Graph.component_labels`) and the greatest vertex of each label."""
+def _support_mask(letters: Iterable[int]) -> int:
     mask = 0
     for v in letters:
         mask |= 1 << v
-    labels = graph.component_labels(mask)
-    tops: Dict[int, int] = {}
-    for v in reversed(order.perm):
-        tops.setdefault(labels[v], v)
-    return labels, tops
+    return mask
 
 
 def is_basis_monomial(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph, order: GeneratorOrder) -> bool:
-    """Check the four basis conditions literally."""
+    """Check the four basis conditions literally, on the graph's
+    components rather than an algebra's tables: callers ask this of
+    (graph, order) pairs that nothing else keeps alive."""
     _check_fits(graph, order)
     a, b = head
     letters = (a, b) + tuple(tail)
@@ -205,8 +222,14 @@ def is_basis_monomial(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph
         if rank[t] < rank[prev]:
             return False
         prev = t
-    labels, tops = _components(graph, order, letters)
-    return labels[a] != labels[b] and tops[labels[a]] == a
+    labels = graph.component_labels(_support_mask(letters))
+    la = labels[a]
+    if la == labels[b]:
+        return False
+    for v, label in enumerate(labels):
+        if label == la and rank[v] > rank[a]:
+            return False
+    return True
 
 
 def _headed(first: int, ranked: List[int]) -> BasisMonomial:
@@ -259,18 +282,20 @@ _monomial_nf.cache_info = lambda: CacheInfo(
 def _nf_cases(algebra: Algebra, a: int, b: int, tail: Tuple[int, ...]) -> Tuple[Tuple[BasisMonomial, int], ...]:
     if a == b:
         return ()
-    letters = (a, b) + tail
-    labels, tops = _components(algebra.graph, algebra.order, letters)
-    la, lb = labels[a], labels[b]
-    if la == lb:
+    mask = 1 << a | 1 << b
+    for v in tail:
+        mask |= 1 << v
+    top = algebra._tops.get(mask) or algebra.tops(mask)  # inline hit: once per NF miss
+    ta, tb = top[a], top[b]
+    if ta == tb:
         return ()
-    ranked = sorted(letters, key=algebra.order.rank.__getitem__)
-    lmu = labels[ranked[0]]
-    if lmu == lb:
-        return ((_headed(tops[la], ranked), 1),)
-    if lmu == la:
-        return ((_headed(tops[lb], ranked), -1),)
-    return ((_headed(tops[la], ranked), 1), (_headed(tops[lb], ranked), -1))
+    ranked = sorted((a, b) + tail, key=algebra.order.rank.__getitem__)
+    tmu = top[ranked[0]]
+    if tmu == tb:
+        return ((_headed(ta, ranked), 1),)
+    if tmu == ta:
+        return ((_headed(tb, ranked), -1),)
+    return ((_headed(ta, ranked), 1), (_headed(tb, ranked), -1))
 
 
 def monomial_normal_form(algebra: Algebra, head: Tuple[int, int], tail: Iterable[int]) -> Tuple[Tuple[BasisMonomial, int], ...]:
@@ -621,20 +646,23 @@ def basis_monomials_of_multidegree(graph: Graph, order: GeneratorOrder, delta: M
 
     There is exactly one per connected component of the support
     subgraph that avoids the least support letter, headed by that
-    component's greatest vertex.
+    component's greatest vertex.  So dim M_delta = c(supp delta) - 1
+    when supp delta has two or more vertices, where c counts the
+    components of the subgraph induced on the support, and 0 otherwise.
     """
-    _check_fits(graph, order)
+    algebra = Algebra.of(graph, order)
     if len(delta) != graph.n:
         raise AlgebraError(f"multidegree {delta} does not fit a graph on {graph.n} vertices")
-    return _basis(graph, order, sorted(_exps_to_letters(delta), key=order.rank.__getitem__))
+    return _basis(algebra, sorted(_exps_to_letters(delta), key=order.rank.__getitem__))
 
 
-def _basis(graph: Graph, order: GeneratorOrder, ranked: List[int]) -> List[BasisMonomial]:
-    """The basis monomials on the letters ``ranked``, sorted by rank."""
+def _basis(algebra: Algebra, ranked: List[int]) -> List[BasisMonomial]:
+    """The basis monomials on the letters ``ranked``, sorted by rank: one
+    per top of the support other than the least letter's."""
     if len(ranked) < 2:
         return []
-    labels, tops = _components(graph, order, ranked)
-    return sorted(_headed(v, ranked) for label, v in tops.items() if label not in (-1, labels[ranked[0]]))
+    top = algebra.tops(_support_mask(ranked))
+    return sorted(_headed(v, ranked) for v in set(top) - {-1, top[ranked[0]]})
 
 
 def basis_monomials_of_degree(graph: Graph, order: GeneratorOrder, degree: int) -> List[BasisMonomial]:

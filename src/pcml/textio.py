@@ -8,7 +8,8 @@ text it was given.  Elements are sums of terms ``c*[xA,xB;xC,...]``
 (head pair before the semicolon, action tail after) and ``c*xA`` for
 linear terms, with optional signs and an optional ``c*`` coefficient.
 Parsing always returns the normal form, so
-``parse_element(format_element(g)) == g`` holds exactly.
+``parse_element(format_element(g)) == g`` holds exactly.  A graph has at
+most `MAX_VERTICES` vertices, checked before it is built.
 """
 
 from __future__ import annotations
@@ -207,13 +208,26 @@ def parse_integer(text: str) -> int:
     return value
 
 
+# the most vertices a graph spec or graph file may have: far above every
+# example (the largest is a 40-cycle), and it keeps `complete:<n>`, whose
+# edges grow as n^2, at 32,640 edges
+MAX_VERTICES = 256
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise GraphError(f"a graph of {n} vertices is over the limit of {MAX_VERTICES} vertices")
+
+
 def graph_from_json(obj) -> Graph:
-    """Build a graph from decoded JSON ``{"n": 4, "edges": [[0, 1], ...]}``."""
+    """Build a graph from decoded JSON ``{"n": 4, "edges": [[0, 1], ...]}``
+    with at most `MAX_VERTICES` vertices."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError('graph JSON must be an object with "n" and "edges"')
     n, edges = obj["n"], obj["edges"]
     if type(n) is not int:  # bool is a subclass of int
         raise GraphError(f"vertex count must be an integer, got {json.dumps(n)}")
+    _check_vertex_count(n)
     if not isinstance(edges, list):
         raise GraphError(f"edges must be a list, got {json.dumps(edges)}")
     for e in edges:
@@ -237,13 +251,15 @@ _FAMILIES = {"cycle": cycle_graph, "complete": complete_graph, "path": path_grap
 
 def parse_graph_spec(text: str) -> Graph:
     """Build a graph from ``cycle:<n>``, ``complete:<n>``, ``path:<n>``,
-    or the path of a JSON file read by `graph_from_json`."""
+    or the path of a JSON file read by `graph_from_json`; either way
+    with at most `MAX_VERTICES` vertices."""
     name, sep, arg = text.partition(":")
     if sep and name in _FAMILIES:
         try:
             k = parse_integer(arg)
         except ParseError:
             raise GraphError(f"bad vertex count in graph spec {text!r}") from None
+        _check_vertex_count(k)
         return _FAMILIES[name](k)
     data = read_file(text, "graph spec", GraphError)
     try:

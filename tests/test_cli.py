@@ -1,9 +1,11 @@
 import json
+import time
 
 from pcml import equivalence
 from pcml.cli import run
 from pcml.core import LieElement
 from pcml.suite import EXAMPLE_GRAPH_EDGES
+from pcml.textio import MAX_VERTICES
 
 
 def invoke(capsys, *argv):
@@ -191,6 +193,18 @@ def test_usage_errors(capsys):
     # integer options take ASCII digits only, like every other integer
     status, _ = invoke(capsys, "witness", "--n", "\u0664", "--m", "5")
     assert status == 2
+
+
+def test_graphs_over_the_vertex_limit_exit_2_before_they_are_built(capsys, tmp_path):
+    # building cycle:300000 alone took about 2 s before the limit
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 300000, "edges": []}))
+    for spec in ("cycle:300000", "complete:300000", "path:300000", str(path)):
+        start = time.perf_counter()
+        status, lines = invoke(capsys, "nf", "--graph", spec, "--element", "x0")
+        assert time.perf_counter() - start < 1
+        assert status == 2
+        assert lines == ["SEED=0", f"ERROR=a graph of 300000 vertices is over the limit of {MAX_VERTICES} vertices"]
 
 
 def test_digits_int_rejects_are_usage_errors(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -9,6 +10,7 @@ from pcml.errors import GraphError, ParseError
 from pcml.graphs import Graph, cycle_graph
 from pcml.sampling import random_element, random_graph
 from pcml.textio import (
+    MAX_VERTICES,
     graph_from_json,
     parse_assoc_poly,
     parse_element,
@@ -184,6 +186,23 @@ def test_parse_graph_spec_reports_unreadable_files(tmp_path):
     for spec in ("cycle:1_0", "cycle:\u0663", "path:", "complete:2,3"):
         with pytest.raises(GraphError, match="bad vertex count"):
             parse_graph_spec(spec)
+
+
+def test_graph_specs_over_the_vertex_limit_are_refused(tmp_path):
+    assert parse_graph_spec(f"path:{MAX_VERTICES}").n == MAX_VERTICES
+    assert graph_from_json({"n": MAX_VERTICES, "edges": []}).n == MAX_VERTICES
+    message = f"^a graph of {MAX_VERTICES + 1} vertices is over the limit of {MAX_VERTICES} vertices$"
+    for family in ("cycle", "complete", "path"):
+        with pytest.raises(GraphError, match=message):
+            parse_graph_spec(f"{family}:{MAX_VERTICES + 1}")
+    with pytest.raises(GraphError, match=message):
+        graph_from_json({"n": MAX_VERTICES + 1, "edges": []})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 10**9, "edges": []}))
+    with pytest.raises(GraphError, match="over the limit"):
+        parse_graph_spec(str(path))
+    with pytest.raises(GraphError, match="over the limit"):
+        parse_graph_spec("cycle:999999999")
 
 
 def test_print_monomial_shapes():
