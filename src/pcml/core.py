@@ -27,18 +27,18 @@ than assumed, see `pcml.oracle`.
 Every element carries one `Algebra`: the interned value of its graph
 and generator order, one object per equal pair, so two elements share a
 context exactly when their algebras are the same object.  The engine's
-tables live in the objects they describe and die with them: the graph
-owns the components of each support (`Graph.component_labels`), the
-algebra the greatest vertex of each of those components in its order
-(`Algebra.tops`), its normal forms (`_monomial_nf`, cleared at
+tables live in the algebra and die with it: the greatest vertex in its
+order of each component of each support (`Algebra.tops`, the one
+components cache), its normal forms (`_monomial_nf`, cleared at
 `NF_CACHE_SIZE` entries) and the bases of each degree (`Algebra.bases`).
 No table refers back to an algebra, so an algebra is dropped with its
-last element.  The case analysis reads only the head pair, the tops of
-the support and its least letter, and every monomial it returns is fixed
-by its multidegree and first letter; so a normal form in head
-coordinates, (multidegree, first letter) -> coefficient, depends only on
-the support, the head pair and the least letter.  The centralizer layer
-builds its matrices in those coordinates, without the normal-form table.
+last element; `is_basis_monomial` reads none of them.  The case
+analysis reads only the head pair, the tops of the support and its
+least letter, and every monomial it returns is fixed by its multidegree
+and first letter; so a normal form in head coordinates, (multidegree,
+first letter) -> coefficient, depends only on the support, the head
+pair and the least letter.  The centralizer layer builds its matrices
+in those coordinates, without the normal-form table.
 
 Outside data is checked once, where it enters: the `LieElement`
 constructor checks generators and basis monomials, the parsers their
@@ -130,14 +130,11 @@ class Algebra:
     def tops(self, mask: int) -> Tuple[int, ...]:
         """Components induced on the vertex bitmask ``mask``, once per mask:
         per vertex the greatest vertex of its component in this order, -1
-        outside ``mask``."""
+        outside ``mask``: one search started at the vertices in descending
+        order, so the first start met in each component is its top."""
         out = self._tops.get(mask)
         if out is None:
-            labels = self.graph.component_labels(mask)
-            top = {-1: -1}
-            for v in reversed(self.order.perm):
-                top.setdefault(labels[v], v)
-            out = self._tops[mask] = tuple([top[label] for label in labels])
+            out = self._tops[mask] = self.graph.component_labels(mask, reversed(self.order.perm))
         return out
 
     def bases(self, degree: int) -> Dict[Multidegree, Tuple[BasisMonomial, ...]]:
@@ -206,13 +203,14 @@ def _support_mask(letters: Iterable[int]) -> int:
 
 
 def is_basis_monomial(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph, order: GeneratorOrder) -> bool:
-    """Check the four basis conditions literally, on the graph's
-    components rather than an algebra's tables: callers ask this of
-    (graph, order) pairs that nothing else keeps alive."""
+    """Check the four basis conditions literally, reading no graph or
+    algebra table: conditions 3 and 4 by a search of its own from a
+    inside the support, which fails on reaching b or a vertex ranked
+    above a."""
     _check_fits(graph, order)
     a, b = head
     letters = (a, b) + tuple(tail)
-    if a == b or any(not 0 <= v < graph.n for v in letters):
+    if a == b or min(letters) < 0 or max(letters) >= graph.n:
         return False
     rank = order.rank
     if rank[b] > rank[a]:
@@ -222,13 +220,14 @@ def is_basis_monomial(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph
         if rank[t] < rank[prev]:
             return False
         prev = t
-    labels = graph.component_labels(_support_mask(letters))
-    la = labels[a]
-    if la == labels[b]:
-        return False
-    for v, label in enumerate(labels):
-        if label == la and rank[v] > rank[a]:
-            return False
+    todo, stack, top = _support_mask(letters) & ~(1 << a), [a], rank[a]
+    while stack:
+        for w in graph.adj[stack.pop()]:
+            if todo >> w & 1:
+                if w == b or rank[w] > top:
+                    return False
+                todo ^= 1 << w
+                stack.append(w)
     return True
 
 
@@ -651,8 +650,8 @@ def basis_monomials_of_multidegree(graph: Graph, order: GeneratorOrder, delta: M
     components of the subgraph induced on the support, and 0 otherwise.
     """
     algebra = Algebra.of(graph, order)
-    if len(delta) != graph.n:
-        raise AlgebraError(f"multidegree {delta} does not fit a graph on {graph.n} vertices")
+    if len(delta) != graph.n or min(delta, default=0) < 0:
+        raise AlgebraError(f"{delta} is not a multidegree on {graph.n} generators")
     return _basis(algebra, sorted(_exps_to_letters(delta), key=order.rank.__getitem__))
 
 

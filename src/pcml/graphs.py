@@ -1,12 +1,12 @@
 """Finite simple graphs and the graph-side operations of the engine.
 
 Vertices are the integers 0..n-1 and stand for the generators x_0..x_{n-1}
-of the algebra defined by the graph.  Graphs are immutable values, save
-for one lazily filled table of integer tuples that each graph owns: the
-components of each induced vertex set asked for, keyed by its bitmask
-(`Graph.component_labels`).  Everything else is a pure function, and
-nothing here reads text or files: graph specs and JSON graph files are
-read by `pcml.textio`.
+of the algebra defined by the graph.  Graphs are immutable values that
+keep no tables: `Graph.component_labels` searches the components of an
+induced vertex set each time it is asked, and the caches that need them
+belong to the callers (`pcml.core.Algebra.tops`).  Everything else is a
+pure function, and nothing here reads text or files: graph specs and
+JSON graph files are read by `pcml.textio`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ VertexSet = FrozenSet[int]
 class Graph:
     """Undirected graph without loops or multi-edges on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj", "_hash", "_labels")
+    __slots__ = ("n", "edges", "adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -46,25 +46,22 @@ class Graph:
             adj[j].add(i)
         self.adj = tuple(frozenset(s) for s in adj)
         self._hash = hash((n, self.edges))
-        self._labels: Dict[int, Tuple[int, ...]] = {}
 
-    def component_labels(self, mask: int) -> Tuple[int, ...]:
-        """Components induced on the vertex bitmask ``mask``, once per mask:
-        per vertex the least vertex of its component, -1 outside ``mask``."""
-        labels = self._labels.get(mask)
-        if labels is None:
-            out = [-1] * self.n
-            for v in range(self.n):
-                if mask >> v & 1 and out[v] < 0:
-                    out[v] = v
-                    stack = [v]
-                    while stack:
-                        for w in self.adj[stack.pop()]:
-                            if mask >> w & 1 and out[w] < 0:
-                                out[w] = v
-                                stack.append(w)
-            labels = self._labels[mask] = tuple(out)
-        return labels
+    def component_labels(self, mask: int, starts: Iterable[int]) -> Tuple[int, ...]:
+        """Components induced on the vertex bitmask ``mask``, uncached: per
+        vertex the first of ``starts`` (which lists every vertex of ``mask``)
+        in its component, -1 outside ``mask``."""
+        out = [-1] * self.n
+        for v in starts:
+            if mask >> v & 1 and out[v] < 0:
+                out[v] = v
+                stack = [v]
+                while stack:
+                    for w in self.adj[stack.pop()]:
+                        if mask >> w & 1 and out[w] < 0:
+                            out[w] = v
+                            stack.append(w)
+        return tuple(out)
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.adj[i]
@@ -112,7 +109,7 @@ def components_within(graph: Graph, vertices: Iterable[int]) -> Tuple[FrozenSet[
     """Connected components of the subgraph induced on ``vertices``.
 
     Vertices keep their original labels.  Blocks come back sorted by
-    their least element; a view of `Graph.component_labels`.
+    their least element: `Graph.component_labels` from ascending starts.
     """
     mask = 0
     for v in vertices:
@@ -120,7 +117,7 @@ def components_within(graph: Graph, vertices: Iterable[int]) -> Tuple[FrozenSet[
             raise GraphError(f"vertex {v} out of range")
         mask |= 1 << v
     blocks: Dict[int, List[int]] = {}
-    for v, label in enumerate(graph.component_labels(mask)):
+    for v, label in enumerate(graph.component_labels(mask, range(graph.n))):
         if label >= 0:
             blocks.setdefault(label, []).append(v)
     return tuple(frozenset(b) for b in blocks.values())

@@ -119,9 +119,10 @@ def _ideal_slice(graph: Graph, delta: Multidegree):
 
 
 def graded_dimension(graph: Graph, delta: Multidegree) -> int:
-    """dim of the multidegree slice of the graph algebra."""
-    if len(delta) != graph.n:
-        raise AlgebraError(f"multidegree {delta} does not fit the graph")
+    """dim of the multidegree slice of the graph algebra; the oracle's own
+    check of a multidegree from outside, before any work."""
+    if len(delta) != graph.n or min(delta, default=0) < 0:
+        raise AlgebraError(f"{tuple(delta)} is not a multidegree on {graph.n} generators")
     total = sum(delta)
     if total == 0:
         return 0
@@ -172,13 +173,14 @@ def certify_basis(graph: Graph, delta: Multidegree, order: GeneratorOrder) -> Ce
     Candidate monomials are enumerated by brute force over head pairs
     and filtered through the literal four conditions, then compared in
     number with the oracle dimension and checked to be independent
-    modulo the ideal slice.
+    modulo the ideal slice.  The multidegree is checked first, by
+    `graded_dimension`.
     """
     _check_fits(graph, order)
+    dim = graded_dimension(graph, delta)
     total = sum(delta)
     if total < 2:
         count = 1 if total == 1 else 0
-        dim = graded_dimension(graph, delta)
         return CertifyReport(count == dim, delta, count, dim, True, None)
     supp = sorted(i for i, d in enumerate(delta) if d)
     candidates = []
@@ -188,15 +190,10 @@ def certify_basis(graph: Graph, delta: Multidegree, order: GeneratorOrder) -> Ce
                 continue
             tail = []
             for i, d in enumerate(delta):
-                copies = d - (i == a) - (i == b)
-                if copies < 0:
-                    break
-                tail.extend([i] * copies)
-            else:
-                tail.sort(key=order.rank.__getitem__)
-                if is_basis_monomial((a, b), tuple(tail), graph, order):
-                    candidates.append(((a, b), tuple(tail)))
-    dim = graded_dimension(graph, delta)
+                tail.extend([i] * (d - (i == a) - (i == b)))
+            tail = tuple(sorted(tail, key=order.rank.__getitem__))
+            if is_basis_monomial((a, b), tail, graph, order):
+                candidates.append(((a, b), tail))
     count = len(candidates)
     if count != dim:
         return CertifyReport(False, delta, count, dim, False, "count != dim")

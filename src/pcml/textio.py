@@ -8,8 +8,8 @@ text it was given.  Elements are sums of terms ``c*[xA,xB;xC,...]``
 (head pair before the semicolon, action tail after) and ``c*xA`` for
 linear terms, with optional signs and an optional ``c*`` coefficient.
 Parsing always returns the normal form, so
-``parse_element(format_element(g)) == g`` holds exactly.  A graph has at
-most `MAX_VERTICES` vertices, checked before it is built.
+``parse_element(format_element(g)) == g`` holds exactly.  `MAX_VERTICES`
+and `MAX_TERM_DEGREE` bound graphs and polynomial terms before use.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ def parse_elements(text: str, graph: Graph, order: GeneratorOrder) -> List[LieEl
 
 
 def parse_assoc_poly(text: str, n: int) -> AssocPoly:
-    """Parse ``3*x0^2*x1 - x2 + 4`` style polynomial text."""
+    """Parse ``3*x0^2*x1 - x2 + 4`` style polynomial text; a term of total
+    degree over `MAX_TERM_DEGREE` raises where its last exponent begins."""
     sc = _Scanner(text)
     if sc.done():
         raise ParseError("empty polynomial", 0)
@@ -166,6 +167,7 @@ def parse_assoc_poly(text: str, n: int) -> AssocPoly:
         have_coeff = sc.peek() in _DIGITS
         coeff = sc.integer() if have_coeff else 1
         exps = [0] * n
+        degree = 0
         have_var = False
         while True:
             if (have_coeff or have_var) and not sc.try_take("*"):
@@ -177,7 +179,10 @@ def parse_assoc_poly(text: str, n: int) -> AssocPoly:
             i = sc.generator()
             if not 0 <= i < n:
                 raise ParseError(f"unknown variable x{i}", sc.pos)
+            at = sc.pos
             power = sc.integer() if sc.try_take("^") else 1
+            if (degree := degree + power) > MAX_TERM_DEGREE:
+                raise ParseError(f"a term of degree {degree} is over the limit of {MAX_TERM_DEGREE}", at)
             exps[i] += power
             have_var = True
         if not have_var and not have_coeff:
@@ -212,6 +217,9 @@ def parse_integer(text: str) -> int:
 # example (the largest is a 40-cycle), and it keeps `complete:<n>`, whose
 # edges grow as n^2, at 32,640 edges
 MAX_VERTICES = 256
+# the greatest total degree of a polynomial term: far above every example
+# (whose largest exponent is 2), so ``x1^100000000`` asks for no such tail
+MAX_TERM_DEGREE = 1024
 
 
 def _check_vertex_count(n: int) -> None:

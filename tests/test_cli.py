@@ -207,6 +207,23 @@ def test_graphs_over_the_vertex_limit_exit_2_before_they_are_built(capsys, tmp_p
         assert lines == ["SEED=0", f"ERROR=a graph of 300000 vertices is over the limit of {MAX_VERTICES} vertices"]
 
 
+def test_bad_multidegrees_and_long_terms_exit_2_at_once(capsys):
+    # x1^100000000 ran out of memory before terms had a degree limit, and
+    # dim kept its own copy of the oracle's length check
+    for argv, error in (
+        (("dim", "--graph", "cycle:4", "--mdeg", "1,1,1"), "(1, 1, 1) is not a multidegree on 4 generators"),
+        (("dim", "--graph", "cycle:4", "--mdeg", "1,1,1,1,1"), "(1, 1, 1, 1, 1) is not a multidegree on 4 generators"),
+        (("act", "--graph", "cycle:4", "--element", "[x2,x0]", "--poly", "x1^100000000"),
+         "a term of degree 100000000 is over the limit of 1024 (at offset 2)"),
+    ):
+        start = time.perf_counter()
+        status, lines = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert status == 2
+        assert line_value(lines, "ERROR") == error
+    assert line_value(lines, "POSITION") == "2"
+
+
 def test_digits_int_rejects_are_usage_errors(capsys):
     for argv, position in (
         (("nf", "--graph", "cycle:4", "--element", "x\u00b2"), "1"),

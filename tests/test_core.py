@@ -217,17 +217,20 @@ def test_an_algebra_checks_its_order_once_and_is_dropped_when_unused():
     # a graph no other test builds, so no live element keeps it alive
     ref = weakref.ref(Algebra.of(Graph(9, [(3, 7)]), GeneratorOrder.ascending(9)))
     assert ref() is None
-    # filled normal-form and basis tables, and the components table of a
-    # graph that outlives the algebra, keep no algebra alive
+    # filled normal-form, basis and tops tables keep no algebra alive; the
+    # tops table, the only components cache, is freed with its algebra,
+    # and the graph, which outlives it, keeps no table at all
     graph = Graph(7, [(2, 5), (0, 6)])
     x = gens(graph, GeneratorOrder.ascending(7))
     ref = weakref.ref(x[0].algebra)
     assert not bracket(x[1], x[0]).is_zero()
     derived_centralizer(x[0] + x[3], 3)
-    assert ref()._nf and ref()._bases and graph._labels
+    assert ref()._nf and ref()._bases and ref()._tops
+    tops = ref()._tops
     del x
     assert ref() is None
-    assert graph._labels
+    assert sys.getrefcount(tops) == 2  # this name and the call's argument
+    assert not any(isinstance(getattr(graph, slot), dict) for slot in Graph.__slots__)
 
 
 def test_normal_form_cache_is_bounded(monkeypatch):

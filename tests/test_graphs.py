@@ -61,8 +61,7 @@ def test_connected_components():
     assert len(components_within(Graph(3, []), range(3))) == 3
     with pytest.raises(GraphError):
         components_within(cycle_graph(5), {0, 9})
-    # out-of-range vertices raise before any bitmask is formed, whether
-    # the graph's components table is cold or already holds the support
+    # out-of-range vertices raise before any bitmask is formed
     for bad in ({-1, 0}, {0, 5}):
         with pytest.raises(GraphError):
             components_within(cycle_graph(5), bad)

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from pcml import oracle
-from pcml.core import GeneratorOrder, multidegrees
+from pcml.core import GeneratorOrder, basis_monomials_of_multidegree, multidegrees
 from pcml.errors import AlgebraError
 from pcml.graphs import Graph, cycle_graph
 from pcml.sampling import random_homogeneous_raw, raw_to_element
@@ -29,6 +29,17 @@ def test_c3_slices_vanish():
     for degree in range(2, 6):
         for delta in multidegrees(3, degree):
             assert oracle.graded_dimension(c3, delta) == 0
+
+
+def test_multidegrees_of_a_wrong_length_or_with_a_negative_entry_are_refused():
+    g, order = cycle_graph(4), GeneratorOrder.ascending(4)
+    for delta in ((1, 1, 1, 1, 1), (1, 1, 1), (0, -1, 1, 2), (-1, 3, 0, 0), (-1, 1, 0, 0)):
+        with pytest.raises(AlgebraError, match="is not a multidegree on 4 generators"):
+            oracle.graded_dimension(g, delta)
+        with pytest.raises(AlgebraError, match="is not a multidegree on 4 generators"):
+            oracle.certify_basis(g, delta, order)
+        with pytest.raises(AlgebraError, match="is not a multidegree on 4 generators"):
+            basis_monomials_of_multidegree(g, order, delta)
 
 
 def test_ideal_member_examples():

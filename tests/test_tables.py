@@ -1,9 +1,11 @@
 """Differential tests of the engine's tables on random graphs with up to
-7 vertices under random generator orders: each graph's components table
-and each algebra's tops table against a plain search kept here, each
-algebra's basis table against per-multidegree enumeration and the
-oracle's dimensions, and the centralizer layer's head-coordinate images
-and kernels against the normal-form table they stand in for."""
+7 vertices under random generator orders: the graph's component search,
+each algebra's tops table and the literal basis check against a plain
+search kept here, the oracle's basis certificate with every engine
+components path made to raise, each algebra's basis table against
+per-multidegree enumeration and the oracle's dimensions, and the
+centralizer layer's head-coordinate images and kernels against the
+normal-form table they stand in for."""
 
 import random
 from itertools import combinations
@@ -20,12 +22,14 @@ from pcml.core import (
     _monomial_nf,
     basis_monomials_of_degree,
     basis_monomials_of_multidegree,
+    is_basis_monomial,
     mdeg,
     multidegrees,
 )
-from pcml.graphs import Graph, components_within, cycle_graph
-from pcml.oracle import graded_dimension
+from pcml.graphs import Graph, components_within, cycle_graph, path_graph
+from pcml.oracle import certify_basis, graded_dimension
 from pcml.sampling import random_graph
+from pcml.suite import EXAMPLE_GRAPH_EDGES
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -68,13 +72,58 @@ def test_components_table_matches_a_plain_search(algebra, data):
         greatest = {v: max(block, key=order.rank.__getitem__) for block in expected for v in block}
         tops = tuple(greatest.get(v, -1) for v in range(graph.n))
         mask = sum(1 << v for v in support)
-        fresh = Graph(graph.n, graph.edges)
-        owner = Algebra.of(fresh, order)
-        for _ in ("cold", "warm"):
-            assert components_within(fresh, support) == expected
-            assert fresh.component_labels(mask) == labels
-            assert owner.tops(mask) == tops
+        owner = Algebra.of(graph, order)
         assert components_within(graph, support) == expected
+        assert graph.component_labels(mask, range(graph.n)) == labels
+        assert graph.component_labels(mask, reversed(order.perm)) == tops
+        for _ in ("cold", "warm"):
+            assert owner.tops(mask) == tops
+
+
+@SETTINGS
+@given(algebras(), st.data())
+def test_basis_check_matches_the_four_conditions_on_a_plain_search(algebra, data):
+    graph, order = algebra
+    rank = order.rank
+    for _ in range(data.draw(st.integers(1, 4))):
+        letters = data.draw(st.lists(st.integers(0, graph.n - 1), min_size=2, max_size=6))
+        blocks = plain_components(graph, set(letters))
+        block = {v: k for k, b in enumerate(blocks) for v in b}
+        for a, b in {(letters[i], letters[j]) for i in range(len(letters)) for j in range(len(letters)) if i != j}:
+            rest = list(letters)
+            rest.remove(a)
+            rest.remove(b)
+            tail = tuple(sorted(rest, key=rank.__getitem__))
+            expected = (
+                rank[b] < rank[a]
+                and all(rank[b] <= rank[t] for t in tail)
+                and block[a] != block[b]
+                and all(rank[v] <= rank[a] for v in blocks[block[a]])
+            )
+            assert is_basis_monomial((a, b), tail, graph, order) == expected
+            if len(set(tail)) > 1:
+                assert not is_basis_monomial((a, b), tail[::-1], graph, order)
+
+
+def test_the_oracle_certifies_bases_without_the_engine_components(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle read an engine components path")
+
+    monkeypatch.setattr(Graph, "component_labels", refuse)
+    monkeypatch.setattr(Algebra, "tops", refuse)
+    monkeypatch.setattr(Algebra, "of", refuse)
+    rng = random.Random(61)
+    graphs = [cycle_graph(5), path_graph(4), Graph(7, EXAMPLE_GRAPH_EDGES)]
+    graphs += [random_graph(rng, n) for n in (4, 5, 6)]
+    nonzero = 0
+    for graph in graphs:
+        order = GeneratorOrder(rng.sample(range(graph.n), graph.n))
+        for degree in range(5):
+            for delta in multidegrees(graph.n, degree):
+                report = certify_basis(graph, delta, order)
+                assert report.ok, report
+                nonzero += report.count > 0
+    assert nonzero > 100, nonzero
 
 
 @SETTINGS

@@ -10,6 +10,7 @@ from pcml.errors import GraphError, ParseError
 from pcml.graphs import Graph, cycle_graph
 from pcml.sampling import random_element, random_graph
 from pcml.textio import (
+    MAX_TERM_DEGREE,
     MAX_VERTICES,
     graph_from_json,
     parse_assoc_poly,
@@ -117,6 +118,23 @@ def test_parse_assoc_poly():
         parse_assoc_poly("x0^", 3)
     with pytest.raises(ParseError):
         parse_assoc_poly("x7", 3)
+
+
+def test_polynomial_terms_over_the_degree_limit_are_parse_errors():
+    top = MAX_TERM_DEGREE
+    assert parse_assoc_poly(f"x1^{top}", 4).terms == {(0, top, 0, 0): 1}
+    assert parse_assoc_poly(f"x1^{top} - 2*x0*x3^{top - 1}", 4).terms == {
+        (0, top, 0, 0): 1, (1, 0, 0, top - 1): -2}
+    # the offset is where the exponent that passes the limit begins
+    for text, position in (
+        ("x1^100000000", 2),
+        (f"x1^{top + 1}", 2),
+        (f"x0 + 3*x1^{top - 1} * x2^2", 19),
+        (f"x2^{top}*x2", 10),
+    ):
+        with pytest.raises(ParseError, match=f"over the limit of {top}") as info:
+            parse_assoc_poly(text, 4)
+        assert info.value.position == position
 
 
 def test_parse_elements_splits_at_top_level_commas():
