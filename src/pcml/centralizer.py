@@ -1,30 +1,67 @@
 """Bounded-degree derived centralizers of linear combinations.
 
-For a combination g of generators, the derived centralizer is the set
-of elements of the derived subalgebra commuting with g.  Bracketing a
-degree-k element with g lands in degree k+1, so the kernel splits by
-total degree and is found degree by degree with exact elimination.
-Within one degree the constraint matrix further splits into blocks of
-multidegrees linked by moves e_a - e_b over the support of g, which
-keeps the matrices small.  Kernels stay as `linalg.kernel_basis` rows
-over a block's basis monomials.  Image rows are built in head
-coordinates: [x_a,x_b].tail.x_i is written as (multidegree, first
-letter) -> coefficient, read from the algebra's tops table by the four
-cases of `core._monomial_nf`, without building a monomial or filling the
-normal-form table.  The keys fix the normal-form monomials one to one,
-so the kernels are those of the normal-form images; `derived_centralizer`
-cross-checks every vector it returns with `bracket`, which does go
-through the normal-form table.  Both sides of the intersection theorem,
+For a combination g = sum alpha_i x_i of generators, the derived
+centralizer is the set of elements of the derived subalgebra M'
+commuting with g.  Bracketing a degree-k element with g lands in degree
+k+1, so the kernel splits by total degree.
+
+The derived subalgebra is abelian, so M' is a module over the
+polynomial ring Q[x_0..x_{n-1}] by h.x_i = [h, x_i], and [h, g] = h.l
+with l = sum alpha_i x_i.  Group M' by support: M'_S is the sum of the
+M_delta with supp delta = S, and x_i maps M'_S into M'_{S+{i}}.  For
+i in S, x_i sends each basis monomial of delta to the basis monomial of
+delta + e_i with the same head, coefficient 1: the four basis
+conditions read only the head and the support, and the bases of both
+multidegrees are indexed by the same heads.  So M'_S is a free
+Q[x_S]-module.
+
+Lemma.  If [h, g] = 0, every inclusion-minimal support S among the
+multidegrees of h avoids supp g.  Proof: the S-part of h.l collects the
+h_T.x_i with T + {i} = S, and h_T != 0 forces T = S by minimality; so
+it is h_S.l_S with l_S = sum over i in S of alpha_i x_i.  When S meets
+supp g, l_S is a nonzero polynomial in the letters of S, and
+multiplying a free Q[x_S]-module by it is injective; so h_S.l_S != 0
+and [h, g] != 0.
+
+Within one degree the constraint matrix of ad g splits into blocks of
+multidegrees linked by moves e_a - e_b with a, b in supp g.  Every block
+fixes two things that ad g preserves: delta off supp g, and the total t
+of delta on supp g (raised by one in every image).  Two facts follow.
+A block with t >= 1 has no kernel: every multidegree in it meets
+supp g, so by the lemma a kernel vector has no minimal support and is
+0.  A block with t = 0 is the single multidegree delta, and its matrix
+stacks the maps x_i : M_delta -> M_{delta+e_i} for i in supp g.  In
+head coordinates (below) such a map reads only the tops of
+supp delta + {i}, its least letter and the ranks, so the stack and its
+kernel rows over the basis columns, sorted by head, depend only on the
+support mask of delta.
+
+So `derived_centralizer` enumerates only the multidegrees on the
+m = n - |supp g| letters off supp g, sum over k = 2..d of C(m+k-1, k)
+of them up to degree d, and eliminates once per support: at most
+2^m - m - 1 kernels, reused for every multidegree of that support.
+It cross-checks every vector it returns with `bracket`, which goes
+through the normal-form table.
+
+Image rows are built in head coordinates: [x_a,x_b].tail.x_i is written
+as (multidegree, first letter) -> coefficient, read from the algebra's
+tops table by the four cases of `core._monomial_nf`, without building a
+monomial or filling the normal-form table.  The keys fix the
+normal-form monomials one to one, so the kernels are those of the
+normal-form images.  Both sides of the intersection theorem,
 C(sum a_i x_i) = intersection of the C(x_i), are common kernels over a
 block: of the one form g on the left, of the forms x_i on the right.
 ad g keeps blocks apart and each ad x_i keeps multidegrees apart, so
 each side is a direct sum over the blocks, and
-`check_intersection_theorem` compares them block by block.
+`check_intersection_theorem` compares them block by block over every
+block of `Algebra.bases`, the full computation the stratum solve is
+checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import linalg
@@ -34,11 +71,14 @@ from .core import (
     BasisMonomial,
     GeneratorOrder,
     LieElement,
+    _basis,
     _bump,
+    _support_mask,
     act,
     bracket,
     cycle_generators,
     homogeneous_components,
+    mdeg,
 )
 from .errors import AlgebraError, CertificationError
 from .graphs import Graph, circ_dist
@@ -143,6 +183,27 @@ def _kernel_blocks(g: LieElement, degree_bound: int) -> Iterator[Tuple[List[Basi
             yield columns, _kernel_rows(g.algebra, [lin], columns)
 
 
+def _stratum_kernels(g: LieElement, degree_bound: int) -> Iterator[Tuple[List[BasisMonomial], List[Tuple[int, ...]]]]:
+    """(columns, kernel rows of ad g) of every multidegree of degree
+    2..degree_bound that avoids supp g, in ascending degree and
+    multidegree order; one elimination per support mask."""
+    lin = _check_linear(g)
+    algebra = g.algebra
+    free = [v for v in algebra.order.perm if v not in lin]
+    by_support: Dict[int, List[Tuple[int, ...]]] = {}
+    for k in range(2, degree_bound + 1):
+        found = {}
+        for ranked in combinations_with_replacement(free, k):
+            columns = _basis(algebra, list(ranked))
+            if columns:
+                found[mdeg(columns[0], algebra.graph.n)] = (_support_mask(ranked), columns)
+        for _, (mask, columns) in sorted(found.items()):
+            rows = by_support.get(mask)
+            if rows is None:
+                rows = by_support[mask] = _kernel_rows(algebra, [lin], columns)
+            yield columns, rows
+
+
 @dataclass
 class CentralizerSlice:
     """Basis of {h in M' : [h, g] = 0, total degree <= bound}."""
@@ -156,11 +217,12 @@ class CentralizerSlice:
 
 
 def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
-    """Exact basis of the derived centralizer up to a total degree."""
+    """Exact basis of the derived centralizer up to a total degree, solved
+    over the multidegrees that avoid supp g (see the module docstring)."""
     if degree_bound < 2:
         raise AlgebraError("degree bound must be at least 2")
     elements = []
-    for columns, rows in _kernel_blocks(g, degree_bound):
+    for columns, rows in _stratum_kernels(g, degree_bound):
         for row in rows:
             h = LieElement._trusted(g.algebra, {}, {m: v for m, v in zip(columns, row) if v})
             if not bracket(h, g).is_zero():

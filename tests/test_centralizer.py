@@ -146,6 +146,32 @@ def test_common_kernel_matches_the_per_multidegree_intersection():
             assert linalg.same_rowspan(common, reference)
 
 
+def test_stratum_solve_matches_the_full_blocks():
+    # the lemma: no block whose multidegrees meet supp g has a kernel; so
+    # the solve over the multidegrees off supp g, one kernel per support,
+    # returns the full-block elements in their order
+    rng = random.Random(13)
+    meeting = nonempty = 0
+    for _ in range(250):
+        n = rng.randint(3, 7)
+        graph = random_graph(rng, n, rng.uniform(0.4, 0.8))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        order = GeneratorOrder(perm)
+        supp = rng.sample(range(n), rng.randint(1, min(4, n - 2)))
+        g = linear(graph, order, {i: rng.choice([-3, -2, -1, 1, 2, 3]) for i in supp})
+        bound = rng.randint(2, 6)
+        full = []
+        for columns, rows in centralizer._kernel_blocks(g, bound):
+            if any(mdeg(columns[0], n)[i] for i in supp):
+                assert not rows
+                meeting += 1
+            full += [LieElement._trusted(g.algebra, {}, {m: v for m, v in zip(columns, row) if v}) for row in rows]
+        assert derived_centralizer(g, bound).elements == full
+        nonempty += bool(full)
+    assert meeting > 5000 and nonempty > 40, (meeting, nonempty)
+
+
 def test_centralizer_rejects_a_kernel_vector_that_does_not_commute(monkeypatch):
     # every unit vector, where some column's bracket with g is nonzero
     monkeypatch.setattr(

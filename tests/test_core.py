@@ -18,6 +18,7 @@ from pcml.core import (
     _monomial_nf,
     act,
     basis_monomial_with_start,
+    basis_monomials_of_degree,
     basis_monomials_of_multidegree,
     bracket,
     format_element,
@@ -225,6 +226,7 @@ def test_an_algebra_checks_its_order_once_and_is_dropped_when_unused():
     ref = weakref.ref(x[0].algebra)
     assert not bracket(x[1], x[0]).is_zero()
     derived_centralizer(x[0] + x[3], 3)
+    basis_monomials_of_degree(graph, GeneratorOrder.ascending(7), 3)
     assert ref()._nf and ref()._bases and ref()._tops
     tops = ref()._tops
     del x
