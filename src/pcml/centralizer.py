@@ -48,20 +48,30 @@ as (multidegree, first letter) -> coefficient, read from the algebra's
 tops table by the four cases of `core._monomial_nf`, without building a
 monomial or filling the normal-form table.  The keys fix the
 normal-form monomials one to one, so the kernels are those of the
-normal-form images.  Both sides of the intersection theorem,
-C(sum a_i x_i) = intersection of the C(x_i), are common kernels over a
-block: of the one form g on the left, of the forms x_i on the right.
-ad g keeps blocks apart and each ad x_i keeps multidegrees apart, so
-each side is a direct sum over the blocks, and
-`check_intersection_theorem` compares them block by block over every
-block of `Algebra.bases`, the full computation the stratum solve is
-checked against.
+normal-form images.
+
+The intersection theorem, C(sum alpha_i x_i) = intersection of the
+C(x_i) over i in supp g, compares two common kernels: of the one form g
+on the left, of the forms x_i on the right.  The left side is a direct
+sum over the blocks of ad g, and by the two facts above it is 0 on
+every multidegree that meets supp g.  Each ad x_i keeps multidegrees
+apart, so the right side is a direct sum over the multidegrees.  For i
+in supp delta, x_i maps the basis of M_delta one to one onto that of
+M_{delta+e_i}, so ad x_i is injective on M_delta, and the right side is
+0 on every multidegree that meets supp g as well.  On a multidegree off
+supp g its stack of the maps x_i, i in supp g, is the one the left side
+combines, and depends only on the support mask in the same way.  So
+both sides agree up to degree d iff they agree on one multidegree per
+support S off supp g with 2 <= |S| <= min(d, m), and
+`check_intersection_theorem` compares them on the multidegree with
+exponent 1 on each letter of S: at most 2^m - m - 1 supports and
+2 (2^m - m - 1) eliminations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import linalg
@@ -90,35 +100,6 @@ def _check_linear(g: LieElement) -> Dict[int, int]:
     if not g.linear:
         raise AlgebraError("centralizer argument must be nonzero")
     return g.linear
-
-
-def _blocks(deltas: List[Tuple[int, ...]], supp: Sequence[int]) -> List[List[Tuple[int, ...]]]:
-    """Group multidegrees linked by delta -> delta + e_a - e_b."""
-    present = set(deltas)
-    seen = set()
-    blocks = []
-    for start in deltas:
-        if start in seen:
-            continue
-        block = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            delta = stack.pop()
-            for a in supp:
-                for b in supp:
-                    if a == b or delta[b] == 0:
-                        continue
-                    nxt = list(delta)
-                    nxt[a] += 1
-                    nxt[b] -= 1
-                    key = tuple(nxt)
-                    if key in present and key not in seen:
-                        seen.add(key)
-                        block.append(key)
-                        stack.append(key)
-        blocks.append(block)
-    return blocks
 
 
 HeadKey = Tuple[Tuple[int, ...], int]  # (multidegree, first letter)
@@ -171,18 +152,6 @@ def _kernel_rows(algebra: Algebra, forms: Sequence[Dict[int, int]], columns: Seq
     return linalg.kernel_basis(matrix, len(columns))
 
 
-def _kernel_blocks(g: LieElement, degree_bound: int) -> Iterator[Tuple[List[BasisMonomial], List[Tuple[int, ...]]]]:
-    """(columns, kernel rows of ad g) of every block of every degree
-    2..degree_bound, in ascending degree and block order."""
-    lin = _check_linear(g)
-    supp = sorted(lin)
-    for k in range(2, degree_bound + 1):
-        bases = g.algebra.bases(k)
-        for block in _blocks(list(bases), supp):
-            columns = [m for delta in sorted(block) for m in bases[delta]]
-            yield columns, _kernel_rows(g.algebra, [lin], columns)
-
-
 def _stratum_kernels(g: LieElement, degree_bound: int) -> Iterator[Tuple[List[BasisMonomial], List[Tuple[int, ...]]]]:
     """(columns, kernel rows of ad g) of every multidegree of degree
     2..degree_bound that avoids supp g, in ascending degree and
@@ -233,17 +202,28 @@ def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
 
 def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[int], graph: Graph, degree_bound: int, order: GeneratorOrder = None) -> bool:
     """Compare the centralizer of a combination with the intersection
-    of the generators' centralizers, as subspaces per block."""
+    of the generators' centralizers, as subspaces on one multidegree per
+    support off supp g (see the module docstring)."""
     if len(indices) != len(coefficients) or len(set(indices)) != len(indices):
         raise AlgebraError("indices must be distinct and match the coefficients")
     if any(c == 0 for c in coefficients):
         raise AlgebraError("coefficients must be nonzero")
+    if degree_bound < 2:
+        raise AlgebraError("degree bound must be at least 2")
     order = order or GeneratorOrder.ascending(graph.n)
     g = LieElement.from_linear(graph, order, dict(zip(indices, coefficients)))
+    lin = _check_linear(g)
+    free = [v for v in order.perm if v not in lin]
     forms = [{i: 1} for i in indices]
+    strata = (
+        _basis(g.algebra, list(letters))
+        for size in range(2, min(degree_bound, len(free)) + 1)
+        for letters in combinations(free, size)
+    )
     return all(
-        linalg.same_rowspan(rows, _kernel_rows(g.algebra, forms, columns))
-        for columns, rows in _kernel_blocks(g, degree_bound)
+        linalg.same_rowspan(_kernel_rows(g.algebra, [lin], columns), _kernel_rows(g.algebra, forms, columns))
+        for columns in strata
+        if columns
     )
 
 

@@ -1,5 +1,6 @@
 import random
 from itertools import groupby
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from pcml.centralizer import (
 from pcml.core import (
     GeneratorOrder,
     LieElement,
+    _basis,
     basis_monomials_of_degree,
     bracket,
     format_element,
@@ -21,6 +23,7 @@ from pcml.core import (
 from pcml.errors import AlgebraError, CertificationError
 from pcml.graphs import cycle_graph
 from pcml.sampling import random_graph
+from reference import kernel_blocks
 
 
 def linear(graph, order, coeffs):
@@ -92,15 +95,19 @@ def test_intersection_theorem_random():
         assert check_intersection_theorem(indices, coeffs, graph, 4)
 
 
-def test_intersection_check_sees_a_lost_intersection_row(monkeypatch):
-    # drop the last row of the generators' common kernel only
-    kernel_rows = centralizer._kernel_rows
+def _losing_a_common_row(kernel_rows):
+    """``kernel_rows`` that drops the last row of every common kernel of
+    two or more forms: of the generators', never of g's."""
 
     def lossy(algebra, forms, columns):
         rows = kernel_rows(algebra, forms, columns)
         return rows[:-1] if len(forms) > 1 else rows
 
-    monkeypatch.setattr(centralizer, "_kernel_rows", lossy)
+    return lossy
+
+
+def test_intersection_check_sees_a_lost_intersection_row(monkeypatch):
+    monkeypatch.setattr(centralizer, "_kernel_rows", _losing_a_common_row(centralizer._kernel_rows))
     assert not check_intersection_theorem([0, 2], [1, 1], C5, 4)
 
 
@@ -137,7 +144,7 @@ def test_common_kernel_matches_the_per_multidegree_intersection():
         g = linear(graph, order, {i: rng.choice([-2, -1, 1, 2]) for i in indices})
         generators = [{i: 1} for i in indices]
         combinations = [{i: rng.choice([-2, -1, 1, 2]) for i in indices} for _ in range(2)]
-        for columns, _ in centralizer._kernel_blocks(g, rng.randint(2, 4)):
+        for columns, _ in kernel_blocks(g, rng.randint(2, 4)):
             common = centralizer._kernel_rows(g.algebra, generators, columns)
             reference = _zassenhaus_kernel(g.algebra, generators, columns, lambda m: mdeg(m, n))
             assert linalg.same_rowspan(common, reference)
@@ -162,7 +169,7 @@ def test_stratum_solve_matches_the_full_blocks():
         g = linear(graph, order, {i: rng.choice([-3, -2, -1, 1, 2, 3]) for i in supp})
         bound = rng.randint(2, 6)
         full = []
-        for columns, rows in centralizer._kernel_blocks(g, bound):
+        for columns, rows in kernel_blocks(g, bound):
             if any(mdeg(columns[0], n)[i] for i in supp):
                 assert not rows
                 meeting += 1
@@ -170,6 +177,81 @@ def test_stratum_solve_matches_the_full_blocks():
         assert derived_centralizer(g, bound).elements == full
         nonempty += bool(full)
     assert meeting > 5000 and nonempty > 40, (meeting, nonempty)
+
+
+def test_intersection_strata_match_the_full_blocks(monkeypatch):
+    # the check skips every block that meets supp g: there the
+    # generators' common kernel is empty too, as x_i is injective on
+    # M_delta for i in supp delta; a block off supp g is one multidegree,
+    # whose two kernels are those of its support mask; so the strata
+    # verdict is the full-block one, also with the last row of each
+    # common kernel of two or more generators lost
+    kernel_rows = centralizer._kernel_rows
+    lossy = _losing_a_common_row(kernel_rows)
+    rng = random.Random(29)
+    meeting = off = nonempty = lost = 0
+    for k in range(150):
+        n = rng.randint(3, 6)
+        graph = cycle_graph(n) if k % 2 else random_graph(rng, n, rng.uniform(0.4, 0.8))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        order = GeneratorOrder(perm)
+        supp = rng.sample(range(n), min(rng.choice([1, 2, 2, 3]), n - 2))
+        coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in supp]
+        g = linear(graph, order, dict(zip(supp, coeffs)))
+        generators = [{i: 1} for i in supp]
+        bound = rng.randint(2, 5)
+        holds = holds_lossy = True
+        for columns, rows in kernel_blocks(g, bound):
+            common = kernel_rows(g.algebra, generators, columns)
+            delta = mdeg(columns[0], n)
+            if any(delta[i] for i in supp):
+                assert not rows and not common
+                meeting += 1
+            else:
+                stratum = _basis(g.algebra, [v for v in perm if delta[v]])
+                assert [m.head for m in stratum] == [m.head for m in columns]
+                assert linalg.same_rowspan(rows, kernel_rows(g.algebra, [g.linear], stratum))
+                assert linalg.same_rowspan(common, kernel_rows(g.algebra, generators, stratum))
+                off += 1
+                nonempty += bool(common)
+            holds = holds and linalg.same_rowspan(rows, common)
+            holds_lossy = holds_lossy and linalg.same_rowspan(rows, lossy(g.algebra, generators, columns))
+        assert check_intersection_theorem(supp, coeffs, graph, bound, order) == holds
+        with monkeypatch.context() as patch:
+            patch.setattr(centralizer, "_kernel_rows", lossy)
+            assert check_intersection_theorem(supp, coeffs, graph, bound, order) == holds_lossy
+        lost += not holds_lossy
+    assert meeting > 1500 and off > 1000 and nonempty > 300 and lost > 10, (meeting, off, nonempty, lost)
+
+
+def test_intersection_check_eliminates_twice_per_support(monkeypatch):
+    # at most two kernels per support of 2..min(d, m) letters off supp g,
+    # m = n - |supp g|, however many blocks the degrees have
+    kernel_rows = centralizer._kernel_rows
+    calls = []
+
+    def counted(algebra, forms, columns):
+        calls.append(len(columns))
+        return kernel_rows(algebra, forms, columns)
+
+    monkeypatch.setattr(centralizer, "_kernel_rows", counted)
+    cases = [(cycle_graph(8), GeneratorOrder.ascending(8), [0, 4], [1, -2], 8)]
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        supp = rng.sample(range(n), rng.randint(1, n))
+        cases.append((random_graph(rng, n), GeneratorOrder(perm), supp, [rng.choice([-2, -1, 1, 2]) for _ in supp], rng.randint(2, 7)))
+    total = 0
+    for graph, order, supp, coeffs, bound in cases:
+        calls.clear()
+        assert check_intersection_theorem(supp, coeffs, graph, bound, order)
+        m = graph.n - len(supp)
+        assert len(calls) <= 2 * sum(comb(m, s) for s in range(2, min(bound, m) + 1))
+        total += len(calls)
+    assert total > 100, total
 
 
 def test_centralizer_rejects_a_kernel_vector_that_does_not_commute(monkeypatch):
@@ -187,6 +269,9 @@ def test_intersection_theorem_validation():
         check_intersection_theorem([0, 0], [1, 1], C5, 4)
     with pytest.raises(AlgebraError):
         check_intersection_theorem([0, 2], [1, 0], C5, 4)
+    for bound in (1, -3):
+        with pytest.raises(AlgebraError, match="degree bound must be at least 2"):
+            check_intersection_theorem([0, 2], [1, 1], C5, bound)
 
 
 def test_classify_c5_distant():
