@@ -102,6 +102,12 @@ def _check_linear(g: LieElement) -> Dict[int, int]:
     return g.linear
 
 
+def _free_letters(algebra: Algebra, lin: Dict[int, int]) -> List[int]:
+    """The letters off supp g, in rank order: the strata of both solves
+    are the supports on these letters."""
+    return [v for v in algebra.order.perm if v not in lin]
+
+
 HeadKey = Tuple[Tuple[int, ...], int]  # (multidegree, first letter)
 
 
@@ -158,7 +164,7 @@ def _stratum_kernels(g: LieElement, degree_bound: int) -> Iterator[Tuple[List[Ba
     multidegree order; one elimination per support mask."""
     lin = _check_linear(g)
     algebra = g.algebra
-    free = [v for v in algebra.order.perm if v not in lin]
+    free = _free_letters(algebra, lin)
     by_support: Dict[int, List[Tuple[int, ...]]] = {}
     for k in range(2, degree_bound + 1):
         found = {}
@@ -213,7 +219,7 @@ def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[in
     order = order or GeneratorOrder.ascending(graph.n)
     g = LieElement.from_linear(graph, order, dict(zip(indices, coefficients)))
     lin = _check_linear(g)
-    free = [v for v in order.perm if v not in lin]
+    free = _free_letters(g.algebra, lin)
     forms = [{i: 1} for i in indices]
     strata = (
         _basis(g.algebra, list(letters))

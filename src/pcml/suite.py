@@ -192,7 +192,14 @@ def criterion_3(seed: int = 0) -> CriterionResult:
 
 def criterion_4(seed: int = 0) -> CriterionResult:
     """Centralizer of a combination equals the intersection of the
-    generators' centralizers on random instances."""
+    generators' centralizers on random instances.
+
+    Each instance compares the two sides once per support of two or
+    more letters off supp g (`check_intersection_theorem`); both sides
+    are 0 on every other multidegree by the proof in `pcml.centralizer`.
+    An instance with fewer than two letters off supp g compares no
+    support, so it only checks that the call is accepted; the detail
+    counts instances, not comparisons."""
     rng = random.Random(seed)
     bound = 5
     for t in range(50):

@@ -7,9 +7,11 @@ error message or a normal form shows up here as a diff.
 
 A case's test id depends on its argv alone, so inserting, removing or
 moving a case renames no other: ``{argv[0]}-{digest}`` with the first
-8 hex digits of the sha256 of the JSON argv.  The cases that predate
-this scheme keep the positional ids ``{k:02d}-{argv[0]}`` they were
-recorded under, found by their digest in ``POSITIONAL``.
+8 hex digits of the sha256 of the JSON argv.  The 30 cases that
+predate this scheme keep the positional ids ``{k:02d}-{argv[0]}``
+under which earlier test runs list them, found by their digest in
+``POSITIONAL``.  That table is frozen: a new case never enters it, and
+moving an old case keeps its id.
 """
 
 import argparse
