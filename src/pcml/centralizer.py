@@ -36,12 +36,17 @@ supp delta + {i}, its least letter and the ranks, so the stack and its
 kernel rows over the basis columns, sorted by head, depend only on the
 support mask of delta.
 
-So `derived_centralizer` enumerates only the multidegrees on the
-m = n - |supp g| letters off supp g, sum over k = 2..d of C(m+k-1, k)
-of them up to degree d, and eliminates once per support: at most
-2^m - m - 1 kernels, reused for every multidegree of that support.
-It cross-checks every vector it returns with `bracket`, which goes
-through the normal-form table.
+So both solves enumerate one unit, `_strata`: the supports S of
+2..min(d, m) of the m = n - |supp g| letters off supp g, sum over
+s = 2..min(d, m) of C(m, s) of them, each with one `_basis`, of the
+multidegree with exponent 1 on each letter of S.  `derived_centralizer`
+eliminates at most once per support.  Only where that kernel is nonzero
+does it visit the multidegrees on S up to degree d, one `_basis` each,
+and reuse the kernel rows over them: their columns have the same heads
+in the same order.  Each such multidegree returns at least one element,
+so that part of the work is bounded by the output.  It cross-checks
+every vector it returns with `bracket`, which goes through the
+normal-form table.
 
 Image rows are built in head coordinates: [x_a,x_b].tail.x_i is written
 as (multidegree, first letter) -> coefficient, read from the algebra's
@@ -63,9 +68,8 @@ supp g its stack of the maps x_i, i in supp g, is the one the left side
 combines, and depends only on the support mask in the same way.  So
 both sides agree up to degree d iff they agree on one multidegree per
 support S off supp g with 2 <= |S| <= min(d, m), and
-`check_intersection_theorem` compares them on the multidegree with
-exponent 1 on each letter of S: at most 2^m - m - 1 supports and
-2 (2^m - m - 1) eliminations.
+`check_intersection_theorem` compares them on the columns `_strata`
+yields: at most two eliminations per support.
 """
 
 from __future__ import annotations
@@ -83,7 +87,6 @@ from .core import (
     LieElement,
     _basis,
     _bump,
-    _support_mask,
     act,
     bracket,
     cycle_generators,
@@ -100,12 +103,6 @@ def _check_linear(g: LieElement) -> Dict[int, int]:
     if not g.linear:
         raise AlgebraError("centralizer argument must be nonzero")
     return g.linear
-
-
-def _free_letters(algebra: Algebra, lin: Dict[int, int]) -> List[int]:
-    """The letters off supp g, in rank order: the strata of both solves
-    are the supports on these letters."""
-    return [v for v in algebra.order.perm if v not in lin]
 
 
 HeadKey = Tuple[Tuple[int, ...], int]  # (multidegree, first letter)
@@ -158,25 +155,19 @@ def _kernel_rows(algebra: Algebra, forms: Sequence[Dict[int, int]], columns: Seq
     return linalg.kernel_basis(matrix, len(columns))
 
 
-def _stratum_kernels(g: LieElement, degree_bound: int) -> Iterator[Tuple[List[BasisMonomial], List[Tuple[int, ...]]]]:
-    """(columns, kernel rows of ad g) of every multidegree of degree
-    2..degree_bound that avoids supp g, in ascending degree and
-    multidegree order; one elimination per support mask."""
+def _strata(g: LieElement, degree_bound: int) -> Iterator[Tuple[Tuple[int, ...], List[BasisMonomial]]]:
+    """(letters in rank order, columns) of every support S of 2..min(d, m)
+    of the m letters off supp g whose basis is nonempty, the columns
+    being the basis of the multidegree with exponent 1 on each letter of
+    S: the one unit both solves enumerate."""
     lin = _check_linear(g)
     algebra = g.algebra
-    free = _free_letters(algebra, lin)
-    by_support: Dict[int, List[Tuple[int, ...]]] = {}
-    for k in range(2, degree_bound + 1):
-        found = {}
-        for ranked in combinations_with_replacement(free, k):
-            columns = _basis(algebra, list(ranked))
+    free = [v for v in algebra.order.perm if v not in lin]
+    for size in range(2, min(degree_bound, len(free)) + 1):
+        for letters in combinations(free, size):
+            columns = _basis(algebra, list(letters))
             if columns:
-                found[mdeg(columns[0], algebra.graph.n)] = (_support_mask(ranked), columns)
-        for _, (mask, columns) in sorted(found.items()):
-            rows = by_support.get(mask)
-            if rows is None:
-                rows = by_support[mask] = _kernel_rows(algebra, [lin], columns)
-            yield columns, rows
+                yield letters, columns
 
 
 @dataclass
@@ -192,14 +183,26 @@ class CentralizerSlice:
 
 
 def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
-    """Exact basis of the derived centralizer up to a total degree, solved
-    over the multidegrees that avoid supp g (see the module docstring)."""
+    """Exact basis of the derived centralizer up to a total degree: one
+    kernel per support off supp g, spread over the multidegrees of the
+    supports where it is nonzero (see the module docstring)."""
     if degree_bound < 2:
         raise AlgebraError("degree bound must be at least 2")
+    algebra = g.algebra
+    rank = algebra.order.rank.__getitem__
+    found = []
+    for letters, columns in _strata(g, degree_bound):
+        rows = _kernel_rows(algebra, [g.linear], columns)
+        if not rows:
+            continue
+        for extra in range(degree_bound - len(letters) + 1):
+            for more in combinations_with_replacement(letters, extra):
+                mons = _basis(algebra, sorted(letters + more, key=rank))
+                found.append((mons[0].degree, mdeg(mons[0], algebra.graph.n), mons, rows))
     elements = []
-    for columns, rows in _stratum_kernels(g, degree_bound):
+    for _, _, mons, rows in sorted(found, key=lambda item: item[:2]):
         for row in rows:
-            h = LieElement._trusted(g.algebra, {}, {m: v for m, v in zip(columns, row) if v})
+            h = LieElement._trusted(algebra, {}, {m: v for m, v in zip(mons, row) if v})
             if not bracket(h, g).is_zero():
                 raise CertificationError("kernel vector fails the bracket check")
             elements.append(h)
@@ -218,18 +221,10 @@ def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[in
         raise AlgebraError("degree bound must be at least 2")
     order = order or GeneratorOrder.ascending(graph.n)
     g = LieElement.from_linear(graph, order, dict(zip(indices, coefficients)))
-    lin = _check_linear(g)
-    free = _free_letters(g.algebra, lin)
     forms = [{i: 1} for i in indices]
-    strata = (
-        _basis(g.algebra, list(letters))
-        for size in range(2, min(degree_bound, len(free)) + 1)
-        for letters in combinations(free, size)
-    )
     return all(
-        linalg.same_rowspan(_kernel_rows(g.algebra, [lin], columns), _kernel_rows(g.algebra, forms, columns))
-        for columns in strata
-        if columns
+        linalg.same_rowspan(_kernel_rows(g.algebra, [g.linear], columns), _kernel_rows(g.algebra, forms, columns))
+        for _, columns in _strata(g, degree_bound)
     )
 
 

@@ -27,10 +27,10 @@ than assumed, see `pcml.oracle`.
 Every element carries one `Algebra`: the interned value of its graph
 and generator order, one object per equal pair, so two elements share a
 context exactly when their algebras are the same object.  The engine's
-tables live in the algebra and die with it: the greatest vertex in its
-order of each component of each support (`Algebra.tops`, the one
-components cache), its normal forms (`_monomial_nf`, cleared at
-`NF_CACHE_SIZE` entries) and the bases of each degree (`Algebra.bases`).
+two tables live in the algebra and die with it: the greatest vertex in
+its order of each component of each support (`Algebra.tops`, the one
+components cache) and its normal forms (`_monomial_nf`, cleared at
+`NF_CACHE_SIZE` entries).  Bases are built on demand from the tops.
 No table refers back to an algebra, so an algebra is dropped with its
 last element; `is_basis_monomial` reads none of them.  The case
 analysis reads only the head pair, the tops of the support and its
@@ -56,7 +56,7 @@ import sys
 import threading
 import weakref
 from collections import namedtuple
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -111,7 +111,7 @@ class Algebra:
     elements share a context exactly when their algebras are identical.
     """
 
-    __slots__ = ("graph", "order", "_nf", "_bases", "_tops", "__weakref__")
+    __slots__ = ("graph", "order", "_nf", "_tops", "__weakref__")
 
     @classmethod
     def of(cls, graph: Graph, order: GeneratorOrder) -> "Algebra":
@@ -124,7 +124,7 @@ class Algebra:
                 if out is None:
                     out = _ALGEBRAS[key] = object.__new__(cls)
                     out.graph, out.order = graph, order
-                    out._nf, out._bases, out._tops = {}, {}, {}
+                    out._nf, out._tops = {}, {}
         return out
 
     def tops(self, mask: int) -> Tuple[int, ...]:
@@ -136,19 +136,6 @@ class Algebra:
         if out is None:
             out = self._tops[mask] = self.graph.component_labels(mask, reversed(self.order.perm))
         return out
-
-    def bases(self, degree: int) -> Dict[Multidegree, Tuple[BasisMonomial, ...]]:
-        """The nonempty bases of the multidegrees of one total degree,
-        by ascending multidegree, each sorted; computed once per degree."""
-        table = self._bases.get(degree)
-        if table is None:
-            found = {}
-            for ranked in combinations_with_replacement(self.order.perm, degree):
-                mons = _basis(self, list(ranked))
-                if mons:
-                    found[mdeg(mons[0], self.graph.n)] = tuple(mons)
-            table = self._bases[degree] = dict(sorted(found.items()))
-        return table
 
 
 # the live algebras, keyed by the values of their graph and order; an
@@ -635,7 +622,12 @@ def glued_decomposition(g: LieElement) -> List[GluedComponent]:
 
 def multidegrees(n: int, total: int) -> Iterator[Multidegree]:
     """All length-n vectors of nonnegative integers summing to total, in
-    ascending order: the gaps between n-1 bars among total+n-1 places."""
+    ascending order: the gaps between n-1 bars among total+n-1 places;
+    for n = 0 only the empty vector, of total 0."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
     for bars in combinations(range(total + n - 1), n - 1):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (total + n - 1,)))
 
@@ -665,7 +657,8 @@ def _basis(algebra: Algebra, ranked: List[int]) -> List[BasisMonomial]:
 
 
 def basis_monomials_of_degree(graph: Graph, order: GeneratorOrder, degree: int) -> List[BasisMonomial]:
-    return [m for mons in Algebra.of(graph, order).bases(degree).values() for m in mons]
+    """All basis monomials of one total degree, by ascending multidegree."""
+    return [m for delta in multidegrees(graph.n, degree) for m in basis_monomials_of_multidegree(graph, order, delta)]
 
 
 def basis_monomial_with_start(delta: Multidegree, start: int, graph: Graph, order: GeneratorOrder) -> Optional[BasisMonomial]:

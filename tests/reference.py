@@ -3,15 +3,28 @@
 The engine solves derived centralizers and checks the intersection
 theorem only on the multidegrees off supp g, one kernel per support
 mask.  This module keeps the computation those shortcuts replace: the
-kernel of ad g on every block of every degree of `Algebra.bases`, where
-a block groups the multidegrees of one degree linked by moves
+kernel of ad g on every block of every degree of `bases`, where a block
+groups the multidegrees of one degree linked by moves
 e_a - e_b with a, b in supp g, the pieces the constraint matrix of ad g
 splits into.  The tests compare the engine with it."""
 
-from typing import Iterator, List, Sequence, Tuple
+from itertools import combinations_with_replacement
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from pcml.centralizer import _kernel_rows
-from pcml.core import BasisMonomial, LieElement
+from pcml.core import Algebra, BasisMonomial, LieElement, _basis, mdeg
+
+
+def bases(algebra: Algebra, degree: int) -> Dict[Tuple[int, ...], Tuple[BasisMonomial, ...]]:
+    """The nonempty bases of the multidegrees of one total degree, by
+    ascending multidegree, each sorted: one `_basis` per multiset of
+    letters, in rank order."""
+    found = {}
+    for ranked in combinations_with_replacement(algebra.order.perm, degree):
+        mons = _basis(algebra, list(ranked))
+        if mons:
+            found[mdeg(mons[0], algebra.graph.n)] = tuple(mons)
+    return dict(sorted(found.items()))
 
 
 def blocks(deltas: List[Tuple[int, ...]], supp: Sequence[int]) -> List[List[Tuple[int, ...]]]:
@@ -48,7 +61,7 @@ def kernel_blocks(g: LieElement, degree_bound: int) -> Iterator[Tuple[List[Basis
     2..degree_bound, in ascending degree and block order."""
     supp = sorted(g.linear)
     for k in range(2, degree_bound + 1):
-        bases = g.algebra.bases(k)
-        for block in blocks(list(bases), supp):
-            columns = [m for delta in sorted(block) for m in bases[delta]]
+        table = bases(g.algebra, k)
+        for block in blocks(list(table), supp):
+            columns = [m for delta in sorted(block) for m in table[delta]]
             yield columns, _kernel_rows(g.algebra, [g.linear], columns)

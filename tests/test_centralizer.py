@@ -254,6 +254,47 @@ def test_intersection_check_eliminates_twice_per_support(monkeypatch):
     assert total > 100, total
 
 
+def test_centralizer_solves_once_per_support(monkeypatch):
+    # one `_basis` and at most one elimination per support of 2..min(d, m)
+    # letters off supp g, m = n - |supp g|; beyond that one `_basis` per
+    # multidegree of the slice, each of which returns an element
+    basis, kernel_rows = centralizer._basis, centralizer._kernel_rows
+    bases, eliminations = [], []
+
+    def counted_basis(algebra, ranked):
+        bases.append(len(ranked))
+        return basis(algebra, ranked)
+
+    def counted_rows(algebra, forms, columns):
+        eliminations.append(len(columns))
+        return kernel_rows(algebra, forms, columns)
+
+    monkeypatch.setattr(centralizer, "_basis", counted_basis)
+    monkeypatch.setattr(centralizer, "_kernel_rows", counted_rows)
+    c9, o9 = cycle_graph(9), GeneratorOrder.ascending(9)
+    cases = [(c9, o9, {0: 1, 1: 1}, 12), (c9, o9, {0: 1, 4: -2}, 7)]
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        supp = rng.sample(range(n), rng.randint(1, 2))
+        cases.append((random_graph(rng, n, rng.uniform(0.3, 0.8)), GeneratorOrder(perm), {i: rng.choice([-2, -1, 1, 2]) for i in supp}, rng.randint(2, 7)))
+    empty = nonempty = 0
+    for graph, order, lin, bound in cases:
+        bases.clear()
+        eliminations.clear()
+        slice_ = derived_centralizer(linear(graph, order, lin), bound)
+        m = graph.n - len(lin)
+        supports = sum(comb(m, s) for s in range(2, min(bound, m) + 1))
+        assert len(eliminations) <= supports
+        multidegrees = {mdeg(next(iter(h.derived)), graph.n) for h in slice_.elements}
+        assert len(bases) == supports + len(multidegrees)
+        empty += slice_.is_empty() and supports > 0
+        nonempty += not slice_.is_empty()
+    assert empty > 10 and nonempty > 10, (empty, nonempty)
+
+
 def test_centralizer_rejects_a_kernel_vector_that_does_not_commute(monkeypatch):
     # every unit vector, where some column's bracket with g is nonzero
     monkeypatch.setattr(

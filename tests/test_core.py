@@ -218,7 +218,7 @@ def test_an_algebra_checks_its_order_once_and_is_dropped_when_unused():
     # a graph no other test builds, so no live element keeps it alive
     ref = weakref.ref(Algebra.of(Graph(9, [(3, 7)]), GeneratorOrder.ascending(9)))
     assert ref() is None
-    # filled normal-form, basis and tops tables keep no algebra alive; the
+    # filled normal-form and tops tables keep no algebra alive; the
     # tops table, the only components cache, is freed with its algebra,
     # and the graph, which outlives it, keeps no table at all
     graph = Graph(7, [(2, 5), (0, 6)])
@@ -227,7 +227,7 @@ def test_an_algebra_checks_its_order_once_and_is_dropped_when_unused():
     assert not bracket(x[1], x[0]).is_zero()
     derived_centralizer(x[0] + x[3], 3)
     basis_monomials_of_degree(graph, GeneratorOrder.ascending(7), 3)
-    assert ref()._nf and ref()._bases and ref()._tops
+    assert ref()._nf and ref()._tops
     tops = ref()._tops
     del x
     assert ref() is None
@@ -379,6 +379,17 @@ def test_enumeration_matches_predicate():
                         if is_basis_monomial((a, b), tuple(tail), g, o):
                             slow.add(BasisMonomial((a, b), tuple(tail)))
                 assert fast == slow
+
+
+def test_the_empty_graph_has_one_multidegree_and_no_basis():
+    # the empty vector is the one multidegree of total 0 on no letters
+    assert list(multidegrees(0, 0)) == [()]
+    empty, order = Graph(0, []), GeneratorOrder.ascending(0)
+    for total in range(1, 5):
+        assert list(multidegrees(0, total)) == []
+    for degree in range(5):
+        assert basis_monomials_of_degree(empty, order, degree) == []
+    assert basis_monomials_of_multidegree(empty, order, ()) == []
 
 
 def test_basis_monomial_with_start():
