@@ -26,50 +26,60 @@ and [h, g] != 0.
 Within one degree the constraint matrix of ad g splits into blocks of
 multidegrees linked by moves e_a - e_b with a, b in supp g.  Every block
 fixes two things that ad g preserves: delta off supp g, and the total t
-of delta on supp g (raised by one in every image).  Two facts follow.
-A block with t >= 1 has no kernel: every multidegree in it meets
-supp g, so by the lemma a kernel vector has no minimal support and is
-0.  A block with t = 0 is the single multidegree delta, and its matrix
-stacks the maps x_i : M_delta -> M_{delta+e_i} for i in supp g.  In
-head coordinates (below) such a map reads only the tops of
-supp delta + {i}, its least letter and the ranks, so the stack and its
-kernel rows over the basis columns, sorted by head, depend only on the
-support mask of delta.
+of delta on supp g (raised by one in every image).  A block with t >= 1
+has no kernel: every multidegree in it meets supp g, so by the lemma a
+kernel vector has no minimal support and is 0.  A block with t = 0 is
+the single multidegree delta, and ad g maps it by the x_i, i in supp g,
+into the distinct multidegrees delta + e_i; so its kernel there is the
+common kernel of those x_i.
+
+Closed form.  Let S = supp delta avoid supp g, with |S| >= 2, least
+letter mu and components pi_0(S) in the subgraph induced on S; call one
+good if every i in supp g has a neighbour in it.  Then ker ad g on
+M_delta is the zero-sum vectors on the k good components, of dimension
+max(0, k - 1), whatever the coefficients of g.  Proof:
+
+  1. The basis of M_delta has one monomial m_C = [x_top(C), x_mu].tail
+     per component C other than C(mu), top(C) its greatest vertex.
+     Sending m_C to e_C - e_C(mu) identifies M_delta with the zero-sum
+     vectors of Q^pi_0(S).
+  2. For i outside S, let D(C) be the component of S + {i} holding C:
+     C itself if i has no neighbour in C, that of i otherwise.  With
+     mu' the least letter of S + {i}, the cases of `core._monomial_nf`
+     give m_C.x_i = 0 if D(C) = D(C(mu)); +m'(D(C)) if mu' lies in
+     D(C(mu)); -m'(D(C(mu))) if it lies in D(C); and
+     m'(D(C)) - m'(D(C(mu))) otherwise.  Each reads
+     e_D(C) - e_D(C(mu)) in the coordinates of step 1 on S + {i}: x_i
+     is the pushforward along D.
+  3. D is one to one off the components adjacent to i and sends those
+     to one component, so on zero-sum vectors the kernel of x_i is the
+     vectors vanishing off the components adjacent to i.  Over all i in
+     supp g this leaves the zero-sum vectors on the good components.
+
+Over the columns, the basis of M_delta sorted by head, a vector is read
+off at the components other than C(mu).  If C(mu) is good, the kernel
+rows are the unit vectors of the good columns; otherwise the good
+entries sum to zero too, and the rows are e_f - e_j, for f the first
+good column and j each later one: the rows `linalg.kernel_basis`
+returns.  `_good_rows` writes them from the tops of S and of each
+S + {i}, without an elimination or the coefficients of g.
 
 So both solves enumerate one unit, `_strata`: the supports S of
-2..min(d, m) of the m = n - |supp g| letters off supp g, sum over
-s = 2..min(d, m) of C(m, s) of them, each with one `_basis`, of the
-multidegree with exponent 1 on each letter of S.  `derived_centralizer`
-eliminates at most once per support.  Only where that kernel is nonzero
-does it visit the multidegrees on S up to degree d, one `_basis` each,
-and reuse the kernel rows over them: their columns have the same heads
-in the same order.  Each such multidegree returns at least one element,
-so that part of the work is bounded by the output.  It cross-checks
-every vector it returns with `bracket`, which goes through the
-normal-form table.
-
-Image rows are built in head coordinates: [x_a,x_b].tail.x_i is written
-as (multidegree, first letter) -> coefficient, read from the algebra's
-tops table by the four cases of `core._monomial_nf`, without building a
-monomial or filling the normal-form table.  The keys fix the
-normal-form monomials one to one, so the kernels are those of the
-normal-form images.
+2..min(d, m) of the m = n - |supp g| letters off supp g, each with the
+basis of the multidegree with exponent 1 on each letter of S, whose
+heads every multidegree on S shares.  Only where the rows of S are
+nonzero does `derived_centralizer` visit the multidegrees on S up to
+degree d, one `_basis` each, and each returns an element.  It
+cross-checks every vector with `bracket`, through the normal-form table.
 
 The intersection theorem, C(sum alpha_i x_i) = intersection of the
-C(x_i) over i in supp g, compares two common kernels: of the one form g
-on the left, of the forms x_i on the right.  The left side is a direct
-sum over the blocks of ad g, and by the two facts above it is 0 on
-every multidegree that meets supp g.  Each ad x_i keeps multidegrees
-apart, so the right side is a direct sum over the multidegrees.  For i
-in supp delta, x_i maps the basis of M_delta one to one onto that of
-M_{delta+e_i}, so ad x_i is injective on M_delta, and the right side is
-0 on every multidegree that meets supp g as well.  On a multidegree off
-supp g its stack of the maps x_i, i in supp g, is the one the left side
-combines, and depends only on the support mask in the same way.  So
-both sides agree up to degree d iff they agree on one multidegree per
-support S off supp g with 2 <= |S| <= min(d, m), and
-`check_intersection_theorem` compares them on the columns `_strata`
-yields: at most two eliminations per support.
+C(x_i) over i in supp g, follows: on a multidegree that meets supp g
+both sides are 0, the left by the facts above, the right as x_i is
+injective on M_delta for i in supp delta; on one off supp g both are
+the common kernel of the x_i.  `check_intersection_theorem` checks it
+on the columns `_strata` yields: the closed form on the left against
+one elimination of the normal-form images of the x_i (`_kernel_rows`)
+on the right.  The two sides share only the tops table.
 """
 
 from __future__ import annotations
@@ -85,8 +95,9 @@ from .core import (
     BasisMonomial,
     GeneratorOrder,
     LieElement,
+    _add_nf,
     _basis,
-    _bump,
+    _support_mask,
     act,
     bracket,
     cycle_generators,
@@ -105,61 +116,44 @@ def _check_linear(g: LieElement) -> Dict[int, int]:
     return g.linear
 
 
-HeadKey = Tuple[Tuple[int, ...], int]  # (multidegree, first letter)
-
-
-def _head_image(algebra: Algebra, column: BasisMonomial, lin: Dict[int, int]) -> Dict[HeadKey, int]:
-    """[h, g] for the basis monomial h = ``column`` and g = sum lin[i] x_i,
-    in head coordinates.
-
-    [x_a,x_b].tail.x_i has multidegree delta + e_i, and its least letter
-    is b (the least letter of a basis monomial's support) unless x_i
-    precedes it.  With the tops of that support, the cases of
-    `core._monomial_nf` give first letters and signs: zero when a and b
-    share a top, +top(a) unless the least letter shares it, -top(b)
-    unless the least letter shares that.
-    """
-    (a, b), tail = column
-    rank = algebra.order.rank
-    delta = [0] * algebra.graph.n
-    mask = 0
-    for v in (a, b) + tail:
-        delta[v] += 1
-        mask |= 1 << v
-    image: Dict[HeadKey, int] = {}
-    for i, alpha in lin.items():
-        top = algebra.tops(mask | 1 << i)
-        ta, tb = top[a], top[b]
-        if ta == tb:
-            continue
-        tmu = top[b if rank[b] < rank[i] else i]
-        delta[i] += 1
-        up = tuple(delta)
-        delta[i] -= 1
-        if tmu != ta:
-            _bump(image, (up, ta), alpha)
-        if tmu != tb:
-            _bump(image, (up, tb), -alpha)
-    return image
+def _good_rows(algebra: Algebra, lin: Dict[int, int], letters: Sequence[int], columns: Sequence[BasisMonomial]) -> List[Tuple[int, ...]]:
+    """Kernel rows of h -> [h, g], g = sum lin[i] x_i, over the basis
+    ``columns`` of the support ``letters`` (in rank order) off supp g,
+    in closed form from the tops alone (see the module docstring)."""
+    mask = _support_mask(letters)
+    top = algebra.tops(mask)
+    good = set(top) - {-1}
+    for i in lin:
+        joined = algebra.tops(mask | 1 << i)
+        good = {t for t in good if joined[t] == joined[i]}
+        if len(good) < 2:
+            return []
+    units = [tuple(int(k == j) for k in range(len(columns))) for j, m in enumerate(columns) if m.head[0] in good]
+    if top[letters[0]] in good:
+        return units
+    return [tuple(a - b for a, b in zip(units[0], unit)) for unit in units[1:]]
 
 
 def _kernel_rows(algebra: Algebra, forms: Sequence[Dict[int, int]], columns: Sequence[BasisMonomial]) -> List[Tuple[int, ...]]:
     """Common kernel on the span of the basis monomials ``columns`` of
-    h -> [h, g] for every g = sum lin[i] x_i with lin in ``forms``, by one
-    `linalg.kernel_basis` call on the stacked image rows in head
-    coordinates; rows over the columns."""
+    h -> [h, g] for every g = sum lin[i] x_i with lin in ``forms``: one
+    `linalg.kernel_basis` of the stacked normal-form images."""
     matrix: List[List[int]] = []
     for lin in forms:
-        images = [_head_image(algebra, column, lin) for column in columns]
-        matrix += [[image.get(key, 0) for image in images] for key in set().union(*images)]
+        images = []
+        for (a, b), tail in columns:
+            image: Dict[BasisMonomial, int] = {}
+            for i, alpha in lin.items():
+                _add_nf(image, algebra, a, b, tail + (i,), alpha)
+            images.append(image)
+        matrix += [[image.get(m, 0) for image in images] for m in set().union(*images)]
     return linalg.kernel_basis(matrix, len(columns))
 
 
 def _strata(g: LieElement, degree_bound: int) -> Iterator[Tuple[Tuple[int, ...], List[BasisMonomial]]]:
     """(letters in rank order, columns) of every support S of 2..min(d, m)
-    of the m letters off supp g whose basis is nonempty, the columns
-    being the basis of the multidegree with exponent 1 on each letter of
-    S: the one unit both solves enumerate."""
+    of the m letters off supp g with a nonempty basis, the columns being
+    that of the multidegree with exponent 1 on each letter of S."""
     lin = _check_linear(g)
     algebra = g.algebra
     free = [v for v in algebra.order.perm if v not in lin]
@@ -184,15 +178,15 @@ class CentralizerSlice:
 
 def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
     """Exact basis of the derived centralizer up to a total degree: one
-    kernel per support off supp g, spread over the multidegrees of the
-    supports where it is nonzero (see the module docstring)."""
+    closed-form kernel per support off supp g, spread over its
+    multidegrees where it is nonzero (see the module docstring)."""
     if degree_bound < 2:
         raise AlgebraError("degree bound must be at least 2")
     algebra = g.algebra
     rank = algebra.order.rank.__getitem__
     found = []
     for letters, columns in _strata(g, degree_bound):
-        rows = _kernel_rows(algebra, [g.linear], columns)
+        rows = _good_rows(algebra, g.linear, letters, columns)
         if not rows:
             continue
         for extra in range(degree_bound - len(letters) + 1):
@@ -211,8 +205,8 @@ def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
 
 def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[int], graph: Graph, degree_bound: int, order: GeneratorOrder = None) -> bool:
     """Compare the centralizer of a combination with the intersection
-    of the generators' centralizers, as subspaces on one multidegree per
-    support off supp g (see the module docstring)."""
+    of the generators' centralizers on one multidegree per support off
+    supp g: closed form against elimination (see the module docstring)."""
     if len(indices) != len(coefficients) or len(set(indices)) != len(indices):
         raise AlgebraError("indices must be distinct and match the coefficients")
     if any(c == 0 for c in coefficients):
@@ -223,8 +217,8 @@ def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[in
     g = LieElement.from_linear(graph, order, dict(zip(indices, coefficients)))
     forms = [{i: 1} for i in indices]
     return all(
-        linalg.same_rowspan(_kernel_rows(g.algebra, [g.linear], columns), _kernel_rows(g.algebra, forms, columns))
-        for _, columns in _strata(g, degree_bound)
+        linalg.same_rowspan(_good_rows(g.algebra, g.linear, letters, columns), _kernel_rows(g.algebra, forms, columns))
+        for letters, columns in _strata(g, degree_bound)
     )
 
 

@@ -7,6 +7,7 @@ seed.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -321,7 +322,12 @@ def run(argv: Optional[List[str]] = None) -> int:
         except OSError as exc:
             report.add("ERROR", f"cannot write report to {args.output!r}: {exc.strerror or exc}")
             report.status = 2
-    print("\n".join(report.lines))
+    try:
+        print("\n".join(report.lines), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; the exit flush must not raise again
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
     return report.status
 
 

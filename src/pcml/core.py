@@ -34,11 +34,8 @@ components cache) and its normal forms (`_monomial_nf`, cleared at
 No table refers back to an algebra, so an algebra is dropped with its
 last element; `is_basis_monomial` reads none of them.  The case
 analysis reads only the head pair, the tops of the support and its
-least letter, and every monomial it returns is fixed by its multidegree
-and first letter; so a normal form in head coordinates, (multidegree,
-first letter) -> coefficient, depends only on the support, the head
-pair and the least letter.  The centralizer layer builds its matrices
-in those coordinates, without the normal-form table.
+least letter; the centralizer layer writes its kernels from the tops
+alone, by a closed form proved from these cases (`pcml.centralizer`).
 
 Outside data is checked once, where it enters: the `LieElement`
 constructor checks generators and basis monomials, the parsers their

@@ -195,8 +195,10 @@ def criterion_4(seed: int = 0) -> CriterionResult:
     generators' centralizers on random instances.
 
     Each instance compares the two sides once per support of two or
-    more letters off supp g (`check_intersection_theorem`); both sides
-    are 0 on every other multidegree by the proof in `pcml.centralizer`.
+    more letters off supp g (`check_intersection_theorem`): the closed
+    form of the kernel of ad g, which the solve returns, against one
+    elimination of the generators' normal-form images.  Both sides are
+    0 on every other multidegree by the proof in `pcml.centralizer`.
     An instance with fewer than two letters off supp g compares no
     support, so it only checks that the call is accepted; the detail
     counts instances, not comparisons."""

@@ -1,10 +1,11 @@
+import inspect
 import random
-from itertools import groupby
+from itertools import combinations, groupby
 from math import comb
 
 import pytest
 
-from pcml import centralizer, linalg
+from pcml import centralizer, linalg, suite
 from pcml.centralizer import (
     check_intersection_theorem,
     classify_cycle_centralizer,
@@ -16,6 +17,7 @@ from pcml.core import (
     _basis,
     basis_monomials_of_degree,
     bracket,
+    cycle_generators,
     format_element,
     mdeg,
     word_element,
@@ -225,9 +227,10 @@ def test_intersection_strata_match_the_full_blocks(monkeypatch):
     assert meeting > 1500 and off > 1000 and nonempty > 300 and lost > 10, (meeting, off, nonempty, lost)
 
 
-def test_intersection_check_eliminates_twice_per_support(monkeypatch):
-    # at most two kernels per support of 2..min(d, m) letters off supp g,
-    # m = n - |supp g|, however many blocks the degrees have
+def test_intersection_check_eliminates_once_per_support(monkeypatch):
+    # one elimination per support `_strata` yields, for the generators'
+    # side; g's side is the closed form, however many blocks the
+    # degrees have
     kernel_rows = centralizer._kernel_rows
     calls = []
 
@@ -248,14 +251,14 @@ def test_intersection_check_eliminates_twice_per_support(monkeypatch):
     for graph, order, supp, coeffs, bound in cases:
         calls.clear()
         assert check_intersection_theorem(supp, coeffs, graph, bound, order)
-        m = graph.n - len(supp)
-        assert len(calls) <= 2 * sum(comb(m, s) for s in range(2, min(bound, m) + 1))
+        g = linear(graph, order, dict(zip(supp, coeffs)))
+        assert len(calls) == sum(1 for _ in centralizer._strata(g, bound))
         total += len(calls)
-    assert total > 100, total
+    assert total > 60, total
 
 
 def test_centralizer_solves_once_per_support(monkeypatch):
-    # one `_basis` and at most one elimination per support of 2..min(d, m)
+    # one `_basis` and no elimination per support of 2..min(d, m)
     # letters off supp g, m = n - |supp g|; beyond that one `_basis` per
     # multidegree of the slice, each of which returns an element
     basis, kernel_rows = centralizer._basis, centralizer._kernel_rows
@@ -287,7 +290,7 @@ def test_centralizer_solves_once_per_support(monkeypatch):
         slice_ = derived_centralizer(linear(graph, order, lin), bound)
         m = graph.n - len(lin)
         supports = sum(comb(m, s) for s in range(2, min(bound, m) + 1))
-        assert len(eliminations) <= supports
+        assert len(eliminations) == 0
         multidegrees = {mdeg(next(iter(h.derived)), graph.n) for h in slice_.elements}
         assert len(bases) == supports + len(multidegrees)
         empty += slice_.is_empty() and supports > 0
@@ -298,11 +301,114 @@ def test_centralizer_solves_once_per_support(monkeypatch):
 def test_centralizer_rejects_a_kernel_vector_that_does_not_commute(monkeypatch):
     # every unit vector, where some column's bracket with g is nonzero
     monkeypatch.setattr(
-        linalg, "kernel_basis",
-        lambda rows, ncols: [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)],
+        centralizer, "_good_rows",
+        lambda algebra, lin, letters, columns: [tuple(int(i == j) for j in range(len(columns))) for i in range(len(columns))],
     )
     with pytest.raises(CertificationError, match="fails the bracket check"):
         derived_centralizer(linear(C5, O5, {0: 1, 2: 1}), 3)
+
+
+def _random_case(rng, max_n):
+    """A random graph on 3..max_n vertices under a random order, and a
+    combination of 1..3 of its generators with coefficients in +-1..+-3,
+    leaving two or more letters off its support."""
+    n = rng.randint(3, max_n)
+    graph = random_graph(rng, n, rng.uniform(0.2, 0.8))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    supp = rng.sample(range(n), rng.randint(1, min(3, n - 2)))
+    return linear(graph, GeneratorOrder(perm), {i: rng.choice([-3, -2, -1, 1, 2, 3]) for i in supp})
+
+
+def _good_components(graph, support, supp):
+    """How many components of the subgraph induced on ``support`` have
+    a neighbour of every vertex of ``supp``, by a plain search."""
+    todo, good = set(support), 0
+    while todo:
+        stack = [todo.pop()]
+        block = set(stack)
+        while stack:
+            for w in graph.adj[stack.pop()] & todo:
+                todo.remove(w)
+                block.add(w)
+                stack.append(w)
+        good += all(graph.adj[i] & block for i in supp)
+    return good
+
+
+def test_closed_form_matches_the_elimination():
+    # the kernel of ad g over each support off supp g, written down from
+    # the good components, is the one elimination of the normal-form
+    # images finds, row for row
+    rng = random.Random(71)
+    supports = nonempty = 0
+    for _ in range(600):
+        g = _random_case(rng, 9)
+        for letters, columns in centralizer._strata(g, 9):
+            rows = centralizer._good_rows(g.algebra, g.linear, letters, columns)
+            assert rows == centralizer._kernel_rows(g.algebra, [g.linear], columns)
+            supports += 1
+            nonempty += bool(rows)
+    assert supports >= 5000 and nonempty > 1000, (supports, nonempty)
+
+
+def test_centralizer_count_is_the_closed_form_count():
+    # sum over the supports S off supp g of max(0, k - 1) C(d, |S|), k
+    # the good components of S and C(d, |S|) the multidegrees on S of
+    # total at most d
+    rng = random.Random(73)
+    nonempty = 0
+    for _ in range(200):
+        g, bound = _random_case(rng, 9), rng.randint(2, 7)
+        graph, supp = g.graph, list(g.linear)
+        free = [v for v in range(graph.n) if v not in g.linear]
+        expected = sum(
+            max(0, _good_components(graph, support, supp) - 1) * comb(bound, size)
+            for size in range(2, len(free) + 1)
+            for support in combinations(free, size)
+        )
+        assert len(derived_centralizer(g, bound).elements) == expected
+        nonempty += expected > 0
+    assert nonempty > 40, nonempty
+
+
+def test_cycle_centralizer_counts():
+    # x_0 + x_j on C_n: a good component holds a whole arc between 0 and
+    # j, so only the complement of {0, j} has two, its arcs, and only
+    # when 0 and j are distant; the slice then has one element per
+    # multidegree on the other n - 2 letters
+    for n in range(4, 15):
+        x = cycle_generators(n)
+        for degree in (n - 2, n, n + 1):
+            expected = sum(comb(n - 3 + e, e) for e in range(degree - n + 3))
+            for j in range(1, n):
+                count = len(derived_centralizer(x[0] + x[j], degree).elements)
+                assert count == (0 if j in (1, n - 1) else expected), (n, j, degree)
+
+
+def test_centralizer_calls_no_linalg(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("derived_centralizer called linalg")
+
+    for name, value in vars(linalg).copy().items():
+        if inspect.isfunction(value) and value.__module__ == linalg.__name__:
+            monkeypatch.setattr(linalg, name, refuse)
+    rng = random.Random(79)
+    nonempty = 0
+    for _ in range(60):
+        nonempty += not derived_centralizer(_random_case(rng, 8), rng.randint(2, 7)).is_empty()
+    assert not derived_centralizer(linear(C5, O5, {0: 1, 2: 1}), 5).is_empty()
+    assert nonempty > 5, nonempty
+
+
+def test_criterion_4_sees_a_lost_closed_form_row(monkeypatch):
+    # criterion 4 compares the closed form for g with one elimination
+    # for the generators, so a closed form that loses a row fails it
+    good_rows = centralizer._good_rows
+    monkeypatch.setattr(centralizer, "_good_rows", lambda *args: good_rows(*args)[:-1])
+    assert not check_intersection_theorem([0, 2], [1, 1], C5, 4)
+    result = suite.criterion_4()
+    assert not result.ok and result.detail.startswith("trial=2 "), result
 
 
 def test_intersection_theorem_validation():

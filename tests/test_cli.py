@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pcml
 from pcml import equivalence
 from pcml.cli import run
 from pcml.core import LieElement
@@ -276,3 +281,20 @@ def test_output_to_an_unwritable_path(capsys, tmp_path):
 def test_seed_in_header(capsys):
     _, lines = invoke(capsys, "nf", "--graph", "cycle:4", "--element", "x0", "--seed", "9")
     assert lines[0] == "SEED=9"
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # as `pcml witness ... | head -1` does, here with the read end of the
+    # pipe closed before the report is written
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(pcml.__file__).resolve().parent.parent))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcml.cli", "nf", "--graph", "cycle:4", "--element", "[x0,x1]"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

@@ -5,33 +5,29 @@ search kept here, the oracle's basis certificate with every engine
 components path made to raise, the bases of each degree, found per
 multiset of letters, against per-multidegree enumeration,
 `basis_monomials_of_degree` and the oracle's dimensions, and the
-centralizer layer's head-coordinate images and kernels against the
-normal-form table they stand in for."""
+action of a support letter on a basis monomial, which the centralizer
+layer's lemma rests on."""
 
 import random
 from itertools import combinations
 
 import pytest
 
-from pcml import linalg
-from pcml.centralizer import _head_image, _kernel_rows
 from pcml.core import (
     Algebra,
+    BasisMonomial,
     GeneratorOrder,
-    LieElement,
-    _add_nf,
     _monomial_nf,
     basis_monomials_of_degree,
     basis_monomials_of_multidegree,
     is_basis_monomial,
-    mdeg,
     multidegrees,
 )
 from pcml.graphs import Graph, components_within, cycle_graph, path_graph
 from pcml.oracle import certify_basis, graded_dimension
 from pcml.sampling import random_graph
 from pcml.suite import EXAMPLE_GRAPH_EDGES
-from reference import bases, kernel_blocks
+from reference import bases
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -148,74 +144,17 @@ def test_basis_table_matches_enumeration_and_the_oracle(algebra):
 
 @settings(max_examples=40, deadline=None)
 @given(algebras(max_n=6))
-def test_head_images_are_the_normal_forms_in_head_coordinates(algebra):
-    # the action fact the centralizer kernels rest on: x_i maps the basis
-    # monomial m of delta to the normal form of m.x_i, whose monomials are
-    # fixed by (multidegree, first letter); for i in supp delta that is m
-    # with x_i added to its tail, coefficient 1
+def test_a_support_letter_joins_the_tail(algebra):
+    # the free-module step of the centralizer lemma: for i in supp delta,
+    # x_i maps the basis monomial m of delta to m with x_i added to its
+    # tail, coefficient 1
     graph, order = algebra
     owner = Algebra.of(graph, order)
-    n = graph.n
     for degree in range(2, 6):
         for delta, mons in bases(owner, degree).items():
             for m in mons:
                 (a, b), tail = m
-                for i in range(n):
-                    image = _head_image(owner, m, {i: 1})
-                    nf = _monomial_nf(owner, a, b, tuple(sorted(tail + (i,), key=order.rank.__getitem__)))
-                    assert image == {(mdeg(w, n), w.head[0]): c for w, c in nf}
+                for i in range(graph.n):
                     if delta[i]:
-                        up = delta[:i] + (delta[i] + 1,) + delta[i + 1:]
-                        assert image == {(up, a): 1}
-
-
-def _nf_kernel_rows(algebra, forms, columns, drop=False):
-    """The common kernel of ``forms`` on the span of ``columns`` from
-    image rows over normal-form monomials, built through `_add_nf`;
-    ``drop`` leaves out one term of the first nonzero image."""
-    matrix = []
-    for lin in forms:
-        images = []
-        for (a, b), tail in columns:
-            image = {}
-            for i, alpha in lin.items():
-                _add_nf(image, algebra, a, b, tail + (i,), alpha)
-            if drop and image:
-                del image[next(iter(image))]
-                drop = False
-            images.append(image)
-        matrix += [[image.get(m, 0) for image in images] for m in set().union(*images)]
-    return linalg.kernel_basis(matrix, len(columns))
-
-
-def test_kernel_rows_match_the_normal_form_matrix():
-    # random graphs, where most kernels are empty, and forms on two
-    # distant vertices of a cycle, whose kernels are not
-    rng = random.Random(53)
-    blocks = nonempty = lossy_differs = 0
-    for k in range(40):
-        if k % 2:
-            n = rng.randint(3, 6)
-            graph = random_graph(rng, n)
-            indices = rng.sample(range(n), rng.randint(1, n))
-            bound = rng.randint(2, 5)
-        else:
-            n = rng.randint(5, 7)
-            graph = cycle_graph(n)
-            i = rng.randrange(n)
-            indices = [i, (i + rng.randint(2, n - 2)) % n]
-            bound = rng.randint(4, 6)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        order = GeneratorOrder(perm)
-        g = LieElement.from_linear(graph, order, {i: rng.choice([-2, -1, 1, 2]) for i in indices})
-        forms = [{i: rng.choice([-2, -1, 1, 2]) for i in indices} for _ in range(rng.randint(1, 3))]
-        for columns, rows in kernel_blocks(g, bound):
-            assert rows == _nf_kernel_rows(g.algebra, [g.linear], columns)
-            common = _kernel_rows(g.algebra, forms, columns)
-            assert linalg.same_rowspan(common, _nf_kernel_rows(g.algebra, forms, columns))
-            blocks += 1
-            nonempty += bool(rows) + bool(common)
-            lossy_differs += not linalg.same_rowspan(common, _nf_kernel_rows(g.algebra, forms, columns, drop=True))
-    # nonempty kernels are compared, and a single lost term of an image is seen
-    assert nonempty > 100 and lossy_differs > blocks // 10, (blocks, nonempty, lossy_differs)
+                        tail_i = tuple(sorted(tail + (i,), key=order.rank.__getitem__))
+                        assert _monomial_nf(owner, a, b, tail_i) == ((BasisMonomial((a, b), tail_i), 1),)
