@@ -61,8 +61,9 @@ off at the components other than C(mu).  If C(mu) is good, the kernel
 rows are the unit vectors of the good columns; otherwise the good
 entries sum to zero too, and the rows are e_f - e_j, for f the first
 good column and j each later one: the rows `linalg.kernel_basis`
-returns.  `_good_rows` writes them from the tops of S and of each
-S + {i}, without an elimination or the coefficients of g.
+returns.  `_good_rows` writes them from the tops of S, keeping a top
+when every i in supp g has a neighbour with that top, without an
+elimination or the coefficients of g.
 
 So both solves enumerate one unit, `_strata`: the supports S of
 2..min(d, m) of the m = n - |supp g| letters off supp g, each with the
@@ -71,6 +72,25 @@ heads every multidegree on S shares.  Only where the rows of S are
 nonzero does `derived_centralizer` visit the multidegrees on S up to
 degree d, one `_basis` each, and each returns an element.  It
 cross-checks every vector with `bracket`, through the normal-form table.
+
+Cuts.  Let F be the m letters off supp g and N(i) the neighbours of i
+in F.  A support S gives elements only if it holds two good components
+C and C'.  They are disjoint and no edge joins them; each is connected
+in the subgraph induced on F and meets N(i) for every i in supp g; and
+|S| <= min(d, m).  So the slice is empty, and `_provably_empty` says so
+before `_strata` runs, when
+
+  1. some i in supp g has fewer than two neighbours in F: C and C'
+     need one each;
+  2. the letters of F are pairwise adjacent: a letter of C and one of
+     C' are not;
+  3. 2 (1 + D) > min(d, m), D the greatest distance in the subgraph
+     induced on F from N(i) to N(j) over i, j in supp g, infinite when
+     N(j) cannot be reached from N(i): a path inside C joins a letter
+     of N(i) to one of N(j), so |C| >= 1 + D, and so does |C'|.
+
+`check_intersection_theorem` applies no cut, so it compares both sides
+on every support.
 
 The intersection theorem, C(sum alpha_i x_i) = intersection of the
 C(x_i) over i in supp g, follows: on a multidegree that meets supp g
@@ -85,7 +105,7 @@ on the right.  The two sides share only the tops table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import linalg
@@ -101,7 +121,6 @@ from .core import (
     act,
     bracket,
     cycle_generators,
-    homogeneous_components,
     mdeg,
 )
 from .errors import AlgebraError, CertificationError
@@ -119,19 +138,44 @@ def _check_linear(g: LieElement) -> Dict[int, int]:
 def _good_rows(algebra: Algebra, lin: Dict[int, int], letters: Sequence[int], columns: Sequence[BasisMonomial]) -> List[Tuple[int, ...]]:
     """Kernel rows of h -> [h, g], g = sum lin[i] x_i, over the basis
     ``columns`` of the support ``letters`` (in rank order) off supp g,
-    in closed form from the tops alone (see the module docstring)."""
-    mask = _support_mask(letters)
-    top = algebra.tops(mask)
+    in closed form: a component is good when every i in supp g has a
+    neighbour in it (see the module docstring)."""
+    top = algebra.tops(_support_mask(letters))
     good = set(top) - {-1}
     for i in lin:
-        joined = algebra.tops(mask | 1 << i)
-        good = {t for t in good if joined[t] == joined[i]}
+        good &= {top[v] for v in algebra.graph.adj[i]}
         if len(good) < 2:
             return []
     units = [tuple(int(k == j) for k in range(len(columns))) for j, m in enumerate(columns) if m.head[0] in good]
     if top[letters[0]] in good:
         return units
     return [tuple(a - b for a, b in zip(units[0], unit)) for unit in units[1:]]
+
+
+def _provably_empty(graph: Graph, lin: Dict[int, int], degree_bound: int) -> bool:
+    """Whether one of the three cuts of the module docstring shows that
+    no support off supp g holds two good components.  Distances are
+    symmetric, so one layered search from each N(j) but the first, until
+    it meets every earlier N(i), covers every pair."""
+    adj = graph.adj
+    free = frozenset(range(graph.n)).difference(lin)
+    m = len(free)
+    near = [adj[i] & free for i in lin]
+    if min(map(len, near)) < 2 or all(len(adj[v] & free) == m - 1 for v in free):
+        return True
+    span = 0
+    for k, sources in enumerate(near[1:]):
+        todo, seen, layer, depth = near[:k + 1], sources, sources, 0
+        while True:
+            todo = [t for t in todo if t.isdisjoint(layer)]
+            if not todo:
+                break
+            layer = free.intersection(chain.from_iterable(adj[v] for v in layer)) - seen
+            if not layer:
+                return True
+            seen, depth = seen | layer, depth + 1
+        span = max(span, depth)
+    return 2 * (1 + span) > min(degree_bound, m)
 
 
 def _kernel_rows(algebra: Algebra, forms: Sequence[Dict[int, int]], columns: Sequence[BasisMonomial]) -> List[Tuple[int, ...]]:
@@ -177,12 +221,15 @@ class CentralizerSlice:
 
 
 def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
-    """Exact basis of the derived centralizer up to a total degree: one
-    closed-form kernel per support off supp g, spread over its
-    multidegrees where it is nonzero (see the module docstring)."""
+    """Exact basis of the derived centralizer up to a total degree: none
+    when a cut rules out every support, else one closed-form kernel per
+    support off supp g, spread over its multidegrees where it is
+    nonzero (see the module docstring)."""
     if degree_bound < 2:
         raise AlgebraError("degree bound must be at least 2")
     algebra = g.algebra
+    if _provably_empty(algebra.graph, _check_linear(g), degree_bound):
+        return CentralizerSlice(g, degree_bound)
     rank = algebra.order.rank.__getitem__
     found = []
     for letters, columns in _strata(g, degree_bound):
@@ -243,8 +290,9 @@ def classify_cycle_centralizer(n: int, i: int, j: int, degree_bound: int) -> Cyc
 
     For non-adjacent i, j every slice element must be supported on all
     vertices except x_i and x_j and must be the action of an
-    associative polynomial on [x_{i-1}, x_{i+1}]; homogeneous parts of
-    slice elements must themselves centralize.
+    associative polynomial on [x_{i-1}, x_{i+1}]; every slice element
+    must lie on one multidegree (`derived_centralizer` has checked that
+    it commutes with g).
     """
     if n < 4:
         raise AlgebraError("cycle centralizer classification needs n >= 4")
@@ -262,22 +310,23 @@ def classify_cycle_centralizer(n: int, i: int, j: int, degree_bound: int) -> Cyc
         for m in h.derived:
             if frozenset(m.letters()) != expected_support:
                 support_ok = False
-        for delta, part in homogeneous_components(h):
-            if not bracket(part, g).is_zero():
-                homogeneous_ok = False
-                continue
-            counts[delta] = counts.get(delta, 0) + 1
-            # the unique completing monomial w with [x_{i-1},x_{i+1}].w
-            # of multidegree delta; proportionality decides the form
-            exps = list(delta)
-            exps[(i - 1) % n] -= 1
-            exps[(i + 1) % n] -= 1
-            if min(exps) < 0:
-                form_ok = False
-                continue
-            image = act(base, AssocPoly(n, {tuple(exps): 1}))
-            if not _proportional(part, image):
-                form_ok = False
+        deltas = {mdeg(m, n) for m in h.derived}
+        if len(deltas) != 1:
+            homogeneous_ok = False
+            continue
+        [delta] = deltas
+        counts[delta] = counts.get(delta, 0) + 1
+        # the unique completing monomial w with [x_{i-1},x_{i+1}].w of
+        # multidegree delta; proportionality decides the form
+        exps = list(delta)
+        exps[(i - 1) % n] -= 1
+        exps[(i + 1) % n] -= 1
+        if min(exps) < 0:
+            form_ok = False
+            continue
+        image = act(base, AssocPoly(n, {tuple(exps): 1}))
+        if not _proportional(h, image):
+            form_ok = False
     if kind == "adjacent":
         form_ok = support_ok = True
     return CycleCentralizerReport(

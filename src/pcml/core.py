@@ -29,13 +29,14 @@ and generator order, one object per equal pair, so two elements share a
 context exactly when their algebras are the same object.  The engine's
 two tables live in the algebra and die with it: the greatest vertex in
 its order of each component of each support (`Algebra.tops`, the one
-components cache) and its normal forms (`_monomial_nf`, cleared at
-`NF_CACHE_SIZE` entries).  Bases are built on demand from the tops.
+components cache) and its normal forms (`_monomial_nf`), each cleared
+at `NF_CACHE_SIZE` entries.  Bases are built on demand from the tops.
 No table refers back to an algebra, so an algebra is dropped with its
 last element; `is_basis_monomial` reads none of them.  The case
 analysis reads only the head pair, the tops of the support and its
 least letter; the centralizer layer writes its kernels from the tops
-alone, by a closed form proved from these cases (`pcml.centralizer`).
+and the neighbours of supp g, by a closed form proved from these cases
+(`pcml.centralizer`).
 
 Outside data is checked once, where it enters: the `LieElement`
 constructor checks generators and basis monomials, the parsers their
@@ -128,9 +129,12 @@ class Algebra:
         """Components induced on the vertex bitmask ``mask``, once per mask:
         per vertex the greatest vertex of its component in this order, -1
         outside ``mask``: one search started at the vertices in descending
-        order, so the first start met in each component is its top."""
+        order, so the first start met in each component is its top.  The
+        table is cleared at `NF_CACHE_SIZE` entries, as the normal forms are."""
         out = self._tops.get(mask)
         if out is None:
+            if len(self._tops) >= NF_CACHE_SIZE:
+                self._tops.clear()
             out = self._tops[mask] = self.graph.component_labels(mask, reversed(self.order.perm))
         return out
 
@@ -147,7 +151,8 @@ def _check_fits(graph: Graph, order: GeneratorOrder) -> None:
         raise AlgebraError(f"order on {order.n} generators does not fit a graph on {graph.n}")
 
 
-# normal forms one algebra keeps; far above the distinct entries of any workload
+# entries one algebra keeps in each of its tables, normal forms and tops;
+# far above the distinct entries of any workload
 NF_CACHE_SIZE = 1 << 16
 
 

@@ -531,8 +531,10 @@ def merge_scaling_components(g: LieElement, hom: PhiHom) -> List[ScalingComponen
 
 
 def lambda_zero(g: LieElement, hom: PhiHom) -> int:
-    """Least threshold such that phi_lambda(g) != 0 for every integer
-    scale at or above it."""
+    """One past the largest positive integer root of any scale polynomial
+    of g (1 when there is none): from this scale on no scaling component
+    of g vanishes, so phi_lambda(g) != 0.  It need not be the least such
+    scale, as phi_lambda(g) != 0 already when one component survives."""
     if g.is_zero():
         raise AlgebraError("the zero element has no nonvanishing threshold")
     roots = [r for _, coeffs in _scale_polynomials(g, hom) for r in positive_integer_roots(coeffs)]

@@ -91,7 +91,12 @@ def _word_mdeg(n: int, letters: Sequence[int]) -> Multidegree:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# ideal slices kept; above the distinct slices of one certification run
+# (7,744 in criterion 1), so a run evicts nothing
+SLICE_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _ideal_slice(graph: Graph, delta: Multidegree):
     """Canonical integer RREF of the relation ideal at one multidegree.
 

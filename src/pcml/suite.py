@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, List, Optional, Sequence
 
 from . import oracle
@@ -84,18 +84,6 @@ def _all_graphs(n: int):
     all_edges = list(combinations(range(n), 2))
     for mask in range(1 << len(all_edges)):
         yield Graph(n, [e for k, e in enumerate(all_edges) if mask >> k & 1])
-
-
-def _is_isomorphic_small(a: Graph, b: Graph) -> bool:
-    # brute force, test support only; fine for n <= 8
-    if a.n != b.n or len(a.edges) != len(b.edges):
-        return False
-    if sorted(len(a.adj[v]) for v in range(a.n)) != sorted(len(b.adj[v]) for v in range(b.n)):
-        return False
-    for perm in permutations(range(a.n)):
-        if all((perm[i], perm[j]) in b.edges or (perm[j], perm[i]) in b.edges for (i, j) in a.edges):
-            return True
-    return False
 
 
 def criterion_1(seed: int = 0) -> CriterionResult:
@@ -245,9 +233,7 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     the neighborhood-class invariants hold on random graphs."""
     rng = random.Random(seed)
     result = compaction(example_graph())
-    if result.graph.n != 5:
-        return CriterionResult(6, "compaction", False, f"example compacts to {result.graph.n} vertices")
-    if not _is_isomorphic_small(result.graph, spider_graph()):
+    if result.graph != spider_graph():
         return CriterionResult(6, "compaction", False, "example compaction is not the spider")
     for t in range(200):
         n = rng.randint(1, 8)

@@ -6,13 +6,15 @@ mask.  This module keeps the computation those shortcuts replace: the
 kernel of ad g on every block of every degree of `bases`, where a block
 groups the multidegrees of one degree linked by moves
 e_a - e_b with a, b in supp g, the pieces the constraint matrix of ad g
-splits into.  The tests compare the engine with it."""
+splits into.  The tests compare the engine with it.  It also keeps
+the rule the closed form first read goodness by: a component of S is
+good when it shares its top with i in S + {i}, for every i in supp g."""
 
 from itertools import combinations_with_replacement
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from pcml.centralizer import _kernel_rows
-from pcml.core import Algebra, BasisMonomial, LieElement, _basis, mdeg
+from pcml.core import Algebra, BasisMonomial, LieElement, _basis, _support_mask, mdeg
 
 
 def bases(algebra: Algebra, degree: int) -> Dict[Tuple[int, ...], Tuple[BasisMonomial, ...]]:
@@ -65,3 +67,21 @@ def kernel_blocks(g: LieElement, degree_bound: int) -> Iterator[Tuple[List[Basis
         for block in blocks(list(table), supp):
             columns = [m for delta in sorted(block) for m in table[delta]]
             yield columns, _kernel_rows(g.algebra, [g.linear], columns)
+
+
+def good_rows_by_joins(algebra: Algebra, lin: Dict[int, int], letters: Sequence[int], columns: Sequence[BasisMonomial]) -> List[Tuple[int, ...]]:
+    """The rows of `centralizer._good_rows`, a component C of S counted
+    good when C and i share their top in S + {i} for every i in supp g:
+    one component search of S + {i} per i."""
+    mask = _support_mask(letters)
+    top = algebra.tops(mask)
+    good = set(top) - {-1}
+    for i in lin:
+        joined = algebra.tops(mask | 1 << i)
+        good = {t for t in good if joined[t] == joined[i]}
+    if len(good) < 2:
+        return []
+    units = [tuple(int(k == j) for k in range(len(columns))) for j, m in enumerate(columns) if m.head[0] in good]
+    if top[letters[0]] in good:
+        return units
+    return [tuple(a - b for a, b in zip(units[0], unit)) for unit in units[1:]]

@@ -23,9 +23,9 @@ from pcml.core import (
     word_element,
 )
 from pcml.errors import AlgebraError, CertificationError
-from pcml.graphs import cycle_graph
+from pcml.graphs import Graph, cycle_graph
 from pcml.sampling import random_graph
-from reference import kernel_blocks
+from reference import good_rows_by_joins, kernel_blocks
 
 
 def linear(graph, order, coeffs):
@@ -258,8 +258,9 @@ def test_intersection_check_eliminates_once_per_support(monkeypatch):
 
 
 def test_centralizer_solves_once_per_support(monkeypatch):
-    # one `_basis` and no elimination per support of 2..min(d, m)
-    # letters off supp g, m = n - |supp g|; beyond that one `_basis` per
+    # no `_basis` at all when a cut rules out every support; else one
+    # `_basis` and no elimination per support of 2..min(d, m) letters off
+    # supp g, m = n - |supp g|, and beyond that one `_basis` per
     # multidegree of the slice, each of which returns an element
     basis, kernel_rows = centralizer._basis, centralizer._kernel_rows
     bases, eliminations = [], []
@@ -283,7 +284,7 @@ def test_centralizer_solves_once_per_support(monkeypatch):
         rng.shuffle(perm)
         supp = rng.sample(range(n), rng.randint(1, 2))
         cases.append((random_graph(rng, n, rng.uniform(0.3, 0.8)), GeneratorOrder(perm), {i: rng.choice([-2, -1, 1, 2]) for i in supp}, rng.randint(2, 7)))
-    empty = nonempty = 0
+    cut = walked_empty = nonempty = 0
     for graph, order, lin, bound in cases:
         bases.clear()
         eliminations.clear()
@@ -292,10 +293,15 @@ def test_centralizer_solves_once_per_support(monkeypatch):
         supports = sum(comb(m, s) for s in range(2, min(bound, m) + 1))
         assert len(eliminations) == 0
         multidegrees = {mdeg(next(iter(h.derived)), graph.n) for h in slice_.elements}
-        assert len(bases) == supports + len(multidegrees)
-        empty += slice_.is_empty() and supports > 0
+        assert len(bases) <= supports + len(multidegrees)
+        if centralizer._provably_empty(graph, lin, bound):
+            assert slice_.is_empty() and len(bases) == 0
+            cut += supports > 0
+        else:
+            assert len(bases) == supports + len(multidegrees)
+            walked_empty += slice_.is_empty() and supports > 0
         nonempty += not slice_.is_empty()
-    assert empty > 10 and nonempty > 10, (empty, nonempty)
+    assert cut > 10 and walked_empty > 5 and nonempty > 10, (cut, walked_empty, nonempty)
 
 
 def test_centralizer_rejects_a_kernel_vector_that_does_not_commute(monkeypatch):
@@ -350,6 +356,46 @@ def test_closed_form_matches_the_elimination():
             supports += 1
             nonempty += bool(rows)
     assert supports >= 5000 and nonempty > 1000, (supports, nonempty)
+
+
+def test_good_components_by_adjacency_match_the_joins():
+    # a component of S is adjacent to i exactly when i joins it in
+    # S + {i}, so reading goodness off the neighbours of supp g gives
+    # the rows the component searches of each S + {i} gave
+    rng = random.Random(83)
+    supports = nonempty = 0
+    for _ in range(300):
+        g = _random_case(rng, 8)
+        for letters, columns in centralizer._strata(g, 8):
+            rows = centralizer._good_rows(g.algebra, g.linear, letters, columns)
+            assert rows == good_rows_by_joins(g.algebra, g.linear, letters, columns)
+            supports += 1
+            nonempty += bool(rows)
+    assert supports >= 2000 and nonempty > 400, (supports, nonempty)
+
+
+def test_cuts_fire_only_where_no_block_has_a_kernel():
+    # whenever `_provably_empty` holds, the kernel of ad g is 0 on every
+    # block of every degree up to the bound; random cases mostly meet
+    # the first two cuts, so the third gets its own: on C_8 the arcs
+    # between x0 and x4 hold 3 letters each and fit only from d = 6 on,
+    # and on two disjoint stars no connected set meets both N(0), N(3)
+    stars = Graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
+    c8, o8 = cycle_graph(8), GeneratorOrder([5, 2, 7, 0, 3, 6, 1, 4])
+    third = [(linear(c8, o8, {0: 1, 4: -1}), 5), (linear(stars, GeneratorOrder.ascending(6), {0: 1, 3: 2}), 6)]
+    assert not centralizer._provably_empty(c8, {0: 1, 4: -1}, 6)
+    assert not derived_centralizer(linear(c8, o8, {0: 1, 4: -1}), 6).is_empty()
+    rng = random.Random(89)
+    fired = spared = 0
+    for k in range(300):
+        g, bound = third[k] if k < len(third) else (_random_case(rng, 7), rng.randint(2, 6))
+        if centralizer._provably_empty(g.graph, g.linear, bound):
+            assert not any(rows for _, rows in kernel_blocks(g, bound))
+            fired += 1
+        else:
+            assert k >= len(third)
+            spared += not derived_centralizer(g, bound).is_empty()
+    assert fired > 100 and spared > 20, (fired, spared)
 
 
 def test_centralizer_count_is_the_closed_form_count():

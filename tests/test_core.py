@@ -252,6 +252,19 @@ def test_normal_form_cache_is_bounded(monkeypatch):
     assert after.currsize == sum(len(a._nf) for a in list(core._ALGEBRAS.values()))
 
 
+def test_tops_table_is_bounded(monkeypatch):
+    # each algebra's tops table is cleared at NF_CACHE_SIZE entries too,
+    # and a mask searched again after a clear gets the same tops
+    monkeypatch.setattr(core, "NF_CACHE_SIZE", 5)
+    algebra = Algebra.of(cycle_graph(6), GeneratorOrder([3, 0, 5, 1, 4, 2]))
+    first = {}
+    for mask in range(1, 1 << 6):
+        first[mask] = algebra.tops(mask)
+        assert len(algebra._tops) <= 5
+    assert all(algebra.tops(mask) == tops for mask, tops in first.items())
+    assert len(algebra._tops) <= 5
+
+
 def test_normal_form_idempotent():
     rng = random.Random(17)
     for _ in range(40):

@@ -23,6 +23,7 @@ from pcml.equivalence import (
     eval_theta,
     gamma_closure,
     lambda_zero,
+    merge_order,
     merge_relabeling,
     merge_scaling_components,
     phi_lambda,
@@ -33,6 +34,7 @@ from pcml.equivalence import (
 from pcml.errors import AlgebraError, CertificationError, GraphError
 from pcml.graphs import Graph, circ_dist, cycle_graph
 from pcml.sampling import random_element, random_graph, random_graph_with_merged_pair, random_word
+from pcml.textio import parse_element
 
 # four vertices, 2 and 3 neighborhood-equivalent, 0 isolated
 MERGE4 = Graph(4, [(2, 3), (1, 2), (1, 3)])
@@ -413,6 +415,18 @@ def test_lambda_zero_linear_parts():
     assert not phi_lambda(build_phi_hom(MERGE4, 4), g).is_zero()
     h = LieElement.from_linear(MERGE4, so, {0: 5, 3: 1})
     assert lambda_zero(h, hom) == 1
+
+
+def test_lambda_zero_is_not_the_least_nonvanishing_scale():
+    # x1 survives every scale, so phi_lambda(g) != 0 for all lambda >= 1;
+    # the scale polynomial 5 - lambda of [x0,x2] and [x0,x3] vanishes at
+    # 5, and lambda_zero is one past that root
+    graph = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+    g = parse_element("x1 + 5*[x0,x2] - [x0,x3]", graph, merge_order(4))
+    assert lambda_zero(g, build_phi_hom(graph, 1)) == 6
+    images = [phi_lambda(build_phi_hom(graph, lam), g) for lam in range(1, 8)]
+    assert not any(image.is_zero() for image in images)
+    assert not images[4].derived and images[5].derived
 
 
 def test_lambda_zero_threshold_property():

@@ -15,7 +15,7 @@ from pcml.graphs import (
     path_graph,
     perp_classes,
 )
-from pcml.suite import example_graph, spider_graph, _is_isomorphic_small
+from pcml.suite import example_graph, spider_graph
 from pcml.textio import graph_from_json, parse_graph_spec
 
 
@@ -91,7 +91,7 @@ def test_compaction_examples():
     res = compaction(example_graph())
     assert res.graph.n == 5
     assert res.kept == (0, 1, 4, 5, 6)
-    assert _is_isomorphic_small(res.graph, spider_graph())
+    assert res.graph == spider_graph()
     c4 = compaction(cycle_graph(4))
     assert c4.graph == cycle_graph(4)
 

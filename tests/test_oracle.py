@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from pcml import oracle
+from pcml import oracle, suite
 from pcml.core import GeneratorOrder, basis_monomials_of_multidegree, multidegrees
 from pcml.errors import AlgebraError
 from pcml.graphs import Graph, cycle_graph
@@ -93,3 +93,13 @@ def test_engine_agrees_with_oracle_sample():
 def test_expand_word_rejects_short_words():
     with pytest.raises(AlgebraError):
         oracle.expand_word((0,))
+
+
+def test_ideal_slice_cache_is_bounded():
+    # a fixed bound above the distinct slices of one certification run:
+    # criterion 1 reads 7,744 slices and evicts none of them
+    oracle._ideal_slice.cache_clear()
+    assert suite.criterion_1().ok
+    info = oracle._ideal_slice.cache_info()
+    assert info.maxsize == oracle.SLICE_CACHE_SIZE
+    assert info.misses == info.currsize == 7744 < info.maxsize
