@@ -74,7 +74,7 @@ def _certify(report: Report, graph, delta, order) -> bool:
     """Certify one multidegree's basis and add its line; True if it holds."""
     cert = oracle.certify_basis(graph, delta, order)
     vec = ",".join(str(d) for d in delta)
-    status = "OK" if cert.ok else "FAIL"
+    status = "OK" if cert.ok else f"FAIL {cert.witness}"
     report.add_raw(f"delta={vec} count={cert.count} dim={cert.dim} {status}")
     return cert.ok
 

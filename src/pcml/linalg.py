@@ -7,7 +7,9 @@ its entries, so entries stay small.  Every echelon row is kept
 primitive (its entries have gcd 1) with a positive pivot, which makes
 the reduced echelon form of a row space canonical.  Sizes here are
 desk scale (a few hundred rows at most), so plain Gauss-Jordan
-elimination is enough.
+elimination is enough.  `residue` reduces a vector modulo an echelon
+form computed once, so later vectors are checked against it without a
+new elimination.
 """
 
 from __future__ import annotations
@@ -68,13 +70,21 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(rref(rows)[0])
 
 
-def in_rowspan(rref_rows: Sequence[Sequence[int]], pivots: Sequence[int], vector: Sequence[int]) -> bool:
-    """Membership test against a precomputed reduced echelon form."""
+def residue(rref_rows: Sequence[Sequence[int]], pivots: Sequence[int], vector: Sequence[int]) -> List[int]:
+    """vector reduced modulo a precomputed reduced echelon form: a
+    nonzero multiple of vector minus a combination of the rows, 0 at
+    every pivot column.  It is 0 exactly when vector lies in their span,
+    and rank([R; C]) = rank R + rank of the residues of the rows of C."""
     v = list(vector)
     for row, c in zip(rref_rows, pivots):
         if v[c]:
             v = _primitive(_eliminate(v, row, c))
-    return not any(v)
+    return v
+
+
+def in_rowspan(rref_rows: Sequence[Sequence[int]], pivots: Sequence[int], vector: Sequence[int]) -> bool:
+    """Membership test against a precomputed reduced echelon form."""
+    return not any(residue(rref_rows, pivots, vector))
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...]]:

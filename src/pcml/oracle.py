@@ -6,7 +6,10 @@ metabelian algebra on n generators, where the classical straightening
 a standard monomial basis of each multidegree.  The relation ideal of a
 graph is spanned, degree by degree, by every edge bracket acted on by
 the one completing associative monomial, so dimensions and membership
-questions reduce to exact integer rank computations.
+questions reduce to exact integer rank computations.  Each slice is
+eliminated once and cached; a basis claim is then checked by reducing
+the expansions of the claimed monomials modulo the cached echelon rows,
+and membership by reducing one vector.
 """
 
 from __future__ import annotations
@@ -64,22 +67,32 @@ def expand_word(letters: Sequence[int]) -> Dict[FreeMonomial, int]:
     return _free_expand(a, b, tuple(sorted(letters[2:])))
 
 
-def free_standard_monomials(delta: Multidegree) -> List[FreeMonomial]:
-    """Standard monomials of one multidegree, sorted."""
-    if sum(delta) < 2:
-        return []
-    supp = [i for i, d in enumerate(delta) if d]
-    if len(supp) < 2:
-        return []
-    mu = supp[0]
-    out = []
-    for first in supp[1:]:
-        tail: List[int] = []
-        for i, d in enumerate(delta):
-            copies = d - (i == first) - (i == mu)
-            tail.extend([i] * copies)
-        out.append(((first, mu), tuple(tail)))
-    return sorted(out)
+def _letters(delta: Multidegree) -> List[int]:
+    """The letters of a multidegree, ascending."""
+    return [v for v, d in enumerate(delta) for _ in range(d)]
+
+
+def _without(letters: Sequence[int], a: int, b: int) -> Tuple[int, ...]:
+    """The letters less one a and one b, in their given order."""
+    out = list(letters)
+    out.remove(a)
+    out.remove(b)
+    return tuple(out)
+
+
+def _coordinates(index: Dict[FreeMonomial, int], combo: Dict[FreeMonomial, int]) -> List[int]:
+    """A combination of standard monomials as a row over a slice's basis."""
+    row = [0] * len(index)
+    for m, c in combo.items():
+        row[index[m]] = c
+    return row
+
+
+def free_standard_monomials(letters: Sequence[int]) -> Tuple[FreeMonomial, ...]:
+    """Standard monomials of the multidegree whose letters, ascending,
+    are given; sorted, since the first head letter ascends."""
+    supp = sorted(set(letters))
+    return tuple(((first, supp[0]), _without(letters, first, supp[0])) for first in supp[1:])
 
 
 def _word_mdeg(n: int, letters: Sequence[int]) -> Multidegree:
@@ -104,21 +117,14 @@ def _ideal_slice(graph: Graph, delta: Multidegree):
     {i,j} and the single associative monomial w completing delta; that
     enumeration is exact, not sampled.
     """
-    basis = free_standard_monomials(delta)
+    letters = _letters(delta)
+    basis = free_standard_monomials(letters)
     index = {m: k for k, m in enumerate(basis)}
     rows = []
-    for i, j in sorted(graph.edges):
+    for i, j in graph.edges:
         if delta[i] < 1 or delta[j] < 1:
             continue
-        tail: List[int] = []
-        for v, d in enumerate(delta):
-            copies = d - (v == i) - (v == j)
-            tail.extend([v] * copies)
-        expansion = _free_expand(j, i, tuple(tail))
-        row = [0] * len(basis)
-        for m, c in expansion.items():
-            row[index[m]] = c
-        rows.append(row)
+        rows.append(_coordinates(index, _free_expand(j, i, _without(letters, i, j))))
     red, pivots = linalg.rref(rows)
     return basis, index, [tuple(row) for row in red], pivots
 
@@ -154,11 +160,8 @@ def ideal_member(raw: Sequence[RawMonomial], graph: Graph) -> bool:
     for delta, combo in by_delta.items():
         if not combo:
             continue
-        basis, index, red, pivots = _ideal_slice(graph, delta)
-        vector = [0] * len(basis)
-        for m, c in combo.items():
-            vector[index[m]] = c
-        if not linalg.in_rowspan(red, pivots, vector):
+        _, index, red, pivots = _ideal_slice(graph, delta)
+        if not linalg.in_rowspan(red, pivots, _coordinates(index, combo)):
             return False
     return True
 
@@ -168,7 +171,6 @@ class CertifyReport(NamedTuple):
     delta: Multidegree
     count: int
     dim: int
-    independent: bool
     witness: Optional[str]
 
 
@@ -177,38 +179,29 @@ def certify_basis(graph: Graph, delta: Multidegree, order: GeneratorOrder) -> Ce
 
     Candidate monomials are enumerated by brute force over head pairs
     and filtered through the literal four conditions, then compared in
-    number with the oracle dimension and checked to be independent
-    modulo the ideal slice.  The multidegree is checked first, by
-    `graded_dimension`.
+    number with the oracle dimension.  Independence modulo the ideal
+    slice is checked by reducing each candidate's expansion modulo the
+    slice's cached echelon rows: the candidates are independent modulo
+    the ideal exactly when those residues have full rank.  The
+    multidegree is checked first, by `graded_dimension`.
     """
     _check_fits(graph, order)
     dim = graded_dimension(graph, delta)
     total = sum(delta)
     if total < 2:
         count = 1 if total == 1 else 0
-        return CertifyReport(count == dim, delta, count, dim, True, None)
-    supp = sorted(i for i, d in enumerate(delta) if d)
-    candidates = []
-    for a in supp:
-        for b in supp:
-            if a == b:
-                continue
-            tail = []
-            for i, d in enumerate(delta):
-                tail.extend([i] * (d - (i == a) - (i == b)))
-            tail = tuple(sorted(tail, key=order.rank.__getitem__))
-            if is_basis_monomial((a, b), tail, graph, order):
-                candidates.append(((a, b), tail))
-    count = len(candidates)
+        return CertifyReport(count == dim, delta, count, dim, None)
+    ascending = _letters(delta)
+    ranked = [v for v in order.perm for _ in range(delta[v])]
+    supp = sorted(set(ascending))
+    heads = [(a, b) for a in supp for b in supp
+             if a != b and is_basis_monomial((a, b), _without(ranked, a, b), graph, order)]
+    count = len(heads)
     if count != dim:
-        return CertifyReport(False, delta, count, dim, False, "count != dim")
-    basis, index, red, _ = _ideal_slice(graph, delta)
-    stacked = [list(row) for row in red]
-    for head, tail in candidates:
-        row = [0] * len(basis)
-        for m, c in _free_expand(head[0], head[1], tuple(sorted(tail))).items():
-            row[index[m]] = c
-        stacked.append(row)
-    independent = linalg.rank(stacked) == len(red) + count
-    witness = None if independent else "dependent modulo the relation ideal"
-    return CertifyReport(independent, delta, count, dim, independent, witness)
+        return CertifyReport(False, delta, count, dim, "count != dim")
+    _, index, red, pivots = _ideal_slice(graph, delta)
+    residues = [linalg.residue(red, pivots, _coordinates(index, _free_expand(a, b, _without(ascending, a, b))))
+                for a, b in heads]
+    if linalg.rank(residues) == count:
+        return CertifyReport(True, delta, count, dim, None)
+    return CertifyReport(False, delta, count, dim, "dependent modulo the relation ideal")

@@ -102,7 +102,7 @@ def criterion_1(seed: int = 0) -> CriterionResult:
                     return CriterionResult(
                         1, "oracle-certification", False,
                         f"graph={graph.edge_list()} delta={delta} "
-                        f"count={report.count} dim={report.dim}",
+                        f"count={report.count} dim={report.dim}: {report.witness}",
                     )
     checks = 0
     for graph in graphs:

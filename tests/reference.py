@@ -8,13 +8,20 @@ groups the multidegrees of one degree linked by moves
 e_a - e_b with a, b in supp g, the pieces the constraint matrix of ad g
 splits into.  The tests compare the engine with it.  It also keeps
 the rule the closed form first read goodness by: a component of S is
-good when it shares its top with i in S + {i}, for every i in supp g."""
+good when it shares its top with i in S + {i}, for every i in supp g.
+For the oracle it keeps the first independence check of a basis claim:
+one elimination of the ideal slice's rows stacked with the candidates'
+expansions, where the oracle now reduces the candidates modulo the
+cached slice."""
 
 from itertools import combinations_with_replacement
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from pcml import linalg
 from pcml.centralizer import _kernel_rows
-from pcml.core import Algebra, BasisMonomial, LieElement, _basis, _support_mask, mdeg
+from pcml.core import Algebra, BasisMonomial, GeneratorOrder, LieElement, _basis, _support_mask, is_basis_monomial, mdeg
+from pcml.graphs import Graph
+from pcml.oracle import CertifyReport, _free_expand, _ideal_slice, graded_dimension
 
 
 def bases(algebra: Algebra, degree: int) -> Dict[Tuple[int, ...], Tuple[BasisMonomial, ...]]:
@@ -85,3 +92,38 @@ def good_rows_by_joins(algebra: Algebra, lin: Dict[int, int], letters: Sequence[
     if top[letters[0]] in good:
         return units
     return [tuple(a - b for a, b in zip(units[0], unit)) for unit in units[1:]]
+
+
+def certify_basis_by_stacked_rank(graph: Graph, delta: Tuple[int, ...], order: GeneratorOrder) -> CertifyReport:
+    """`oracle.certify_basis` with independence read off the rank of the
+    slice's echelon rows stacked with the candidates' expansions."""
+    dim = graded_dimension(graph, delta)
+    total = sum(delta)
+    if total < 2:
+        count = 1 if total == 1 else 0
+        return CertifyReport(count == dim, delta, count, dim, None)
+    supp = sorted(i for i, d in enumerate(delta) if d)
+    candidates = []
+    for a in supp:
+        for b in supp:
+            if a == b:
+                continue
+            tail = []
+            for i, d in enumerate(delta):
+                tail.extend([i] * (d - (i == a) - (i == b)))
+            tail = tuple(sorted(tail, key=order.rank.__getitem__))
+            if is_basis_monomial((a, b), tail, graph, order):
+                candidates.append(((a, b), tail))
+    count = len(candidates)
+    if count != dim:
+        return CertifyReport(False, delta, count, dim, "count != dim")
+    basis, index, red, _ = _ideal_slice(graph, delta)
+    stacked = [list(row) for row in red]
+    for head, tail in candidates:
+        row = [0] * len(basis)
+        for m, c in _free_expand(head[0], head[1], tuple(sorted(tail))).items():
+            row[index[m]] = c
+        stacked.append(row)
+    independent = linalg.rank(stacked) == len(red) + count
+    witness = None if independent else "dependent modulo the relation ideal"
+    return CertifyReport(independent, delta, count, dim, witness)

@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pcml
-from pcml import equivalence
+from pcml import equivalence, oracle
 from pcml.cli import run
 from pcml.core import LieElement
 from pcml.suite import EXAMPLE_GRAPH_EDGES
@@ -58,6 +58,17 @@ def test_dim_line_format(capsys):
     status, lines = invoke(capsys, "dim", "--graph", "cycle:5", "--mdeg", "0,1,0,1,1")
     assert status == 0
     assert lines[-1] == "delta=0,1,0,1,1 count=1 dim=1 OK"
+
+
+def test_fail_lines_say_why(capsys, monkeypatch):
+    # x0, x2, x4 are pairwise apart in C6, so the slice has dimension 2
+    monkeypatch.setattr(oracle, "is_basis_monomial", lambda head, tail, graph, order: head in ((2, 0), (0, 2)))
+    status, lines = invoke(capsys, "dim", "--graph", "cycle:6", "--mdeg", "1,0,1,0,1,0")
+    assert status == 1
+    assert lines[-1] == "delta=1,0,1,0,1,0 count=2 dim=2 FAIL dependent modulo the relation ideal"
+    status, lines = invoke(capsys, "dim", "--graph", "cycle:6", "--mdeg", "1,0,1,0,0,0")
+    assert status == 1
+    assert lines[-1] == "delta=1,0,1,0,0,0 count=2 dim=1 FAIL count != dim"
 
 
 def test_certify_sweep(capsys):

@@ -112,6 +112,21 @@ def test_in_rowspan(seed):
         assert linalg.in_rowspan(red, pivots, vec) == expected
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_residues_add_their_rank_to_the_echelon_rows(seed):
+    rng = random.Random(seed)
+    nrows, ncols = shape(rng)
+    rows = random_matrix(rng, nrows, ncols)
+    red, pivots = linalg.rref(rows)
+    more = random_matrix(rng, rng.randint(0, 6), ncols)
+    more += [combination(rng, rows, ncols) for _ in range(rng.randint(0, 2))]
+    residues = [linalg.residue(red, pivots, vec) for vec in more]
+    for vec, res in zip(more, residues):
+        assert all(res[c] == 0 for c in pivots)
+        assert sympy_rank(rows + [vec], ncols) == sympy_rank(rows + [res], ncols)
+    assert len(red) + linalg.rank(residues) == sympy_rank(rows + more, ncols)
+
+
 def test_no_rows():
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0

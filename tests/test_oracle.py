@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,8 @@ from pcml import oracle, suite
 from pcml.core import GeneratorOrder, basis_monomials_of_multidegree, multidegrees
 from pcml.errors import AlgebraError
 from pcml.graphs import Graph, cycle_graph
-from pcml.sampling import random_homogeneous_raw, raw_to_element
+from pcml.sampling import random_graph, random_homogeneous_raw, raw_to_element
+import reference
 
 
 def test_graded_dimension_examples():
@@ -60,6 +62,57 @@ def test_certify_examples():
     assert rep.ok and rep.count == 1 and rep.dim == 1
     rep = oracle.certify_basis(cycle_graph(5), (0, 1, 0, 1, 1), GeneratorOrder.ascending(5))
     assert rep.ok and rep.count == 1
+
+
+def only_heads(*heads):
+    """A stand-in for the literal basis check that accepts these heads."""
+    return lambda head, tail, graph, order: head in heads
+
+
+def test_certify_reports_a_dependent_basis_claim(monkeypatch):
+    # [x0,x1].x2 = -[x1,x0].x2: two candidates, as many as the dimension,
+    # spanning one line modulo the (zero) ideal
+    monkeypatch.setattr(oracle, "is_basis_monomial", only_heads((1, 0), (0, 1)))
+    rep = oracle.certify_basis(Graph(3, []), (1, 1, 1), GeneratorOrder.ascending(3))
+    assert rep == oracle.CertifyReport(False, (1, 1, 1), 2, 2, "dependent modulo the relation ideal")
+
+
+def test_certify_reports_a_wrong_count(monkeypatch):
+    monkeypatch.setattr(oracle, "is_basis_monomial", only_heads((2, 0)))
+    rep = oracle.certify_basis(Graph(3, []), (1, 1, 1), GeneratorOrder.ascending(3))
+    assert rep == oracle.CertifyReport(False, (1, 1, 1), 1, 2, "count != dim")
+
+
+def test_criterion_1_failure_says_why(monkeypatch):
+    monkeypatch.setattr(oracle, "is_basis_monomial", only_heads())
+    result = suite.criterion_1()
+    assert not result.ok
+    assert result.detail.endswith("count=0 dim=1: count != dim")
+
+
+def test_certify_matches_the_stacked_rank_check(monkeypatch):
+    # under the literal basis check, and again with as many heads as the
+    # dimension accepted at random, so the claims are dependent or not
+    rng = random.Random(71)
+    outcomes = Counter()
+    for n in range(2, 7):
+        for _ in range(2):
+            graph = random_graph(rng, n)
+            order = GeneratorOrder(rng.sample(range(n), n))
+            for degree in range(6):
+                for delta in multidegrees(n, degree):
+                    rep = oracle.certify_basis(graph, delta, order)
+                    assert rep.ok and rep == reference.certify_basis_by_stacked_rank(graph, delta, order)
+                    supp = [i for i, d in enumerate(delta) if d]
+                    pairs = [(a, b) for a in supp for b in supp if a != b]
+                    heads = rng.sample(pairs, rep.dim) if degree >= 2 else []
+                    with monkeypatch.context() as patch:
+                        for module in (oracle, reference):
+                            patch.setattr(module, "is_basis_monomial", only_heads(*heads))
+                        rep = oracle.certify_basis(graph, delta, order)
+                        assert rep == reference.certify_basis_by_stacked_rank(graph, delta, order)
+                    outcomes[rep.witness] += 1
+    assert outcomes[None] > 300 and outcomes["dependent modulo the relation ideal"] > 50, outcomes
 
 
 def test_dimension_monotone_in_edges():

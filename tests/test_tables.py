@@ -125,6 +125,20 @@ def test_the_oracle_certifies_bases_without_the_engine_components(monkeypatch):
 
 
 @SETTINGS
+@given(algebras(), st.data())
+def test_oracle_dimension_is_the_basis_count_and_components_less_one(algebra, data):
+    # a slice of degree >= 2 has one dimension less than the graph on its
+    # support has components, counted here by the plain search
+    graph, order = algebra
+    delta = tuple(data.draw(st.lists(st.integers(0, 3), min_size=graph.n, max_size=graph.n)))
+    hypothesis.assume(sum(delta) >= 2)
+    dim = graded_dimension(graph, delta)
+    assert dim == len(basis_monomials_of_multidegree(graph, order, delta))
+    support = [v for v, d in enumerate(delta) if d]
+    assert dim == max(0, len(plain_components(graph, support)) - 1)
+
+
+@SETTINGS
 @given(algebras())
 def test_basis_table_matches_enumeration_and_the_oracle(algebra):
     graph, order = algebra
