@@ -33,13 +33,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import attrgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Algebra,
     BasisMonomial,
     GeneratorOrder,
     LieElement,
+    _accumulate,
     _substituted,
     basis_monomial_with_start,
     bracket,
@@ -480,14 +481,29 @@ class ScalingComponent(NamedTuple):
     base: Optional[BasisMonomial]
 
 
-def _scale_polynomials(g: LieElement, hom: PhiHom) -> List[Tuple[Tuple, Tuple[int, ...]]]:
+def _glued_key(m: BasisMonomial, n: int) -> Tuple[Tuple[Tuple[int, ...], int], int]:
+    """The glued multidegree and first letter of a monomial over n
+    vertices, with its number of x_{n-1}."""
+    last, kept = n - 1, n - 2
+    glued = [0] * (n - 1)
+    power = 0
+    for v in m.letters():
+        if v == last:
+            power += 1
+            glued[kept] += 1
+        else:
+            glued[v] += 1
+    return (tuple(glued), m.head[0]), power
+
+
+def _scale_polynomials(g: LieElement, hom: PhiHom, glue: Callable = _glued_key) -> List[Tuple[Tuple, Tuple[int, ...]]]:
     """(label, coeffs) of every scaling component of g, in the order of
     `merge_scaling_components`, from one pass over g's terms.
 
     A derived term is keyed by its glued multidegree and first letter,
     which `glued_decomposition` groups by; within one key the number of
     x_{n-1} fixes the multidegree and so the term, and is its power of
-    lambda.
+    lambda.  ``glue`` is `_glued_key`, or a memoised copy of it.
     """
     if g.algebra is not hom.source:
         raise AlgebraError("element is not over the homomorphism's source algebra")
@@ -501,18 +517,10 @@ def _scale_polynomials(g: LieElement, hom: PhiHom) -> List[Tuple[Tuple, Tuple[in
         out.append((("linear-pair",), pair))
     polys: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
     for m, c in g.derived.items():
-        glued = [0] * (n - 1)
-        power = 0
-        for v in m.letters():
-            if v == last:
-                power += 1
-                glued[kept] += 1
-            else:
-                glued[v] += 1
-        key = (tuple(glued), m.head[0])
+        key, power = glue(m, n)
         coeffs = polys.get(key)
         if coeffs is None:
-            coeffs = polys[key] = [0] * (glued[kept] + 1)
+            coeffs = polys[key] = [0] * (key[0][kept] + 1)
         coeffs[power] = c
     out.extend((("glued",) + key, tuple(coeffs)) for key, coeffs in sorted(polys.items()))
     return out
@@ -537,8 +545,13 @@ def lambda_zero(g: LieElement, hom: PhiHom) -> int:
     scale, as phi_lambda(g) != 0 already when one component survives."""
     if g.is_zero():
         raise AlgebraError("the zero element has no nonvanishing threshold")
-    roots = [r for _, coeffs in _scale_polynomials(g, hom) for r in positive_integer_roots(coeffs)]
-    return max(roots, default=0) + 1
+    return _threshold(coeffs for _, coeffs in _scale_polynomials(g, hom))
+
+
+def _threshold(polys: Iterable[Sequence[int]]) -> int:
+    """One past the largest positive integer root of the polynomials,
+    1 when none has one."""
+    return 1 + max((r for coeffs in polys for r in positive_integer_roots(coeffs)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +612,31 @@ class CompactionWitnessReport:
     ok: bool = True
 
 
+def _images(hom: PhiHom, elements: Sequence[LieElement]) -> Iterator[LieElement]:
+    """phi_lambda(hom, g) for each g of elements, in order, substituting
+    each distinct generator and monomial of the elements once.
+
+    `_substituted` maps an element term by term, so the image of g is
+    the sum of c * phi_lambda(key) over the terms c * key of g, where a
+    key is a generator or a basis monomial; the per-key images are kept
+    only for the call.
+    """
+    table: Dict[object, Tuple] = {}  # key -> terms of its image
+    for g in elements:
+        linear: Dict[int, int] = {}
+        derived: Dict[BasisMonomial, int] = {}
+        for part, (terms, acc) in enumerate(((g.linear, linear), (g.derived, derived))):
+            for key, c in terms.items():
+                image = table.get(key)
+                if image is None:
+                    unit = ({}, {})
+                    unit[part][key] = 1
+                    found = _substituted(LieElement._trusted(hom.source, *unit), hom.images, hom.target)
+                    image = table[key] = tuple((found.linear, found.derived)[part].items())
+                _accumulate(acc, image, c)
+        yield LieElement._trusted(hom.target, linear, derived)
+
+
 def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: GeneratorOrder = None) -> CompactionWitnessReport:
     """Produce and verify a scale for which the merge homomorphism is
     injective on the closure of a finite set.
@@ -609,6 +647,21 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     gamma must lie over ``graph`` but may be given over any order on it;
     they are relabeled and reordered internally.  ``order`` is not read
     and stays only because callers pass it positionally.
+
+    The scale is one past the largest positive integer root over the
+    set of scale polynomials of the nonzero closure elements, each
+    distinct polynomial solved once; it is the largest `lambda_zero` of
+    those elements.  Three checks then run, each raising
+    `CertificationError` when it fails:
+
+    - kill: phi_lambda sends no nonzero closure element to 0.  The
+      images come from `_images`, which substitutes each distinct
+      generator and monomial of the closure once and sums c * image
+      over each element's terms; the substitution is linear term by
+      term, so each sum is phi_lambda of its element;
+    - distinct: distinct elements of gamma have distinct images;
+    - faithful: phi_lambda([a, b]) = [phi_lambda(a), phi_lambda(b)] for
+      all a, b in gamma.
     """
     if any(g.graph.n != graph.n or g.algebra is not Algebra.of(graph, g.order) for g in gamma):
         raise AlgebraError("an element of gamma is not over the witness graph")
@@ -623,9 +676,10 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     moved = [substitute(g, images, new_graph, hom1.source_order) for g in gamma]
     closure = gamma_closure(moved)
     nonzero = [g for g in closure if not g.is_zero()]
-    lam = max([1] + [lambda_zero(g, hom1) for g in nonzero])
+    glue = lru_cache(maxsize=None)(_glued_key)
+    lam = _threshold({coeffs for g in nonzero for _, coeffs in _scale_polynomials(g, hom1, glue)})
     hom = build_phi_hom(new_graph, lam)
-    if any(phi_lambda(hom, g).is_zero() for g in nonzero):
+    if any(image.is_zero() for image in _images(hom, nonzero)):
         raise CertificationError(f"phi with scale {lam} kills a nonzero closure element")
     pairs = list(zip(moved, [phi_lambda(hom, g) for g in moved]))
     distinct = all(a == b or pa != pb for (a, pa), (b, pb) in combinations(pairs, 2))

@@ -12,15 +12,19 @@ good when it shares its top with i in S + {i}, for every i in supp g.
 For the oracle it keeps the first independence check of a basis claim:
 one elimination of the ideal slice's rows stacked with the candidates'
 expansions, where the oracle now reduces the candidates modulo the
-cached slice."""
+cached slice.  For merge witnesses it keeps the scale and the kill
+check computed one closure element at a time, where the witness now
+solves each distinct scale polynomial once and substitutes each
+distinct monomial once."""
 
 from itertools import combinations_with_replacement
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from pcml import linalg
 from pcml.centralizer import _kernel_rows
-from pcml.core import Algebra, BasisMonomial, GeneratorOrder, LieElement, _basis, _support_mask, is_basis_monomial, mdeg
-from pcml.graphs import Graph
+from pcml.core import Algebra, BasisMonomial, GeneratorOrder, LieElement, _basis, _support_mask, is_basis_monomial, mdeg, substitute
+from pcml.equivalence import PhiHom, build_phi_hom, gamma_closure, lambda_zero, merge_relabeling, phi_lambda
+from pcml.graphs import Graph, perp_classes
 from pcml.oracle import CertifyReport, _free_expand, _ideal_slice, graded_dimension
 
 
@@ -127,3 +131,18 @@ def certify_basis_by_stacked_rank(graph: Graph, delta: Tuple[int, ...], order: G
     independent = linalg.rank(stacked) == len(red) + count
     witness = None if independent else "dependent modulo the relation ideal"
     return CertifyReport(independent, delta, count, dim, witness)
+
+
+def compaction_witness_by_element(graph: Graph, gamma: Sequence[LieElement]) -> Tuple[PhiHom, List[LieElement], List[LieElement]]:
+    """The merge of `equivalence.compaction_witness` at its scale, the
+    nonzero closure elements and their images, one element at a time:
+    the scale is the largest `lambda_zero` of the nonzero closure
+    elements, and each image is `phi_lambda` of its element."""
+    block = next(b for b in perp_classes(graph) if len(b) >= 2)
+    remove = max(block)
+    perm, new_graph = merge_relabeling(graph, max(block - {remove}), remove)
+    hom1 = build_phi_hom(new_graph, 1)
+    moved = [substitute(g, [(1, perm[v]) for v in range(graph.n)], new_graph, hom1.source_order) for g in gamma]
+    nonzero = [g for g in gamma_closure(moved) if not g.is_zero()]
+    hom = build_phi_hom(new_graph, max([1] + [lambda_zero(g, hom1) for g in nonzero]))
+    return hom, nonzero, [phi_lambda(hom, g) for g in nonzero]

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -35,6 +35,7 @@ from pcml.errors import AlgebraError, CertificationError, GraphError
 from pcml.graphs import Graph, circ_dist, cycle_graph
 from pcml.sampling import random_element, random_graph, random_graph_with_merged_pair, random_word
 from pcml.textio import parse_element
+from reference import compaction_witness_by_element
 
 # four vertices, 2 and 3 neighborhood-equivalent, 0 isolated
 MERGE4 = Graph(4, [(2, 3), (1, 2), (1, 3)])
@@ -501,6 +502,15 @@ def test_compaction_witness_raises_on_a_failed_verification(monkeypatch):
         compaction_witness(MERGE4, gamma)
 
 
+def test_compaction_witness_raises_when_the_scale_kills_a_closure_element(monkeypatch):
+    # with no roots found the scale stays 1, and phi_1 sends [x2,x0] - [x3,x0] to 0
+    monkeypatch.setattr(equivalence, "positive_integer_roots", lambda coeffs: [])
+    order = GeneratorOrder.ascending(4)
+    gamma = [word_element(MERGE4, order, (2, 0)) - word_element(MERGE4, order, (3, 0))]
+    with pytest.raises(CertificationError, match="phi with scale 1 kills a nonzero closure element"):
+        compaction_witness(MERGE4, gamma)
+
+
 def test_compaction_witness_rejects_elements_of_another_algebra():
     # [x3,x1] is nonzero over the 4-cycle but would vanish over MERGE4
     c4 = cycle_graph(4)
@@ -752,3 +762,73 @@ def test_compaction_witness_reports_match_recorded_values():
         got = (report.lam, report.gamma_size, report.closure_size, report.nonzero_in_closure,
                report.removed_vertex, report.kept_vertex)
         assert got == expected
+
+
+def _merge_shaped_cases(seed, count):
+    """Twin graphs on 5..8 vertices with their vertices shuffled, and six
+    elements over each, each a generator term plus a word of length 4,
+    the shape of the merge benchmark's gamma sets."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 5 + k % 4
+        graph = random_graph_with_merged_pair(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = Graph(n, [(perm[i], perm[j]) for i, j in graph.edges])
+        order = GeneratorOrder.ascending(n)
+        gamma = [LieElement.generator(moved, order, rng.randrange(n)) * rng.choice([-3, -2, -1, 1, 2, 3])
+                 + word_element(moved, order, random_word(rng, n, 4)) * rng.choice([-3, -2, -1, 1, 2, 3])
+                 for _ in range(6)]
+        yield moved, gamma
+
+
+def test_witness_matches_the_per_element_path():
+    # the scale from the distinct scale polynomials and the images from
+    # the distinct keys equal the largest lambda_zero and phi_lambda of
+    # each nonzero closure element
+    scaled = 0
+    for graph, gamma in chain(_witness_cases(22, 16), _merge_shaped_cases(5, 12)):
+        hom, nonzero, images = compaction_witness_by_element(graph, gamma)
+        assert list(equivalence._images(hom, nonzero)) == images
+        assert compaction_witness(graph, gamma).lam == hom.lam
+        scaled += hom.lam > 1
+    assert scaled >= 8
+
+
+def test_witness_solves_each_scale_polynomial_and_substitutes_each_key_once(monkeypatch):
+    # in one witness: one root isolation per distinct scale polynomial of
+    # the nonzero closure, and at most one substitution per distinct
+    # generator or monomial of it, plus k + k^2 for gamma and its brackets
+    closures, solved, substituted = [], [], []
+    closure, roots, substitute_ = equivalence.gamma_closure, equivalence.positive_integer_roots, equivalence._substituted
+
+    def counted_closure(gamma):
+        closures.append(closure(gamma))
+        return closures[-1]
+
+    def counted_roots(coeffs):
+        solved.append(tuple(coeffs))
+        return roots(coeffs)
+
+    def counted_substituted(g, images, target):
+        substituted.append(g)
+        return substitute_(g, images, target)
+
+    monkeypatch.setattr(equivalence, "gamma_closure", counted_closure)
+    monkeypatch.setattr(equivalence, "positive_integer_roots", counted_roots)
+    monkeypatch.setattr(equivalence, "_substituted", counted_substituted)
+    repeated = 0
+    for graph, gamma in chain(_witness_cases(22, 16), _merge_shaped_cases(5, 4)):
+        closures.clear()
+        solved.clear()
+        substituted.clear()
+        compaction_witness(graph, gamma)
+        nonzero = [g for g in closures[0] if not g.is_zero()]
+        hom1 = build_phi_hom(nonzero[0].graph, 1) if nonzero else None
+        polys = [coeffs for g in nonzero for _, coeffs in equivalence._scale_polynomials(g, hom1)]
+        assert sorted(solved) == sorted(set(polys))
+        keys = {key for g in nonzero for key in chain(g.linear, g.derived)}
+        k = len(gamma)
+        assert len(substituted) <= len(keys) + k + k * k
+        repeated += len(polys) > len(set(polys))
+    assert repeated >= 10
