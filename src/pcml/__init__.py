@@ -1,11 +1,12 @@
 """Exact symbolic computation in partially commutative metabelian Lie
 algebras defined by finite graphs."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     AssocPoly,
     BasisMonomial,
     GeneratorOrder,
-    GluedComponent,
     LieElement,
     act,
     basis_monomial_with_start,
@@ -13,8 +14,6 @@ from .core import (
     basis_monomials_of_multidegree,
     bracket,
     format_element,
-    glued_decomposition,
-    glued_mdeg,
     homogeneous_components,
     is_basis_monomial,
     mdeg,
@@ -64,4 +63,6 @@ from .textio import parse_assoc_poly, parse_element, parse_graph_spec
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API only: importing it also binds its submodules here, which stay
+# out of ``from pcml import *``
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -35,6 +35,7 @@ from .errors import AlgebraError, GraphError, ParseError, PcmlError
 from .graphs import compaction, cycle_graph, perp_classes
 from .suite import run_suite
 from .textio import (
+    _check_vertex_count,
     parse_assoc_poly,
     parse_element,
     parse_elements,
@@ -132,6 +133,7 @@ def _cmd_centralizer(args, report: Report) -> None:
 
 
 def _cmd_theta(args, report: Report) -> None:
+    _check_vertex_count(args.n)  # the cycle lengths obey the limit of graph specs
     graph = cycle_graph(args.n)
     order = GeneratorOrder.ascending(args.n)
     assignment = parse_elements(args.assign, graph, order)
@@ -143,6 +145,7 @@ def _cmd_theta(args, report: Report) -> None:
 
 
 def _cmd_witness(args, report: Report) -> None:
+    _check_vertex_count(max(args.n, args.m))
     found = search_theta_witness(args.n, args.m, mode=args.mode)
     report.add("MODE", found.mode)
     report.add("CHECKED", found.checked)
@@ -155,6 +158,7 @@ def _cmd_witness(args, report: Report) -> None:
 
 
 def _cmd_distinguish(args, report: Report) -> None:
+    _check_vertex_count(max(args.n, args.m))
     verdict = distinguish_cycles(args.n, args.m)
     if verdict.equivalent:
         report.add("SEPARATED", False)

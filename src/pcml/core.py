@@ -62,7 +62,6 @@ from .errors import AlgebraError
 from .graphs import Graph, cycle_graph
 
 Multidegree = Tuple[int, ...]
-GluedMultidegree = Tuple[int, ...]
 AssocMonomial = Tuple[int, ...]
 
 
@@ -176,12 +175,6 @@ def mdeg(m: BasisMonomial, n: int) -> Multidegree:
     for v in m.letters():
         out[v] += 1
     return tuple(out)
-
-
-def glued_mdeg(m: BasisMonomial, n: int) -> GluedMultidegree:
-    """Multidegree with the last two index coordinates summed."""
-    d = mdeg(m, n)
-    return d[: n - 2] + (d[n - 2] + d[n - 1],)
 
 
 def _support_mask(letters: Iterable[int]) -> int:
@@ -418,12 +411,6 @@ class LieElement:
     def __repr__(self) -> str:
         return f"LieElement({format_element(self)!r})"
 
-    def canonical_key(self):
-        return (
-            tuple(sorted(self.linear.items())),
-            tuple(sorted(self.derived.items())),
-        )
-
 
 def _check_context(a: LieElement, b: LieElement) -> None:
     if a.algebra is not b.algebra:
@@ -592,29 +579,6 @@ def homogeneous_components(g: LieElement) -> List[Tuple[Multidegree, LieElement]
     return [
         (delta, LieElement._trusted(g.algebra, lin, der))
         for delta, (lin, der) in sorted(buckets.items())
-    ]
-
-
-class GluedComponent(NamedTuple):
-    """Monomials of one glued multidegree sharing their first letter."""
-
-    glued: GluedMultidegree
-    start: int
-    element: LieElement
-
-
-def glued_decomposition(g: LieElement) -> List[GluedComponent]:
-    """Group a derived element by (glued multidegree, first letter)."""
-    if g.linear:
-        raise AlgebraError("glued decomposition applies to derived elements only")
-    n = g.graph.n
-    buckets: Dict[Tuple[GluedMultidegree, int], Dict[BasisMonomial, int]] = {}
-    for m, c in g.derived.items():
-        key = (glued_mdeg(m, n), m.head[0])
-        buckets.setdefault(key, {})[m] = c
-    return [
-        GluedComponent(gd, start, LieElement._trusted(g.algebra, {}, der))
-        for (gd, start), der in sorted(buckets.items())
     ]
 
 

@@ -469,21 +469,27 @@ def positive_integer_roots(coeffs: Sequence[int]) -> List[int]:
 
 
 class ScalingComponent(NamedTuple):
-    """One glued component with its scale polynomial coefficients.
+    """One scaling component of an element with its scale polynomial
+    coefficients.
 
-    ``coeffs[j]`` multiplies lambda^j; for derived components j counts
+    ``coeffs[j]`` multiplies lambda^j; for glued components j counts
     the occurrences of x_{n-1}, for the linear pair it is the
-    coefficient of x_{n-1} itself.
+    coefficient of x_{n-1} itself.  A glued component also carries the
+    target basis monomial its part maps onto (``base``) and the part:
+    the element's terms under its glued label, an element of the
+    source algebra.  Both are None for linear components.
     """
 
     label: Tuple
     coeffs: Tuple[int, ...]
     base: Optional[BasisMonomial]
+    part: Optional[LieElement]
 
 
-def _glued_key(m: BasisMonomial, n: int) -> Tuple[Tuple[Tuple[int, ...], int], int]:
-    """The glued multidegree and first letter of a monomial over n
-    vertices, with its number of x_{n-1}."""
+def _glued_key(m: BasisMonomial, n: int) -> Tuple[Tuple, int]:
+    """The glued label of a monomial over n vertices, ("glued", its
+    multidegree with the last two coordinates summed, its first
+    letter), with its number of x_{n-1}."""
     last, kept = n - 1, n - 2
     glued = [0] * (n - 1)
     power = 0
@@ -493,48 +499,59 @@ def _glued_key(m: BasisMonomial, n: int) -> Tuple[Tuple[Tuple[int, ...], int], i
             glued[kept] += 1
         else:
             glued[v] += 1
-    return (tuple(glued), m.head[0]), power
+    return ("glued", tuple(glued), m.head[0]), power
 
 
-def _scale_polynomials(g: LieElement, hom: PhiHom, glue: Callable = _glued_key) -> List[Tuple[Tuple, Tuple[int, ...]]]:
-    """(label, coeffs) of every scaling component of g, in the order of
-    `merge_scaling_components`, from one pass over g's terms.
+def _scale_polynomials(elements: Sequence[LieElement], hom: PhiHom) -> Tuple[Dict[BasisMonomial, Tuple[Tuple, int]], List[List[Tuple[Tuple, Tuple[int, ...]]]]]:
+    """The glued label and power of each distinct monomial of the
+    elements, from one `_glued_key` call each, and for each element the
+    (label, coeffs) of every scaling component, in the order of
+    `merge_scaling_components`.
 
-    A derived term is keyed by its glued multidegree and first letter,
-    which `glued_decomposition` groups by; within one key the number of
-    x_{n-1} fixes the multidegree and so the term, and is its power of
-    lambda.  ``glue`` is `_glued_key`, or a memoised copy of it.
+    A derived term is keyed by its glued label; within one label the
+    number of x_{n-1} fixes the multidegree and so the term, and is its
+    power of lambda.
     """
-    if g.algebra is not hom.source:
-        raise AlgebraError("element is not over the homomorphism's source algebra")
     n = hom.graph.n
     last, kept = n - 1, n - 2
-    out: List[Tuple[Tuple, Tuple[int, ...]]] = [
-        (("linear", i), (g.linear[i],)) for i in sorted(g.linear) if i != kept and i != last
-    ]
-    pair = (g.linear.get(kept, 0), g.linear.get(last, 0))
-    if pair != (0, 0):
-        out.append((("linear-pair",), pair))
-    polys: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
-    for m, c in g.derived.items():
-        key, power = glue(m, n)
-        coeffs = polys.get(key)
-        if coeffs is None:
-            coeffs = polys[key] = [0] * (key[0][kept] + 1)
-        coeffs[power] = c
-    out.extend((("glued",) + key, tuple(coeffs)) for key, coeffs in sorted(polys.items()))
-    return out
+    glued: Dict[BasisMonomial, Tuple[Tuple, int]] = {}
+    out: List[List[Tuple[Tuple, Tuple[int, ...]]]] = []
+    for g in elements:
+        if g.algebra is not hom.source:
+            raise AlgebraError("element is not over the homomorphism's source algebra")
+        comps = [(("linear", i), (g.linear[i],)) for i in sorted(g.linear) if i != kept and i != last]
+        pair = (g.linear.get(kept, 0), g.linear.get(last, 0))
+        if pair != (0, 0):
+            comps.append((("linear-pair",), pair))
+        polys: Dict[Tuple, List[int]] = {}
+        for m, c in g.derived.items():
+            if m not in glued:
+                glued[m] = _glued_key(m, n)
+            label, power = glued[m]
+            coeffs = polys.get(label)
+            if coeffs is None:
+                coeffs = polys[label] = [0] * (label[1][kept] + 1)
+            coeffs[power] = c
+        comps.extend((label, tuple(coeffs)) for label, coeffs in sorted(polys.items()))
+        out.append(comps)
+    return glued, out
 
 
 def merge_scaling_components(g: LieElement, hom: PhiHom) -> List[ScalingComponent]:
     """Scale polynomials governing when phi_lambda kills each piece of g,
-    each glued one with the basis monomial its piece maps onto."""
+    each glued one with its part of g and the basis monomial that part
+    maps onto."""
+    glued, (comps,) = _scale_polynomials([g], hom)
+    parts: Dict[Tuple, Dict[BasisMonomial, int]] = {}
+    for m, c in g.derived.items():
+        parts.setdefault(glued[m][0], {})[m] = c
     out: List[ScalingComponent] = []
-    for label, coeffs in _scale_polynomials(g, hom):
-        base = None
+    for label, coeffs in comps:
+        base = part = None
         if label[0] == "glued":
             base = basis_monomial_with_start(label[1], label[2], hom.target_graph, hom.target_order)
-        out.append(ScalingComponent(label, coeffs, base))
+            part = LieElement._trusted(hom.source, {}, parts[label])
+        out.append(ScalingComponent(label, coeffs, base, part))
     return out
 
 
@@ -545,7 +562,8 @@ def lambda_zero(g: LieElement, hom: PhiHom) -> int:
     scale, as phi_lambda(g) != 0 already when one component survives."""
     if g.is_zero():
         raise AlgebraError("the zero element has no nonvanishing threshold")
-    return _threshold(coeffs for _, coeffs in _scale_polynomials(g, hom))
+    _, (comps,) = _scale_polynomials([g], hom)
+    return _threshold(coeffs for _, coeffs in comps)
 
 
 def _threshold(polys: Iterable[Sequence[int]]) -> int:
@@ -560,12 +578,12 @@ def _threshold(polys: Iterable[Sequence[int]]) -> int:
 
 def gamma_closure(gamma: Sequence[LieElement]) -> List[LieElement]:
     """Close a finite set under g_i - g_j, g_i + g_j - g_k, and
-    [g_i, g_j] - g_k, deduplicating structurally."""
+    [g_i, g_j] - g_k, deduplicating structurally by the sets of terms."""
     out: List[LieElement] = []
     seen = set()
 
     def push(e: LieElement) -> None:
-        key = e.canonical_key()
+        key = (frozenset(e.linear.items()), frozenset(e.derived.items()))
         if key not in seen:
             seen.add(key)
             out.append(e)
@@ -676,8 +694,8 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     moved = [substitute(g, images, new_graph, hom1.source_order) for g in gamma]
     closure = gamma_closure(moved)
     nonzero = [g for g in closure if not g.is_zero()]
-    glue = lru_cache(maxsize=None)(_glued_key)
-    lam = _threshold({coeffs for g in nonzero for _, coeffs in _scale_polynomials(g, hom1, glue)})
+    _, comps = _scale_polynomials(nonzero, hom1)
+    lam = _threshold({coeffs for per in comps for _, coeffs in per})
     hom = build_phi_hom(new_graph, lam)
     if any(image.is_zero() for image in _images(hom, nonzero)):
         raise CertificationError(f"phi with scale {lam} kills a nonzero closure element")

@@ -22,7 +22,6 @@ from .core import (
     GeneratorOrder,
     LieElement,
     bracket,
-    glued_decomposition,
     multidegrees,
 )
 from .equivalence import (
@@ -300,25 +299,22 @@ def criterion_7(seed: int = 0) -> CriterionResult:
         g = random_element(graph, hom1.source_order, rng, max_degree=4)
         if g.is_zero():
             continue
-        derived_part = LieElement(graph, hom1.source_order, {}, g.derived)
-        components = {
-            (comp.glued, comp.start): comp
-            for comp in (glued_decomposition(derived_part) if not derived_part.is_zero() else [])
-        }
+        parts = LieElement._trusted(g.algebra, {}, {})
         for sc in merge_scaling_components(g, hom1):
             if sc.label[0] != "glued":
                 continue
             scaling_checks += 1
-            _, glued, start = sc.label
             if sc.base is None:
                 return CriterionResult(7, "merge-homomorphism", False, f"missing base monomial trial={t}")
-            comp = components[(glued, start)]
+            parts = parts + sc.part
             for lam in (1, 2, 3):
                 hom_l = build_phi_hom(graph, lam)
                 scale = sum(c * lam ** k for k, c in enumerate(sc.coeffs))
                 expected = LieElement.from_monomial(hom_l.target_graph, hom_l.target_order, sc.base, scale)
-                if phi_lambda(hom_l, comp.element) != expected:
+                if phi_lambda(hom_l, sc.part) != expected:
                     return CriterionResult(7, "merge-homomorphism", False, f"scaling law trial={t}")
+        if parts != LieElement._trusted(g.algebra, {}, g.derived):
+            return CriterionResult(7, "merge-homomorphism", False, f"parts do not sum to the derived part trial={t}")
         threshold = lambda_zero(g, hom1)
         for lam in range(threshold, threshold + 4):
             if phi_lambda(build_phi_hom(graph, lam), g).is_zero():

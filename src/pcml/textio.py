@@ -213,7 +213,8 @@ def parse_integer(text: str) -> int:
     return value
 
 
-# the most vertices a graph spec or graph file may have: far above every
+# the most vertices a graph spec or graph file may have, and the longest
+# cycle of `pcml theta`, `witness` and `distinguish`: far above every
 # example (the largest is a 40-cycle), and it keeps `complete:<n>`, whose
 # edges grow as n^2, at 32,640 edges
 MAX_VERTICES = 256

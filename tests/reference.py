@@ -15,7 +15,9 @@ expansions, where the oracle now reduces the candidates modulo the
 cached slice.  For merge witnesses it keeps the scale and the kill
 check computed one closure element at a time, where the witness now
 solves each distinct scale polynomial once and substitutes each
-distinct monomial once."""
+distinct monomial once, and the grouping of an element's derived terms
+by glued multidegree and first letter, read off `mdeg`, that the
+merge's scaling components now label by `equivalence._glued_key`."""
 
 from itertools import combinations_with_replacement
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -146,3 +148,15 @@ def compaction_witness_by_element(graph: Graph, gamma: Sequence[LieElement]) -> 
     nonzero = [g for g in gamma_closure(moved) if not g.is_zero()]
     hom = build_phi_hom(new_graph, max([1] + [lambda_zero(g, hom1) for g in nonzero]))
     return hom, nonzero, [phi_lambda(hom, g) for g in nonzero]
+
+
+def glued_decomposition(g: LieElement) -> List[Tuple[Tuple[int, ...], int, LieElement]]:
+    """(glued multidegree, first letter, part) of each group of g's
+    derived terms sharing both, ascending: the glued multidegree is
+    `mdeg` with its last two coordinates summed."""
+    n = g.graph.n
+    buckets: Dict[Tuple[Tuple[int, ...], int], Dict[BasisMonomial, int]] = {}
+    for m, c in g.derived.items():
+        d = mdeg(m, n)
+        buckets.setdefault((d[: n - 2] + (d[n - 2] + d[n - 1],), m.head[0]), {})[m] = c
+    return [(glued, start, LieElement(g.graph, g.order, {}, part)) for (glued, start), part in sorted(buckets.items())]

@@ -223,6 +223,21 @@ def test_graphs_over_the_vertex_limit_exit_2_before_they_are_built(capsys, tmp_p
         assert lines == ["SEED=0", f"ERROR=a graph of 300000 vertices is over the limit of {MAX_VERTICES} vertices"]
 
 
+def test_cycle_lengths_over_the_vertex_limit_exit_2_at_once(capsys):
+    # theta --n 1000000 took 7.5 s and 722 MiB before the limit
+    big = MAX_VERTICES + 1
+    for n, argv in ((1000000, ("theta", "--n", "1000000", "--assign", "x0,x1,x2,x3")),
+                    (big, ("witness", "--n", "4", "--m", str(big))),
+                    (big, ("witness", "--n", str(big), "--m", "5")),
+                    (big, ("distinguish", "--n", str(big), "--m", "4")),
+                    (big, ("distinguish", "--n", "3", "--m", str(big)))):
+        start = time.perf_counter()
+        status, lines = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert status == 2
+        assert lines == ["SEED=0", f"ERROR=a graph of {n} vertices is over the limit of {MAX_VERTICES} vertices"]
+
+
 def test_bad_multidegrees_and_long_terms_exit_2_at_once(capsys):
     # x1^100000000 ran out of memory before terms had a degree limit, and
     # dim kept its own copy of the oracle's length check

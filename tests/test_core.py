@@ -22,8 +22,6 @@ from pcml.core import (
     basis_monomials_of_multidegree,
     bracket,
     format_element,
-    glued_decomposition,
-    glued_mdeg,
     homogeneous_components,
     is_basis_monomial,
     mdeg,
@@ -31,6 +29,7 @@ from pcml.core import (
     substitute,
     word_element,
 )
+from pcml.equivalence import _glued_key, build_phi_hom, merge_scaling_components
 from pcml.errors import AlgebraError
 from pcml.graphs import Graph, cycle_graph
 from pcml.sampling import random_element, random_graph
@@ -135,14 +134,15 @@ def test_act_additive_and_multiplicative():
 
 
 def test_mdeg_and_glued():
+    # the glued label sums the last two coordinates; the power counts x_{n-1}
     m = BasisMonomial((1, 0), (1,))
     assert mdeg(m, 3) == (1, 2, 0)
-    assert glued_mdeg(m, 3) == (1, 2)
+    assert _glued_key(m, 3) == (("glued", (1, 2), 1), 0)
     m = BasisMonomial((2, 0), (3,))
     assert mdeg(m, 4) == (1, 0, 1, 1)
-    assert glued_mdeg(m, 4) == (1, 0, 2)
+    assert _glued_key(m, 4) == (("glued", (1, 0, 2), 2), 1)
     m2 = BasisMonomial((3, 0), (2,))
-    assert glued_mdeg(m2, 4) == (1, 0, 2)
+    assert _glued_key(m2, 4) == (("glued", (1, 0, 2), 3), 1)
     assert set(m.letters()) == {0, 2, 3}
 
 
@@ -158,20 +158,25 @@ def test_homogeneous_components():
 
 
 def test_glued_decomposition():
-    g4 = Graph(4, [])
-    o4 = GeneratorOrder.ascending(4)
-    m1 = word_element(g4, o4, (2, 0, 3))
-    m2 = word_element(g4, o4, (2, 0, 2))
-    comps = glued_decomposition(2 * m1 + 3 * m2)
-    # gluing identifies (1,0,2,0) and (1,0,1,1): one component, two slots
+    # x2 and x3 are twins, so the merge glues their coordinates
+    g4 = Graph(4, [(2, 3)])
+    hom = build_phi_hom(g4, 1)
+    so = hom.source_order
+    m1 = word_element(g4, so, (0, 2, 3))
+    m2 = word_element(g4, so, (0, 2, 2))
+    comps = merge_scaling_components(2 * m1 + 3 * m2, hom)
+    # gluing identifies (1,0,1,1) and (1,0,2,0): one component, two slots
     assert len(comps) == 1
-    assert comps[0].glued == (1, 0, 2) and comps[0].start == 2
-    assert len(comps[0].element.derived) == 2
+    assert comps[0].label == ("glued", (1, 0, 2), 0)
+    assert comps[0].part == 2 * m1 + 3 * m2
     # same glued degree but different start letters -> two components
-    g = word_element(g4, o4, (2, 0, 3)) + word_element(g4, o4, (3, 0, 2))
-    assert len(glued_decomposition(g)) == 2
-    with pytest.raises(AlgebraError):
-        glued_decomposition(LieElement.generator(g4, o4, 0))
+    g = word_element(g4, so, (1, 0, 2))
+    comps = merge_scaling_components(g, hom)
+    assert [sc.label for sc in comps] == [("glued", (1, 1, 1), 0), ("glued", (1, 1, 1), 1)]
+    assert comps[0].part + comps[1].part == g
+    # a generator is a linear component, with neither part nor base
+    (sc,) = merge_scaling_components(LieElement.generator(g4, so, 0), hom)
+    assert sc.label == ("linear", 0) and sc.part is None and sc.base is None
 
 
 def test_is_basis_monomial_conditions():
