@@ -178,18 +178,18 @@ def _steps(n: int, v: int) -> List[int]:
     return sorted({(v - 1) % n, v, (v + 1) % n})
 
 
-def _completion_counts(n: int, m: int) -> List[List[List[int]]]:
-    """``counts[r][v][s]``: the number of ways to fill the last r
-    positions of a constrained sequence that starts at s and has v just
-    before them (a transfer-matrix count: counts[r] = A^(r+1) for the
-    circulant A with ones on and next to the diagonal)."""
-    counts = [[[int(circ_dist(n, v, s) <= 1) for s in range(n)] for v in range(n)]]
+def _completion_counts(n: int, m: int) -> List[List[int]]:
+    """``counts[r][d]``: the number of ways to fill the last r positions
+    of a constrained sequence that starts at s and has v just before
+    them, where d = (s - v) mod n (a transfer-matrix count: counts[r]
+    is row 0 of A^(r+1) for the circulant A with ones on and next to the
+    diagonal; A is circulant, so its powers are, and row 0 gives every
+    entry)."""
+    counts = [[int(circ_dist(n, 0, d) <= 1) for d in range(n)]]
+    moves = _steps(n, 0)
     for _ in range(1, m):
         prev = counts[-1]
-        counts.append([
-            [sum(prev[w][s] for w in _steps(n, v)) for s in range(n)]
-            for v in range(n)
-        ])
+        counts.append([sum(prev[(d - w) % n] for w in moves) for d in range(n)])
     return counts
 
 
@@ -211,7 +211,7 @@ def _walk(n: int, m: int, fails: Callable[[List[int], int], bool], first_only: b
     def extend(pos: int) -> bool:
         nonlocal checked
         for step in _steps(n, seq[pos - 1]):
-            count = completions[m - 1 - pos][step][seq[0]]
+            count = completions[m - 1 - pos][(seq[0] - step) % n]
             if not count:
                 continue
             seq[pos] = step

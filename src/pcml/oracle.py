@@ -3,13 +3,39 @@
 This module never calls the rewriting engine.  It works in the free
 metabelian algebra on n generators, where the classical straightening
 (second head letter minimal, tail sorted, plain Jacobi expansion) gives
-a standard monomial basis of each multidegree.  The relation ideal of a
+a standard monomial basis of each multidegree delta: with mu the least
+letter of S = supp delta, the monomials [x_a,x_mu].(x^delta/x_a x_mu),
+one for each first head letter a in S - {mu}.  The relation ideal of a
 graph is spanned, degree by degree, by every edge bracket acted on by
 the one completing associative monomial, so dimensions and membership
-questions reduce to exact integer rank computations.  Each slice is
-eliminated once and cached; a basis claim is then checked by reducing
-the expansions of the claimed monomials modulo the cached echelon rows,
-and membership by reducing one vector.
+questions reduce to exact integer rank computations.
+
+One slice serves every multidegree of a support.  Index each standard
+monomial of delta by its first head letter.  The tail acts through a
+commutative polynomial ring, and the Jacobi identity of a metabelian
+algebra reads [x_a,x_b].x_mu = [x_a,x_mu].x_b - [x_b,x_mu].x_a.  So for
+a != b in S and w the monomial completing delta, [x_a,x_b].w is
+
+* the monomial of column a when b = mu;
+* minus the monomial of column b when a = mu;
+* otherwise, since x_mu then divides w,
+  [x_a,x_mu].(w x_b/x_mu) - [x_b,x_mu].(w x_a/x_mu): column a minus
+  column b.
+
+These are the cases `_free_expand` reaches, and in each the
+coordinates depend on a, b and mu alone.  Match the monomials of delta
+with those of the square-free multidegree e_S that have the same first
+head letter.  This bijection carries the expansion of [x_a,x_b].w at
+delta onto that of [x_a,x_b].(x^S/x_a x_b) at e_S, so it carries the
+spanning rows of the ideal at delta (one for each edge {i,j} in S) onto
+those at e_S, edge by edge.  Hence the two slices have the same
+echelon rows in these columns, and a candidate's expansion has the
+same coordinates at both.  The slice is eliminated once per support,
+at e_S, and cached; `_coordinates` reads a combination of one
+multidegree's monomials onto its columns.  A basis claim is checked at
+its own delta by reducing the expansions of the claimed monomials
+modulo the cached echelon rows, and membership by reducing one vector
+per multidegree.
 """
 
 from __future__ import annotations
@@ -80,11 +106,12 @@ def _without(letters: Sequence[int], a: int, b: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _coordinates(index: Dict[FreeMonomial, int], combo: Dict[FreeMonomial, int]) -> List[int]:
-    """A combination of standard monomials as a row over a slice's basis."""
+def _coordinates(index: Dict[int, int], combo: Dict[FreeMonomial, int]) -> List[int]:
+    """A combination of one multidegree's standard monomials as a row
+    over its support slice's columns, which its first head letters index."""
     row = [0] * len(index)
-    for m, c in combo.items():
-        row[index[m]] = c
+    for ((first, _), _), c in combo.items():
+        row[index[first]] = c
     return row
 
 
@@ -104,29 +131,34 @@ def _word_mdeg(n: int, letters: Sequence[int]) -> Multidegree:
     return tuple(out)
 
 
-# ideal slices kept; above the distinct slices of one certification run
-# (7,744 in criterion 1), so a run evicts nothing
+def _support(delta: Multidegree) -> Tuple[int, ...]:
+    return tuple(v for v, d in enumerate(delta) if d)
+
+
+# ideal slices kept, one per (graph, support); above the distinct slices
+# of one certification run (960 in criterion 1), so a run evicts nothing
 SLICE_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
-def _ideal_slice(graph: Graph, delta: Multidegree):
-    """Canonical integer RREF of the relation ideal at one multidegree.
+def _ideal_slice(graph: Graph, support: Tuple[int, ...]):
+    """Canonical integer RREF of the relation ideal at every multidegree
+    of one support, over columns indexed by first head letter.
 
-    Spanning rows are the expansions of [x_i,x_j].w for every edge
-    {i,j} and the single associative monomial w completing delta; that
-    enumeration is exact, not sampled.
+    It is eliminated at the square-free multidegree of the support,
+    whose spanning rows are the expansions of [x_i,x_j].w for every
+    edge {i,j} in the support and the one associative monomial w
+    completing it; that enumeration is exact, not sampled.  The module
+    docstring proves that every multidegree of the support has the same
+    rows in these columns.
     """
-    letters = _letters(delta)
-    basis = free_standard_monomials(letters)
-    index = {m: k for k, m in enumerate(basis)}
-    rows = []
-    for i, j in graph.edges:
-        if delta[i] < 1 or delta[j] < 1:
-            continue
-        rows.append(_coordinates(index, _free_expand(j, i, _without(letters, i, j))))
+    basis = free_standard_monomials(support)
+    index = {first: k for k, ((first, _), _) in enumerate(basis)}
+    members = set(support)
+    rows = [_coordinates(index, _free_expand(j, i, _without(support, i, j)))
+            for i, j in graph.edges if i in members and j in members]
     red, pivots = linalg.rref(rows)
-    return basis, index, [tuple(row) for row in red], pivots
+    return index, [tuple(row) for row in red], pivots
 
 
 def graded_dimension(graph: Graph, delta: Multidegree) -> int:
@@ -139,8 +171,8 @@ def graded_dimension(graph: Graph, delta: Multidegree) -> int:
         return 0
     if total == 1:
         return 1
-    basis, _, red, _ = _ideal_slice(graph, delta)
-    return len(basis) - len(red)
+    index, red, _ = _ideal_slice(graph, _support(delta))
+    return len(index) - len(red)
 
 
 def ideal_member(raw: Sequence[RawMonomial], graph: Graph) -> bool:
@@ -160,7 +192,7 @@ def ideal_member(raw: Sequence[RawMonomial], graph: Graph) -> bool:
     for delta, combo in by_delta.items():
         if not combo:
             continue
-        _, index, red, pivots = _ideal_slice(graph, delta)
+        index, red, pivots = _ideal_slice(graph, _support(delta))
         if not linalg.in_rowspan(red, pivots, _coordinates(index, combo)):
             return False
     return True
@@ -193,13 +225,13 @@ def certify_basis(graph: Graph, delta: Multidegree, order: GeneratorOrder) -> Ce
         return CertifyReport(count == dim, delta, count, dim, None)
     ascending = _letters(delta)
     ranked = [v for v in order.perm for _ in range(delta[v])]
-    supp = sorted(set(ascending))
+    supp = _support(delta)
     heads = [(a, b) for a in supp for b in supp
              if a != b and is_basis_monomial((a, b), _without(ranked, a, b), graph, order)]
     count = len(heads)
     if count != dim:
         return CertifyReport(False, delta, count, dim, "count != dim")
-    _, index, red, pivots = _ideal_slice(graph, delta)
+    index, red, pivots = _ideal_slice(graph, supp)
     residues = [linalg.residue(red, pivots, _coordinates(index, _free_expand(a, b, _without(ascending, a, b))))
                 for a, b in heads]
     if linalg.rank(residues) == count:

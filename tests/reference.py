@@ -9,25 +9,31 @@ e_a - e_b with a, b in supp g, the pieces the constraint matrix of ad g
 splits into.  The tests compare the engine with it.  It also keeps
 the rule the closed form first read goodness by: a component of S is
 good when it shares its top with i in S + {i}, for every i in supp g.
-For the oracle it keeps the first independence check of a basis claim:
-one elimination of the ideal slice's rows stacked with the candidates'
+For the oracle it keeps the ideal slice of one multidegree, over that
+multidegree's own standard monomials, where the oracle now keeps one
+slice per support, and the first independence check of a basis claim:
+one elimination of that slice's rows stacked with the candidates'
 expansions, where the oracle now reduces the candidates modulo the
 cached slice.  For merge witnesses it keeps the scale and the kill
 check computed one closure element at a time, where the witness now
 solves each distinct scale polynomial once and substitutes each
 distinct monomial once, and the grouping of an element's derived terms
 by glued multidegree and first letter, read off `mdeg`, that the
-merge's scaling components now label by `equivalence._glued_key`."""
+merge's scaling components now label by `equivalence._glued_key`.
+For the witness search it keeps the full transfer-matrix table of
+completion counts, one entry per (steps left, previous image, start),
+where the search now keeps one circulant row per number of steps."""
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from pcml import linalg
 from pcml.centralizer import _kernel_rows
 from pcml.core import Algebra, BasisMonomial, GeneratorOrder, LieElement, _basis, _support_mask, is_basis_monomial, mdeg, substitute
-from pcml.equivalence import PhiHom, build_phi_hom, gamma_closure, lambda_zero, merge_relabeling, phi_lambda
-from pcml.graphs import Graph, perp_classes
-from pcml.oracle import CertifyReport, _free_expand, _ideal_slice, graded_dimension
+from pcml.equivalence import PhiHom, _steps, build_phi_hom, gamma_closure, lambda_zero, merge_relabeling, phi_lambda
+from pcml.graphs import Graph, circ_dist, perp_classes
+from pcml.oracle import CertifyReport, FreeMonomial, _free_expand, _letters, _without, free_standard_monomials
 
 
 def bases(algebra: Algebra, degree: int) -> Dict[Tuple[int, ...], Tuple[BasisMonomial, ...]]:
@@ -100,14 +106,37 @@ def good_rows_by_joins(algebra: Algebra, lin: Dict[int, int], letters: Sequence[
     return [tuple(a - b for a, b in zip(units[0], unit)) for unit in units[1:]]
 
 
+@lru_cache(maxsize=None)
+def ideal_slice_by_multidegree(graph: Graph, delta: Tuple[int, ...]) -> Tuple[Tuple[FreeMonomial, ...], Dict[FreeMonomial, int], List[Tuple[int, ...]], List[int]]:
+    """(basis, index, echelon rows, pivots) of the relation ideal at one
+    multidegree, over its own standard monomials: the expansions of
+    [x_i,x_j].w for every edge {i,j} in supp delta and the associative
+    monomial w completing delta."""
+    letters = _letters(delta)
+    basis = free_standard_monomials(letters)
+    index = {m: k for k, m in enumerate(basis)}
+    rows = []
+    for i, j in graph.edges:
+        if delta[i] < 1 or delta[j] < 1:
+            continue
+        row = [0] * len(basis)
+        for m, c in _free_expand(j, i, _without(letters, i, j)).items():
+            row[index[m]] = c
+        rows.append(row)
+    red, pivots = linalg.rref(rows)
+    return basis, index, [tuple(row) for row in red], pivots
+
+
 def certify_basis_by_stacked_rank(graph: Graph, delta: Tuple[int, ...], order: GeneratorOrder) -> CertifyReport:
-    """`oracle.certify_basis` with independence read off the rank of the
-    slice's echelon rows stacked with the candidates' expansions."""
-    dim = graded_dimension(graph, delta)
+    """`oracle.certify_basis` from the slice of delta itself, with
+    independence read off the rank of the slice's echelon rows stacked
+    with the candidates' expansions."""
     total = sum(delta)
     if total < 2:
-        count = 1 if total == 1 else 0
+        count = dim = total
         return CertifyReport(count == dim, delta, count, dim, None)
+    basis, index, red, _ = ideal_slice_by_multidegree(graph, tuple(delta))
+    dim = len(basis) - len(red)
     supp = sorted(i for i, d in enumerate(delta) if d)
     candidates = []
     for a in supp:
@@ -123,7 +152,6 @@ def certify_basis_by_stacked_rank(graph: Graph, delta: Tuple[int, ...], order: G
     count = len(candidates)
     if count != dim:
         return CertifyReport(False, delta, count, dim, "count != dim")
-    basis, index, red, _ = _ideal_slice(graph, delta)
     stacked = [list(row) for row in red]
     for head, tail in candidates:
         row = [0] * len(basis)
@@ -160,3 +188,18 @@ def glued_decomposition(g: LieElement) -> List[Tuple[Tuple[int, ...], int, LieEl
         d = mdeg(m, n)
         buckets.setdefault((d[: n - 2] + (d[n - 2] + d[n - 1],), m.head[0]), {})[m] = c
     return [(glued, start, LieElement(g.graph, g.order, {}, part)) for (glued, start), part in sorted(buckets.items())]
+
+
+def completion_counts_table(n: int, m: int) -> List[List[List[int]]]:
+    """``counts[r][v][s]``: the number of ways to fill the last r
+    positions of a constrained sequence that starts at s and has v just
+    before them, one entry per (r, v, s): counts[r] = A^(r+1) for the
+    circulant A with ones on and next to the diagonal."""
+    counts = [[[int(circ_dist(n, v, s) <= 1) for s in range(n)] for v in range(n)]]
+    for _ in range(1, m):
+        prev = counts[-1]
+        counts.append([
+            [sum(prev[w][s] for w in _steps(n, v)) for s in range(n)]
+            for v in range(n)
+        ])
+    return counts

@@ -3,7 +3,7 @@ from itertools import chain, combinations, product
 
 import pytest
 
-from pcml import equivalence, suite
+from pcml import core, equivalence, oracle, suite
 from pcml.core import (
     GeneratorOrder,
     LieElement,
@@ -34,7 +34,7 @@ from pcml.errors import AlgebraError, CertificationError, GraphError
 from pcml.graphs import Graph, circ_dist, cycle_graph
 from pcml.sampling import random_element, random_graph, random_graph_with_merged_pair, random_word
 from pcml.textio import parse_element
-from reference import compaction_witness_by_element, glued_decomposition
+from reference import compaction_witness_by_element, completion_counts_table, glued_decomposition
 
 # four vertices, 2 and 3 neighborhood-equivalent, 0 isolated
 MERGE4 = Graph(4, [(2, 3), (1, 2), (1, 3)])
@@ -259,6 +259,15 @@ def test_j_sequences_match_full_enumeration(m):
         assert report.exhausted == (not no_repeat)
 
 
+def test_completion_counts_are_the_rows_of_the_full_table():
+    # counts[r][v][s] depends only on (s - v) mod n
+    for n in range(4, 10):
+        for m in range(1, 12):
+            rows = equivalence._completion_counts(n, m)
+            full = [[[row[(s - v) % n] for s in range(n)] for v in range(n)] for row in rows]
+            assert full == completion_counts_table(n, m), (n, m)
+
+
 def test_long_j_sequence_search_counts_every_sequence():
     n, m = 30, 40
     report = search_theta_witness(n, m, mode="j-sequences")
@@ -358,6 +367,67 @@ def test_phi_is_a_homomorphism():
         b = random_element(graph, hom.source_order, rng, max_degree=3)
         assert phi_lambda(hom, a + b) == phi_lambda(hom, a) + phi_lambda(hom, b)
         assert phi_lambda(hom, bracket(a, b)) == bracket(phi_lambda(hom, a), phi_lambda(hom, b))
+
+
+def _oracle_image_vanishes(hom, g):
+    """Does phi_lambda(g) vanish, asked of the oracle alone: each engine
+    term c.[x_a,x_b].tail is read as the left-normed word (a, b, tail),
+    x_{n-1} becomes x_{n-2} letter by letter with coefficient
+    c.lambda^(occurrences of n-1), and the words go to ideal membership
+    over the target graph."""
+    n = hom.graph.n
+    words = [(c, (i,)) for i, c in g.linear.items()] + [(c, m.letters()) for m, c in g.derived.items()]
+    raw = [(c * hom.lam ** word.count(n - 1), tuple(n - 2 if v == n - 1 else v for v in word)) for c, word in words]
+    return oracle.ideal_member(raw, hom.target_graph)
+
+
+def _phi_replay_cases():
+    """(hom, g) on seeded twin graphs: random elements at lambda in
+    {1, 2, 3, lambda_0 - 1, lambda_0}, and k.[[x_a,x_{n-2}],w] -
+    [[x_a,x_{n-1}],w], whose image vanishes exactly at lambda = k unless
+    its monomial does, at lambda = 1..4."""
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(4, 6)
+        graph = random_graph_with_merged_pair(rng, n)
+        hom1 = build_phi_hom(graph, 1)
+        order = hom1.source_order
+        g = random_element(graph, order, rng, max_degree=4)
+        if not g.is_zero():
+            threshold = lambda_zero(g, hom1)
+            for lam in sorted({1, 2, 3, max(1, threshold - 1), threshold}):
+                yield build_phi_hom(graph, lam), g
+        a = rng.randrange(n - 2)
+        w = random_word(rng, n, rng.randint(0, 3))
+        k = rng.randint(1, 4)
+        h = word_element(graph, order, (a, n - 2) + w) * k - word_element(graph, order, (a, n - 1) + w)
+        for lam in range(1, 5):
+            yield build_phi_hom(graph, lam), h
+
+
+def _phi_replay_disagreements():
+    seen = {True: 0, False: 0}
+    disagreements = 0
+    for hom, g in _phi_replay_cases():
+        vanishes = _oracle_image_vanishes(hom, g)
+        seen[vanishes] += 1
+        disagreements += vanishes != phi_lambda(hom, g).is_zero()
+    return disagreements, seen
+
+
+def test_phi_lambda_replayed_in_the_oracle():
+    disagreements, seen = _phi_replay_disagreements()
+    assert disagreements == 0
+    assert seen[True] >= 100 and seen[False] >= 150, seen
+
+
+def test_the_oracle_replay_sees_a_merge_that_drops_the_scale(monkeypatch):
+    def powerless(g, images, target):
+        return core._substituted(g, [(1, j) for _, j in images], target)
+
+    monkeypatch.setattr(equivalence, "_substituted", powerless)
+    disagreements, _ = _phi_replay_disagreements()
+    assert disagreements > 0
 
 
 def test_merge_algebras_are_built_once_per_graph(monkeypatch):

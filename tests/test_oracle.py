@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -150,9 +150,50 @@ def test_expand_word_rejects_short_words():
 
 def test_ideal_slice_cache_is_bounded():
     # a fixed bound above the distinct slices of one certification run:
-    # criterion 1 reads 7,744 slices and evicts none of them
+    # criterion 1 reads 960 slices, the 15 supports of each of its 64
+    # graphs, and evicts none of them
     oracle._ideal_slice.cache_clear()
     assert suite.criterion_1().ok
     info = oracle._ideal_slice.cache_info()
     assert info.maxsize == oracle.SLICE_CACHE_SIZE
-    assert info.misses == info.currsize == 7744 < info.maxsize
+    assert info.misses == info.currsize == 960 < info.maxsize
+
+
+def test_a_certify_sweep_builds_one_slice_per_support():
+    rng = random.Random(5)
+    for n in (5, 6):
+        graph = random_graph(rng, n)
+        order = GeneratorOrder(rng.sample(range(n), n))
+        oracle._ideal_slice.cache_clear()
+        supports = set()
+        for degree in range(2, 6):
+            for delta in multidegrees(n, degree):
+                assert oracle.certify_basis(graph, delta, order).ok
+                supports.add(tuple(i for i, d in enumerate(delta) if d))
+        assert oracle._ideal_slice.cache_info().misses == len(supports)
+
+
+def test_the_support_slice_is_the_slice_of_every_multidegree_of_its_support():
+    # the module docstring's lemma: in columns indexed by first head
+    # letter, the ideal rows and every candidate's expansion at delta
+    # depend on delta only through its support
+    rng = random.Random(29)
+    checked = 0
+    for n in range(2, 7):
+        for _ in range(3):
+            graph = random_graph(rng, n)
+            for degree in range(2, 7):
+                for delta in multidegrees(n, degree):
+                    basis, _, red, pivots = reference.ideal_slice_by_multidegree(graph, delta)
+                    supp = tuple(i for i, d in enumerate(delta) if d)
+                    index, slice_red, slice_pivots = oracle._ideal_slice(graph, supp)
+                    assert (slice_red, slice_pivots) == (red, pivots), (graph.edge_list(), delta)
+                    letters = oracle._letters(delta)
+                    for a, b in permutations(supp, 2):
+                        combo = oracle._free_expand(a, b, oracle._without(letters, a, b))
+                        row = [0] * len(basis)
+                        for m, c in combo.items():
+                            row[basis.index(m)] = c
+                        assert oracle._coordinates(index, combo) == row
+                    checked += 1
+    assert checked > 4000
