@@ -7,12 +7,18 @@ nonvanishing brackets, and triple brackets [[z_i,z_{i+2}],z_j] do not
 vanish unless j sits directly between i and i+2.  On a cycle of the
 same length the generators witness it; on a shorter cycle the search
 over generator assignments exhausts without a witness, which is the
-computational half of the cycle separation theorem.  The search is
-prefix-pruned: it reads generator brackets from a table the engine
-fills once, checks each atom as soon as its variables are assigned and
-skips the subtree of a failing prefix, while its ``checked`` count
-still includes every pruned sequence exactly.  The j-sequences mode
-walks the same sequences and skips every prefix that repeats an index.
+computational half of the cycle separation theorem.  Over generator
+assignments that half is a lemma, with no search.  On a cycle of n >= 4
+vertices [x_a, x_b] = 0 exactly when circ_dist(a, b) <= 1, so under
+z_k = x_sigma(k) the adjacent-zero atoms make sigma a closed walk with
+steps in {-1, 0, +1}.  A repeat sigma(k) = sigma(l) with
+circ_dist(k, l) > 1 fails the distant atom (k, l); a repeat
+sigma(k) = sigma(k+1) fails the distant atom (k-1, k+1), as
+[z_{k-1}, z_{k+1}] = [z_{k-1}, z_k] = 0.  So a witness is injective
+with steps +-1, hence monotone (a step back revisits), and closes only
+when n divides m <= n: only when m = n, and then only the 2n rotations
+and reflections of (0, 1, ..., n-1) are candidates.  The search reports
+its counts from the closed walks of length m on the cycle with loops.
 
 The merge homomorphism phi_lambda sends x_{n-1} to lambda*x_{n-2} when
 those two vertices have equal closed neighborhoods, fixing all other
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Algebra,
@@ -98,13 +104,6 @@ def theta_atoms(m: int) -> Tuple[Atom, ...]:
         if circ_dist(m, i, j) * circ_dist(m, (i + 2) % m, j) != 1
     ]
     return tuple(adjacent + distant + triple)
-
-
-def _atom_positions(atom: Atom, m: int) -> Tuple[int, ...]:
-    """The variables an atom reads."""
-    if atom.family == "triple-nonzero":
-        return (atom.i, (atom.i + 2) % m, atom.j)
-    return (atom.i, atom.j)
 
 
 class _BracketTable:
@@ -193,63 +192,48 @@ def _completion_counts(n: int, m: int) -> List[List[int]]:
     return counts
 
 
-def _walk(n: int, m: int, fails: Callable[[List[int], int], bool], first_only: bool) -> Tuple[List[Tuple[int, ...]], int]:
-    """Depth-first walk, in lexicographic order, over the constrained
-    sequences: the maps Z_m -> Z_n whose consecutive images (cyclically)
-    are at cyclic distance <= 1.  A prefix for which ``fails(seq, pos)``
-    holds (asked once seq[pos] is set, pos >= 1) is skipped whole, and
-    its constrained completions are counted from the transfer-matrix
-    table.  Returns the full sequences no prefix of which fails and the
-    number of constrained sequences accounted for: all of them, or with
-    ``first_only`` those up to the first sequence found, where the walk
-    stops."""
-    completions = _completion_counts(n, m)
-    seq = [0] * m
-    found: List[Tuple[int, ...]] = []
-    checked = 0
-
-    def extend(pos: int) -> bool:
-        nonlocal checked
-        for step in _steps(n, seq[pos - 1]):
-            count = completions[m - 1 - pos][(seq[0] - step) % n]
-            if not count:
-                continue
-            seq[pos] = step
-            if fails(seq, pos):
-                checked += count
-            elif pos == m - 1:
-                checked += 1
-                found.append(tuple(seq))
-                if first_only:
-                    return True
-            elif extend(pos + 1):
-                return True
-        return False
-
-    for start in range(n):
-        seq[0] = start
-        if extend(1):
-            break
-    return found, checked
-
-
 def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") -> WitnessSearchReport:
     """Search Theta(m) over generator assignments in the cycle algebra
-    on n vertices.
+    on n vertices, settled by the closed-walk lemma.
 
-    In generator-assignments mode the search is exhaustive over all n^m
-    maps (pruned by the sound adjacency constraint) and returns either
-    a witness or an exhaustion report.  It is prefix-pruned: brackets of
-    generators come from one table filled lazily by the engine, each
-    atom is checked as soon as its variables are assigned, and a failing
-    prefix skips its subtree.  ``checked`` still counts every
-    constrained sequence up to the witness (or all of them), pruned
-    ones exactly, by a transfer-matrix count of their completions.  In
-    j-sequences mode only the constrained index sequences are examined,
-    for a repeated index, the combinatorial core of the refutation: a
-    sequence with a repeat cannot witness the sentence.  The same walk
-    skips each prefix that repeats an index, counting its completions,
-    so ``checked`` is again the number of all constrained sequences.
+    The search space is the constrained sequences: the maps
+    sigma: Z_m -> Z_n whose consecutive images (cyclically) are at
+    cyclic distance <= 1, in lexicographic order; z_k = x_sigma(k).
+
+    Lemma: a witness is a rotation or reflection of (0, 1, ..., n-1),
+    so there is none unless m = n.  Proof.  In the cycle algebra on
+    n >= 4 vertices, [x_a, x_b] = 0 iff circ_dist(a, b) <= 1 (the
+    engine premise the tests check), so the adjacent-zero atoms hold
+    exactly on constrained sequences and the distant atom (k, l) holds
+    iff circ_dist(sigma(k), sigma(l)) > 1.  Suppose sigma repeats.
+    - If sigma(k) = sigma(l) with circ_dist(k, l) > 1, the distant atom
+      (k, l) fails, since [x_a, x_a] = 0.
+    - If sigma(k) = sigma(k+1), then either the adjacent-zero atom
+      (k-1, k) fails, or circ_dist(sigma(k-1), sigma(k+1)) =
+      circ_dist(sigma(k-1), sigma(k)) <= 1 and the distant atom
+      (k-1, k+1) fails (m >= 5, so k-1 and k+1 are not adjacent).
+    So a witness is injective, with every step +1 or -1.  A step +1
+    followed by -1 (or the reverse) gives sigma(k+2) = sigma(k), so the
+    steps, cyclically, all have one sign, and the walk closes only if
+    n divides m.  Injectivity gives m <= n, so m = n, and sigma is one
+    of the 2n laps sigma(k) = s +- k.  The laps are the images of the
+    identity (0, 1, ..., n-1) under the dihedral automorphisms of C_n,
+    so they all hold or all fail, as `theta_identity_holds(n)` says.
+
+    The report is the one an exhaustive walk in lexicographic order
+    would give.  ``checked`` counts the constrained sequences up to the
+    first witness, or all of them: these are the closed walks of length
+    m on C_n with loops, trace(A^m) = n * (A^m)[0][0] for the circulant
+    A with ones on and next to the diagonal, read off
+    `_completion_counts`.  The first lap in that order is (0, 1, ...,
+    n-1); before it come, for each position pos >= 1, the completions
+    of the steps from pos - 1 that are smaller than pos, none of them
+    a lap.  In
+    generator-assignments mode ``witness`` is that lap when m = n and
+    the identity holds, else None with ``exhausted``.  In j-sequences
+    mode, the combinatorial core of the refutation, the sequences
+    without a repeated index are reported: the 2n laps, in order, when
+    m = n, and none otherwise; ``checked`` is always the total.
     """
     if n < 4 or m < 5:
         raise AlgebraError(
@@ -259,24 +243,17 @@ def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") ->
     if mode not in ("generator-assignments", "j-sequences"):
         raise AlgebraError(f"unknown search mode {mode!r}")
     space = n ** m
-    if mode == "generator-assignments":
-        table = _BracketTable(cycle_generators(n))
-        checks: List[List[Atom]] = [[] for _ in range(m)]
-        for atom in theta_atoms(m):
-            checks[max(_atom_positions(atom, m))].append(atom)
-        # every atom reads two distinct positions, so none is grouped at position 0
-        found, checked = _walk(
-            n, m,
-            lambda seq, pos: not all(_atom_holds(atom, m, table, seq) for atom in checks[pos]),
-            first_only=True,
-        )
-        witness = found[0] if found else None
-        return WitnessSearchReport(mode, n, m, witness, checked, space, witness is None)
-    no_repeat, checked = _walk(n, m, lambda seq, pos: seq[pos] in seq[:pos], first_only=False)
-    return WitnessSearchReport(
-        mode, n, m, None, checked, space,
-        exhausted=not no_repeat, no_repeat_sequences=tuple(no_repeat),
-    )
+    counts = _completion_counts(n, m)
+    total = n * counts[m - 1][0]
+    if mode == "j-sequences":
+        laps = ()
+        if m == n:
+            laps = tuple(sorted(tuple((s + d * k) % n for k in range(n)) for s in range(n) for d in (1, -1)))
+        return WitnessSearchReport(mode, n, m, None, total, space, exhausted=not laps, no_repeat_sequences=laps)
+    if m != n or not theta_identity_holds(n):
+        return WitnessSearchReport(mode, n, m, None, total, space, True)
+    before = sum(counts[m - 1 - pos][-step % n] for pos in range(1, m) for step in _steps(n, pos - 1) if step < pos)
+    return WitnessSearchReport(mode, n, m, tuple(range(n)), before + 1, space, False)
 
 
 @dataclass

@@ -22,16 +22,33 @@ by glued multidegree and first letter, read off `mdeg`, that the
 merge's scaling components now label by `equivalence._glued_key`.
 For the witness search it keeps the full transfer-matrix table of
 completion counts, one entry per (steps left, previous image, start),
-where the search now keeps one circulant row per number of steps."""
+where the search now keeps one circulant row per number of steps, and
+the prefix-pruned walk over the constrained sequences, which evaluated
+each atom of the sentence as soon as its variables were assigned, where
+the search now reads its report off the closed-walk lemma."""
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from pcml import linalg
 from pcml.centralizer import _kernel_rows
-from pcml.core import Algebra, BasisMonomial, GeneratorOrder, LieElement, _basis, _support_mask, is_basis_monomial, mdeg, substitute
-from pcml.equivalence import PhiHom, _steps, build_phi_hom, gamma_closure, lambda_zero, merge_relabeling, phi_lambda
+from pcml.core import Algebra, BasisMonomial, GeneratorOrder, LieElement, _basis, _support_mask, cycle_generators, is_basis_monomial, mdeg, substitute
+from pcml.equivalence import (
+    Atom,
+    PhiHom,
+    WitnessSearchReport,
+    _atom_holds,
+    _BracketTable,
+    _completion_counts,
+    _steps,
+    build_phi_hom,
+    gamma_closure,
+    lambda_zero,
+    merge_relabeling,
+    phi_lambda,
+    theta_atoms,
+)
 from pcml.graphs import Graph, circ_dist, perp_classes
 from pcml.oracle import CertifyReport, FreeMonomial, _free_expand, _letters, _without, free_standard_monomials
 
@@ -203,3 +220,79 @@ def completion_counts_table(n: int, m: int) -> List[List[List[int]]]:
             for v in range(n)
         ])
     return counts
+
+
+def _atom_positions(atom: Atom, m: int) -> Tuple[int, ...]:
+    """The variables an atom reads."""
+    if atom.family == "triple-nonzero":
+        return (atom.i, (atom.i + 2) % m, atom.j)
+    return (atom.i, atom.j)
+
+
+def _walk(n: int, m: int, fails: Callable[[List[int], int], bool], first_only: bool) -> Tuple[List[Tuple[int, ...]], int]:
+    """Depth-first walk, in lexicographic order, over the constrained
+    sequences: the maps Z_m -> Z_n whose consecutive images (cyclically)
+    are at cyclic distance <= 1.  A prefix for which ``fails(seq, pos)``
+    holds (asked once seq[pos] is set, pos >= 1) is skipped whole, and
+    its constrained completions are counted from the transfer-matrix
+    table.  Returns the full sequences no prefix of which fails and the
+    number of constrained sequences accounted for: all of them, or with
+    ``first_only`` those up to the first sequence found, where the walk
+    stops."""
+    completions = _completion_counts(n, m)
+    seq = [0] * m
+    found: List[Tuple[int, ...]] = []
+    checked = 0
+
+    def extend(pos: int) -> bool:
+        nonlocal checked
+        for step in _steps(n, seq[pos - 1]):
+            count = completions[m - 1 - pos][(seq[0] - step) % n]
+            if not count:
+                continue
+            seq[pos] = step
+            if fails(seq, pos):
+                checked += count
+            elif pos == m - 1:
+                checked += 1
+                found.append(tuple(seq))
+                if first_only:
+                    return True
+            elif extend(pos + 1):
+                return True
+        return False
+
+    for start in range(n):
+        seq[0] = start
+        if extend(1):
+            break
+    return found, checked
+
+
+def theta_witness_walk(n: int, m: int, mode: str) -> WitnessSearchReport:
+    """`equivalence.search_theta_witness` by the prefix-pruned walk:
+    in generator-assignments mode each atom of Theta(m) is checked,
+    with generator brackets from one lazily filled table, as soon as
+    its variables are assigned, and a failing prefix skips its subtree;
+    in j-sequences mode a prefix that repeats an index is skipped.
+    ``checked`` counts every constrained sequence up to the first
+    witness, or all of them, pruned ones by their completions."""
+    space = n ** m
+    if mode == "generator-assignments":
+        table = _BracketTable(cycle_generators(n))
+        checks: List[List[Atom]] = [[] for _ in range(m)]
+        for atom in theta_atoms(m):
+            checks[max(_atom_positions(atom, m))].append(atom)
+        # every atom reads two distinct positions, so none is grouped at position 0
+        found, checked = _walk(
+            n, m,
+            lambda seq, pos: not all(_atom_holds(atom, m, table, seq) for atom in checks[pos]),
+            first_only=True,
+        )
+        witness = found[0] if found else None
+        return WitnessSearchReport(mode, n, m, witness, checked, space, witness is None)
+    no_repeat, checked = _walk(n, m, lambda seq, pos: seq[pos] in seq[:pos], first_only=False)
+    return WitnessSearchReport(
+        mode, n, m, None, checked, space,
+        exhausted=not no_repeat, no_repeat_sequences=tuple(no_repeat),
+    )

@@ -100,6 +100,17 @@ def test_witness_search(capsys):
     assert line_value(lines, "EXHAUSTED") == "true"
 
 
+def test_witness_at_the_largest_cycle_lengths_answers_at_once(capsys):
+    # the prefix-pruned walk ran past 20 s here
+    start = time.perf_counter()
+    status, lines = invoke(capsys, "witness", "--n", "250", "--m", "256")
+    assert time.perf_counter() - start < 1
+    assert status == 0
+    assert [line.split("=")[0] for line in lines] == ["SEED", "MODE", "CHECKED", "SPACE", "WITNESS", "EXHAUSTED"]
+    assert line_value(lines, "WITNESS") == "none"
+    assert line_value(lines, "EXHAUSTED") == "true"
+
+
 def test_distinguish_psi(capsys):
     status, lines = invoke(capsys, "distinguish", "--n", "3", "--m", "4")
     assert status == 0

@@ -1,5 +1,6 @@
 import random
 from itertools import chain, combinations, product
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from pcml.core import (
     LieElement,
     basis_monomial_with_start,
     bracket,
+    cycle_generators,
     substitute,
     word_element,
 )
@@ -34,7 +36,7 @@ from pcml.errors import AlgebraError, CertificationError, GraphError
 from pcml.graphs import Graph, circ_dist, cycle_graph
 from pcml.sampling import random_element, random_graph, random_graph_with_merged_pair, random_word
 from pcml.textio import parse_element
-from reference import compaction_witness_by_element, completion_counts_table, glued_decomposition
+from reference import compaction_witness_by_element, completion_counts_table, glued_decomposition, theta_witness_walk
 
 # four vertices, 2 and 3 neighborhood-equivalent, 0 isolated
 MERGE4 = Graph(4, [(2, 3), (1, 2), (1, 3)])
@@ -273,6 +275,54 @@ def test_long_j_sequence_search_counts_every_sequence():
     report = search_theta_witness(n, m, mode="j-sequences")
     assert report.exhausted and not report.no_repeat_sequences
     assert report.checked == _closed_walks(n, m)
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_generators_commute_iff_at_cyclic_distance_at_most_one(n):
+    # the engine premise of the closed-walk lemma
+    x = cycle_generators(n)
+    for a in range(n):
+        for b in range(n):
+            assert bracket(x[a], x[b]).is_zero() == (circ_dist(n, a, b) <= 1), (a, b)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_theta_holds_on_every_rotation_and_reflection_of_the_generators(n):
+    x = cycle_generators(n)
+    inst = ThetaInstance(n, x[0].graph, x[0].order)
+    for start in range(n):
+        for direction in (1, -1):
+            lap = [x[(start + direction * k) % n] for k in range(n)]
+            assert eval_theta(inst, lap).holds, (start, direction)
+
+
+@pytest.mark.parametrize("mode", ["generator-assignments", "j-sequences"])
+def test_closed_walk_lemma_matches_the_reference_walk(mode):
+    for n in range(4, 12):
+        for m in range(5, 12):
+            assert search_theta_witness(n, m, mode) == theta_witness_walk(n, m, mode), (n, m)
+
+
+def _closed_walks_by_steps(n, m):
+    """The closed walks of length m on C_n with loops, by their steps:
+    n * the sum of m!/(a! b! (m-a-b)!) over a steps up and b steps down
+    with a = b (mod n)."""
+    return n * sum(comb(m, a) * comb(m - a, b)
+                   for a in range(m + 1) for b in range(m - a + 1) if (a - b) % n == 0)
+
+
+@pytest.mark.parametrize("n, m, mode", [
+    (4, 5, "generator-assignments"),
+    (30, 40, "generator-assignments"),
+    (60, 64, "generator-assignments"),
+    (250, 256, "generator-assignments"),
+    (250, 250, "j-sequences"),
+])
+def test_checked_is_the_multinomial_count_of_closed_walks(n, m, mode):
+    report = search_theta_witness(n, m, mode)
+    assert report.exhausted == (n != m)
+    assert report.checked == _closed_walks_by_steps(n, m)
+
 
 def test_distinguish_equal_lengths():
     verdict = distinguish_cycles(5, 5)
