@@ -104,9 +104,8 @@ on the right.  The two sides share only the tops table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations, combinations_with_replacement
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .core import (
@@ -208,13 +207,12 @@ def _strata(g: LieElement, degree_bound: int) -> Iterator[Tuple[Tuple[int, ...],
                 yield letters, columns
 
 
-@dataclass
-class CentralizerSlice:
+class CentralizerSlice(NamedTuple):
     """Basis of {h in M' : [h, g] = 0, total degree <= bound}."""
 
     g: LieElement
     degree_bound: int
-    elements: List[LieElement] = field(default_factory=list)
+    elements: List[LieElement]
 
     def is_empty(self) -> bool:
         return not self.elements
@@ -229,7 +227,7 @@ def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
         raise AlgebraError("degree bound must be at least 2")
     algebra = g.algebra
     if _provably_empty(algebra.graph, _check_linear(g), degree_bound):
-        return CentralizerSlice(g, degree_bound)
+        return CentralizerSlice(g, degree_bound, [])
     rank = algebra.order.rank.__getitem__
     found = []
     for letters, columns in _strata(g, degree_bound):
@@ -269,8 +267,7 @@ def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[in
     )
 
 
-@dataclass
-class CycleCentralizerReport:
+class CycleCentralizerReport(NamedTuple):
     """Structure report for the centralizer of x_i + x_j on a cycle."""
 
     n: int

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import oracle
@@ -33,7 +32,6 @@ from .equivalence import (
 )
 from .errors import AlgebraError, GraphError, ParseError, PcmlError
 from .graphs import compaction, cycle_graph, perp_classes
-from .suite import run_suite
 from .textio import (
     _check_vertex_count,
     parse_assoc_poly,
@@ -48,10 +46,15 @@ from .textio import (
 DEFAULT_DEGREE_BOUND = 6
 
 
-@dataclass
 class Report:
-    lines: List[str] = field(default_factory=list)
-    status: int = 0
+    __slots__ = ("lines", "status")
+
+    def __init__(self, lines: Optional[List[str]] = None, status: int = 0):
+        self.lines = [] if lines is None else lines
+        self.status = status
+
+    def __repr__(self) -> str:
+        return f"Report(lines={self.lines!r}, status={self.status!r})"
 
     def add(self, key: str, value) -> None:
         if isinstance(value, bool):
@@ -225,6 +228,8 @@ def _cmd_gamma_witness(args, report: Report) -> None:
 
 
 def _cmd_suite(args, report: Report) -> None:
+    from .suite import run_suite  # here, so that no other command compiles the suite at start-up
+
     results = run_suite(seed=args.seed, emit=report.add_raw)
     if any(not r.ok for r in results):
         report.status = 1

@@ -35,7 +35,6 @@ preserves the universal theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import attrgetter
@@ -61,19 +60,32 @@ from .graphs import Graph, circ_dist, closed_neighborhood, perp_classes
 # the sentence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ThetaInstance:
-    """The quantifier-free core of the cycle sentence with m variables."""
+    """The quantifier-free core of the cycle sentence with m variables,
+    immutable by convention.  Equality, hash and repr read (m, graph,
+    order); ``algebra`` is derived from the last two."""
 
-    m: int
-    graph: Graph
-    order: GeneratorOrder
-    algebra: Algebra = field(init=False, repr=False, compare=False)
+    __slots__ = ("m", "graph", "order", "algebra")
 
-    def __post_init__(self):
-        if self.m < 4:
+    def __init__(self, m: int, graph: Graph, order: GeneratorOrder):
+        if m < 4:
             raise AlgebraError("the sentence needs at least 4 variables")
-        object.__setattr__(self, "algebra", Algebra.of(self.graph, self.order))
+        self.m, self.graph, self.order = m, graph, order
+        self.algebra = Algebra.of(graph, order)
+
+    def _key(self) -> Tuple[int, Graph, GeneratorOrder]:
+        return self.m, self.graph, self.order
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"ThetaInstance(m={self.m!r}, graph={self.graph!r}, order={self.order!r})"
 
 
 class Atom(NamedTuple):
@@ -256,8 +268,7 @@ def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") ->
     return WitnessSearchReport(mode, n, m, tuple(range(n)), before + 1, space, False)
 
 
-@dataclass
-class DistinguishReport:
+class DistinguishReport(NamedTuple):
     n: int
     m: int
     equivalent: bool
@@ -300,8 +311,7 @@ def distinguish_cycles(n: int, m: int) -> DistinguishReport:
 # the merge homomorphism
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiHom:
+class PhiHom(NamedTuple):
     """Merge x_{n-1} onto lambda * x_{n-2}.
 
     Requires the two merged vertices to have equal closed neighborhoods
@@ -593,8 +603,7 @@ def merge_relabeling(graph: Graph, keep: int, remove: int) -> Tuple[Dict[int, in
     return perm, new_graph
 
 
-@dataclass
-class CompactionWitnessReport:
+class CompactionWitnessReport(NamedTuple):
     """A verified merge witness.  ``ok`` is always True: a witness that
     fails verification raises `CertificationError` instead."""
 

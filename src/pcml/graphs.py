@@ -11,8 +11,7 @@ JSON graph files are read by `pcml.textio`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
 from .errors import GraphError
 
@@ -139,8 +138,7 @@ def perp_classes(graph: Graph) -> Tuple[VertexSet, ...]:
     return tuple(frozenset(b) for b in by_nbhd.values())
 
 
-@dataclass(frozen=True)
-class CompactionResult:
+class CompactionResult(NamedTuple):
     """Compacted graph, the retained old vertices, and the index map.
 
     ``kept[k]`` is the old label of new vertex k; ``vertex_map`` sends

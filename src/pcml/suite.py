@@ -8,9 +8,8 @@ subcommand both run these.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from . import oracle
 from .centralizer import (
@@ -67,8 +66,7 @@ def spider_graph() -> Graph:
     return Graph(5, SPIDER_EDGES)
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     name: str
     ok: bool

@@ -49,6 +49,20 @@ def test_distant_pair_centralizer_degree_3():
     assert format_element(slice_.elements[0]) == "[x4,x1;x3]"
 
 
+def test_a_cut_slice_owns_a_fresh_empty_list(monkeypatch):
+    # an adjacent pair on C5 is ruled out by a cut, before any support
+    def no_strata(*args):
+        raise AssertionError("the cut path walked the supports")
+
+    monkeypatch.setattr(centralizer, "_strata", no_strata)
+    g = linear(C5, O5, {0: 1, 1: 1})
+    first, second = derived_centralizer(g, 6), derived_centralizer(g, 6)
+    assert first.is_empty() and first.elements == []
+    assert first.elements is not second.elements
+    first.elements.append(g)
+    assert second.is_empty()
+
+
 def test_three_generator_centralizer_is_empty():
     g = linear(C5, O5, {0: 1, 2: 1, 4: 1})
     assert derived_centralizer(g, 6).is_empty()

@@ -320,6 +320,27 @@ def test_seed_in_header(capsys):
     assert lines[0] == "SEED=9"
 
 
+def test_commands_load_neither_the_suite_nor_dataclasses():
+    # every command starts a fresh interpreter, so what `pcml.cli` imports
+    # is paid on each one; `suite` alone loads the suite, when it runs
+    script = (
+        "import sys\n"
+        "import pcml, pcml.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'pcml.suite', 'pcml.sampling'} & set(sys.modules)))\n"
+        "status = pcml.cli.run(['suite'])\n"
+        "print('LOADED', 'pcml.suite' in sys.modules, 'STATUS', status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pcml.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1] == "SEED=0"
+    assert sum(line.startswith("CRITERION=") for line in lines) == 7
+    assert all("STATUS=PASS" in line for line in lines if line.startswith("CRITERION="))
+    assert lines[-1] == "LOADED True STATUS 0"
+
+
 def test_a_reader_that_closes_stdout_early_gets_no_traceback():
     # as `pcml witness ... | head -1` does, here with the read end of the
     # pipe closed before the report is written

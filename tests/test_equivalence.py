@@ -104,6 +104,9 @@ def test_theta_validation():
     o5 = GeneratorOrder.ascending(5)
     with pytest.raises(AlgebraError):
         ThetaInstance(3, c5, o5)
+    # m is checked before the order is
+    with pytest.raises(AlgebraError, match="at least 4 variables"):
+        ThetaInstance(3, c5, GeneratorOrder.ascending(4))
     inst = ThetaInstance(5, c5, o5)
     with pytest.raises(AlgebraError):
         eval_theta(inst, [LieElement.zero(c5, o5)] * 4)
@@ -115,6 +118,21 @@ def test_theta_validation():
     # equal but distinct graph and order objects name the same algebra
     same = [LieElement.generator(cycle_graph(5), GeneratorOrder.ascending(5), i) for i in range(5)]
     assert eval_theta(inst, same).holds
+
+
+def test_theta_instances_are_equal_on_m_graph_and_order():
+    inst = ThetaInstance(5, cycle_graph(5), GeneratorOrder.ascending(5))
+    same = ThetaInstance(5, cycle_graph(5), GeneratorOrder.ascending(5))
+    assert inst == same and hash(inst) == hash(same)
+    assert inst.algebra is same.algebra
+    assert inst != ThetaInstance(6, cycle_graph(5), GeneratorOrder.ascending(5))
+    assert inst != ThetaInstance(5, cycle_graph(5), GeneratorOrder([1, 0, 2, 3, 4]))
+    assert inst != (5, inst.graph, inst.order)
+    assert len({inst, same}) == 1
+    assert repr(inst) == (
+        "ThetaInstance(m=5, graph=Graph(n=5, edges=[(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]), "
+        "order=GeneratorOrder([0, 1, 2, 3, 4]))"
+    )
 
 
 def test_search_witness_same_length():
@@ -609,6 +627,10 @@ def test_compaction_witness_single_generator():
     report = compaction_witness(MERGE4, [LieElement.generator(MERGE4, order, 0)])
     assert report.ok and report.lam == 1
     assert report.removed_vertex == 3 and report.kept_vertex == 2
+    assert repr(report) == (
+        "CompactionWitnessReport(lam=1, gamma_size=1, closure_size=3, nonzero_in_closure=2, "
+        "removed_vertex=3, kept_vertex=2, ok=True)"
+    )
 
 
 def test_compaction_witness_difference_pair():
