@@ -44,6 +44,7 @@ from .textio import (
 )
 
 DEFAULT_DEGREE_BOUND = 6
+MAX_SWEEP = 10 ** 5  # the most multidegrees `certify` sweeps; the largest example sweeps 456
 
 
 class Report:
@@ -110,11 +111,28 @@ def _cmd_dim(args, report: Report) -> None:
         report.status = 1
 
 
+def _oversized_sweep(n: int, bound: int) -> Optional[str]:
+    """The C(n+bound, n) - n - 1 = sum_{k=2..bound} C(n+k-1, k) multidegrees `certify`
+    sweeps, as text if over `MAX_SWEEP`, or as "at least 10^digits" once past printing."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    count, ceiling = 1, 10 ** digits + n + 1
+    for i in range(1, n + 1):
+        count = count * (bound + i) // i
+        if count >= ceiling:
+            return f"at least 10^{digits} multidegrees"
+    count -= n + 1
+    return f"{count} multidegrees" if count > MAX_SWEEP else None
+
+
 def _cmd_certify(args, report: Report) -> None:
     bound = args.max_degree
     if bound < 2:
         raise AlgebraError("max degree must be at least 2")
     graph, order = _graph_and_order(args)
+    estimate = _oversized_sweep(graph.n, bound)
+    if estimate is not None:
+        report.add("ESTIMATE", estimate)
+        raise AlgebraError(f"the sweep is over the limit of {MAX_SWEEP} multidegrees")
     failures = 0
     for degree in range(2, bound + 1):
         for delta in multidegrees(graph.n, degree):

@@ -118,47 +118,28 @@ def theta_atoms(m: int) -> Tuple[Atom, ...]:
     return tuple(adjacent + distant + triple)
 
 
-class _BracketTable:
-    """Brackets [e_a, e_b] and zero tests of [[e_a, e_c], e_b] over a
-    fixed list of elements, each computed by the engine on first use."""
-
-    def __init__(self, elements: Sequence[LieElement]):
-        self.elements = elements
-        self.pairs: Dict[Tuple[int, int], LieElement] = {}
-        self.triples: Dict[Tuple[int, int, int], bool] = {}
-
-    def pair(self, a: int, b: int) -> LieElement:
-        out = self.pairs.get((a, b))
-        if out is None:
-            out = self.pairs[a, b] = bracket(self.elements[a], self.elements[b])
-        return out
-
-    def triple_is_zero(self, a: int, c: int, b: int) -> bool:
-        out = self.triples.get((a, c, b))
-        if out is None:
-            out = self.triples[a, c, b] = bracket(self.pair(a, c), self.elements[b]).is_zero()
-        return out
-
-
-def _atom_holds(atom: Atom, m: int, table: _BracketTable, index: Sequence[int]) -> bool:
-    """Evaluate one atom under z_k = table.elements[index[k]]."""
-    if atom.family == "triple-nonzero":
-        return not table.triple_is_zero(index[atom.i], index[(atom.i + 2) % m], index[atom.j])
-    vanishes = table.pair(index[atom.i], index[atom.j]).is_zero()
-    return vanishes == (atom.family == "adjacent-zero")
-
-
 def eval_theta(inst: ThetaInstance, assignment: Sequence[LieElement]) -> ThetaResult:
-    """Evaluate all atoms; report the first violated one, if any."""
-    if len(assignment) != inst.m:
-        raise AlgebraError(f"assignment length {len(assignment)} != m = {inst.m}")
+    """Evaluate the atoms in order; report the first violated one, if any.
+
+    Each pair bracket [z_i, z_j] an atom reads is computed once per
+    call, so the inner [z_i, z_{i+2}] of the triple atoms is bracketed
+    once per i; each triple atom then costs one more bracket."""
+    m = inst.m
+    if len(assignment) != m:
+        raise AlgebraError(f"assignment length {len(assignment)} != m = {m}")
     if any(z.algebra is not inst.algebra for z in assignment):
         raise AlgebraError("assignment element over the wrong algebra")
-    m = inst.m
-    table = _BracketTable(list(assignment))
-    positions = range(m)
+    pairs: Dict[Tuple[int, int], LieElement] = {}
     for atom in theta_atoms(m):
-        if not _atom_holds(atom, m, table, positions):
+        family, i, j = atom
+        k = (i + 2) % m if family == "triple-nonzero" else j
+        if (i, k) not in pairs:
+            pairs[i, k] = bracket(assignment[i], assignment[k])
+        if family == "triple-nonzero":
+            holds = not bracket(pairs[i, k], assignment[j]).is_zero()
+        else:
+            holds = pairs[i, k].is_zero() == (family == "adjacent-zero")
+        if not holds:
             return ThetaResult(False, atom)
     return ThetaResult(True, None)
 

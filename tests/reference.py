@@ -25,7 +25,10 @@ completion counts, one entry per (steps left, previous image, start),
 where the search now keeps one circulant row per number of steps, and
 the prefix-pruned walk over the constrained sequences, which evaluated
 each atom of the sentence as soon as its variables were assigned, where
-the search now reads its report off the closed-walk lemma."""
+the search now reads its report off the closed-walk lemma, with the
+bracket table that walk shares across sequences, a memo of every pair
+and triple bracket read through an index list, where `eval_theta` now
+keeps one dict of pair brackets per call."""
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -33,13 +36,11 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from pcml import linalg
 from pcml.centralizer import _kernel_rows
-from pcml.core import Algebra, BasisMonomial, GeneratorOrder, LieElement, _basis, _support_mask, cycle_generators, is_basis_monomial, mdeg, substitute
+from pcml.core import Algebra, BasisMonomial, GeneratorOrder, LieElement, _basis, _support_mask, bracket, cycle_generators, is_basis_monomial, mdeg, substitute
 from pcml.equivalence import (
     Atom,
     PhiHom,
     WitnessSearchReport,
-    _atom_holds,
-    _BracketTable,
     _completion_counts,
     _steps,
     build_phi_hom,
@@ -220,6 +221,36 @@ def completion_counts_table(n: int, m: int) -> List[List[List[int]]]:
             for v in range(n)
         ])
     return counts
+
+
+class _BracketTable:
+    """Brackets [e_a, e_b] and zero tests of [[e_a, e_c], e_b] over a
+    fixed list of elements, each computed by the engine on first use."""
+
+    def __init__(self, elements: Sequence[LieElement]):
+        self.elements = elements
+        self.pairs: Dict[Tuple[int, int], LieElement] = {}
+        self.triples: Dict[Tuple[int, int, int], bool] = {}
+
+    def pair(self, a: int, b: int) -> LieElement:
+        out = self.pairs.get((a, b))
+        if out is None:
+            out = self.pairs[a, b] = bracket(self.elements[a], self.elements[b])
+        return out
+
+    def triple_is_zero(self, a: int, c: int, b: int) -> bool:
+        out = self.triples.get((a, c, b))
+        if out is None:
+            out = self.triples[a, c, b] = bracket(self.pair(a, c), self.elements[b]).is_zero()
+        return out
+
+
+def _atom_holds(atom: Atom, m: int, table: _BracketTable, index: Sequence[int]) -> bool:
+    """Evaluate one atom under z_k = table.elements[index[k]]."""
+    if atom.family == "triple-nonzero":
+        return not table.triple_is_zero(index[atom.i], index[(atom.i + 2) % m], index[atom.j])
+    vanishes = table.pair(index[atom.i], index[atom.j]).is_zero()
+    return vanishes == (atom.family == "adjacent-zero")
 
 
 def _atom_positions(atom: Atom, m: int) -> Tuple[int, ...]:

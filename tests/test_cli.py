@@ -6,9 +6,9 @@ import time
 from pathlib import Path
 
 import pcml
-from pcml import equivalence, oracle
+from pcml import cli, equivalence, oracle
 from pcml.cli import run
-from pcml.core import LieElement
+from pcml.core import LieElement, multidegrees
 from pcml.suite import EXAMPLE_GRAPH_EDGES
 from pcml.textio import MAX_VERTICES
 
@@ -284,6 +284,31 @@ def test_certify_rejects_max_degree_below_two(capsys):
         assert status == 2
         assert any(line.startswith("ERROR=") for line in lines)
         assert not any(line.startswith("FAILURES=") for line in lines)
+
+
+def test_oversized_certify_sweeps_exit_2_at_once(capsys):
+    # cycle:40 up to degree 6 ran past 12 s before the estimate
+    big = "1" + "0" * 3999
+    for graph, bound, estimate in (("cycle:40", "6", "9366778 multidegrees"),
+                                   ("path:1", big, f"{10 ** 3999 - 1} multidegrees"),
+                                   ("path:2", big, f"at least 10^{sys.get_int_max_str_digits()} multidegrees")):
+        start = time.perf_counter()
+        status, lines = invoke(capsys, "certify", "--graph", graph, "--max-degree", bound)
+        assert time.perf_counter() - start < 1
+        assert status == 2
+        assert lines == ["SEED=0", f"ESTIMATE={estimate}",
+                         f"ERROR=the sweep is over the limit of {cli.MAX_SWEEP} multidegrees"]
+
+
+def test_sweep_estimate_counts_the_multidegrees_certify_visits(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP", 0)
+    for n in range(1, 6):
+        for bound in range(2, 7):
+            visited = sum(1 for k in range(2, bound + 1) for _ in multidegrees(n, k))
+            assert cli._oversized_sweep(n, bound) == f"{visited} multidegrees", (n, bound)
+    monkeypatch.undo()
+    # the largest sweep of the examples runs
+    assert cli._oversized_sweep(5, 6) is None and cli._oversized_sweep(17, 6) == "100929 multidegrees"
 
 
 def test_reports_are_deterministic(capsys, tmp_path):

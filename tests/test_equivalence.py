@@ -250,6 +250,49 @@ def test_eval_theta_matches_naive_atom_loop():
     assert seen == {"adjacent-zero", "distant-nonzero", "triple-nonzero", "holds"}
 
 
+def _atom_brackets(m, failing):
+    """The brackets Theta(m) needs up to and including ``failing`` (all
+    atoms if None): one per distinct pair (i, j) the atoms read, the
+    inner pair (i, i + 2) of a triple atom included, and one per triple
+    atom."""
+    pairs, triples = set(), 0
+    for atom in equivalence.theta_atoms(m):
+        if atom.family == "triple-nonzero":
+            pairs.add((atom.i, (atom.i + 2) % m))
+            triples += 1
+        else:
+            pairs.add((atom.i, atom.j))
+        if atom == failing:
+            break
+    return len(pairs) + triples
+
+
+def test_eval_theta_brackets_each_pair_once(monkeypatch):
+    calls = []
+    engine_bracket = equivalence.bracket
+
+    def counted(a, b):
+        calls.append((a, b))
+        return engine_bracket(a, b)
+
+    monkeypatch.setattr(equivalence, "bracket", counted)
+    cases = []
+    for m in range(5, 10):
+        x = cycle_generators(m)
+        cases.append((ThetaInstance(m, x[0].graph, x[0].order), x))
+    x = cycle_generators(5)
+    for seq in ((0, 1, 2, 3, 0), (0, 1, 2, 3, 4, 0)):
+        cases.append((ThetaInstance(len(seq), x[0].graph, x[0].order), [x[k] for k in seq]))
+    failures = []
+    for inst, z in cases:
+        calls.clear()
+        result = eval_theta(inst, z)
+        assert len(calls) == _atom_brackets(inst.m, result.failing_atom), (inst.m, result)
+        failures.append(result.failing_atom)
+    assert failures[:5] == [None] * 5
+    assert failures[5:] == [Atom("adjacent-zero", 3, 4), Atom("distant-nonzero", 0, 4)]
+
+
 def _closed_walks(n, m):
     """trace(A^m) for the circulant A with ones on and next to the
     diagonal: the number of constrained sequences, by integer matrix power."""
@@ -944,6 +987,20 @@ def test_witness_matches_the_per_element_path():
         assert compaction_witness(graph, gamma).lam == hom.lam
         scaled += hom.lam > 1
     assert scaled >= 8
+
+
+def test_witness_kill_check_replayed_in_the_oracle():
+    # at the witness's scale the oracle finds no nonzero closure element
+    # whose image vanishes; one below it, some case has one, so the
+    # replay can fail
+    below_vanishes = 0
+    for graph, gamma in chain(_witness_cases(22, 16), _merge_shaped_cases(5, 12)):
+        hom, nonzero, _ = compaction_witness_by_element(graph, gamma)
+        assert not any(_oracle_image_vanishes(hom, g) for g in nonzero)
+        if hom.lam > 1:
+            below = build_phi_hom(hom.graph, hom.lam - 1)
+            below_vanishes += any(_oracle_image_vanishes(below, g) for g in nonzero)
+    assert below_vanishes >= 1
 
 
 def test_witness_solves_each_scale_polynomial_and_substitutes_each_key_once(monkeypatch):
