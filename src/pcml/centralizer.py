@@ -105,6 +105,7 @@ on the right.  The two sides share only the tops table.
 from __future__ import annotations
 
 from itertools import chain, combinations, combinations_with_replacement
+from math import comb
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
@@ -207,6 +208,20 @@ def _strata(g: LieElement, degree_bound: int) -> Iterator[Tuple[Tuple[int, ...],
                 yield letters, columns
 
 
+def support_count(g: LieElement, degree_bound: int) -> int:
+    """How many supports `derived_centralizer` walks: 0 when a cut rules
+    out every one, else the sum of C(m, s) over s = 2..min(d, m), m the
+    letters off supp g.  A bad degree bound or element raises here."""
+    if degree_bound < 2:
+        raise AlgebraError("degree bound must be at least 2")
+    lin = _check_linear(g)
+    graph = g.algebra.graph
+    if _provably_empty(graph, lin, degree_bound):
+        return 0
+    m = graph.n - len(lin)
+    return sum(comb(m, s) for s in range(2, min(degree_bound, m) + 1))
+
+
 class CentralizerSlice(NamedTuple):
     """Basis of {h in M' : [h, g] = 0, total degree <= bound}."""
 
@@ -223,11 +238,9 @@ def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
     when a cut rules out every support, else one closed-form kernel per
     support off supp g, spread over its multidegrees where it is
     nonzero (see the module docstring)."""
-    if degree_bound < 2:
-        raise AlgebraError("degree bound must be at least 2")
-    algebra = g.algebra
-    if _provably_empty(algebra.graph, _check_linear(g), degree_bound):
+    if not support_count(g, degree_bound):
         return CentralizerSlice(g, degree_bound, [])
+    algebra = g.algebra
     rank = algebra.order.rank.__getitem__
     found = []
     for letters, columns in _strata(g, degree_bound):

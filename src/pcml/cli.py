@@ -12,7 +12,7 @@ import sys
 from typing import List, Optional
 
 from . import oracle
-from .centralizer import derived_centralizer
+from .centralizer import derived_centralizer, support_count
 from .core import (
     GeneratorOrder,
     act,
@@ -44,7 +44,9 @@ from .textio import (
 )
 
 DEFAULT_DEGREE_BOUND = 6
-MAX_SWEEP = 10 ** 5  # the most multidegrees `certify` sweeps; the largest example sweeps 456
+# the most multidegrees `certify` sweeps and supports `centralizer` walks;
+# the largest examples sweep 456 multidegrees and walk 26 supports
+MAX_SWEEP = 10 ** 5
 
 
 class Report:
@@ -124,6 +126,12 @@ def _oversized_sweep(n: int, bound: int) -> Optional[str]:
     return f"{count} multidegrees" if count > MAX_SWEEP else None
 
 
+def _refuse(report: Report, estimate: str, work: str, unit: str) -> None:
+    """Refuse, before it starts, a run of over `MAX_SWEEP` units of work."""
+    report.add("ESTIMATE", estimate)
+    raise AlgebraError(f"{work} is over the limit of {MAX_SWEEP} {unit}")
+
+
 def _cmd_certify(args, report: Report) -> None:
     bound = args.max_degree
     if bound < 2:
@@ -131,8 +139,7 @@ def _cmd_certify(args, report: Report) -> None:
     graph, order = _graph_and_order(args)
     estimate = _oversized_sweep(graph.n, bound)
     if estimate is not None:
-        report.add("ESTIMATE", estimate)
-        raise AlgebraError(f"the sweep is over the limit of {MAX_SWEEP} multidegrees")
+        _refuse(report, estimate, "the sweep", "multidegrees")
     failures = 0
     for degree in range(2, bound + 1):
         for delta in multidegrees(graph.n, degree):
@@ -145,6 +152,9 @@ def _cmd_certify(args, report: Report) -> None:
 def _cmd_centralizer(args, report: Report) -> None:
     graph, order = _graph_and_order(args)
     g = parse_element(args.element, graph, order)
+    supports = support_count(g, args.degree)
+    if supports > MAX_SWEEP:
+        _refuse(report, f"{supports} supports", "the support walk", "supports")
     slice_ = derived_centralizer(g, args.degree)
     report.add("ELEMENT", format_element(g))
     report.add("DEGREE_BOUND", slice_.degree_bound)

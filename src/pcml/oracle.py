@@ -156,7 +156,7 @@ def _ideal_slice(graph: Graph, support: Tuple[int, ...]):
     index = {first: k for k, ((first, _), _) in enumerate(basis)}
     members = set(support)
     rows = [_coordinates(index, _free_expand(j, i, _without(support, i, j)))
-            for i, j in graph.edges if i in members and j in members]
+            for i in support for j in graph.adj[i] & members if i < j]
     red, pivots = linalg.rref(rows)
     return index, [tuple(row) for row in red], pivots
 

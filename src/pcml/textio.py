@@ -15,7 +15,7 @@ and `MAX_TERM_DEGREE` bound graphs and polynomial terms before use.
 from __future__ import annotations
 
 import json
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from .core import (
     Algebra,
@@ -32,50 +32,53 @@ _DIGITS = frozenset("0123456789")  # str.isdigit also takes "²", which int() re
 
 
 class _Scanner:
+    """A cursor that rests on the next token of ``text``: ``pos`` is its
+    offset past any whitespace, ``next`` the character there ("" at the
+    end), and ``end`` the offset just past the last token taken (0
+    before the first).  An error in a token not understood is raised at
+    ``pos``, one in the token just read at ``end``."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self._step(0)
 
-    def skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def _step(self, end: int) -> None:
+        self.end = pos = end
+        next_ = self.text[pos:pos + 1]
+        while next_.isspace():
+            pos += 1
+            next_ = self.text[pos:pos + 1]
+        self.pos, self.next = pos, next_
 
     def take(self, char: str) -> None:
-        if self.peek() != char:
+        if self.next != char:
             raise ParseError(f"expected {char!r}", self.pos)
-        self.pos += 1
+        self._step(self.pos + 1)
 
     def try_take(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
+        if self.next == char:
+            self._step(self.pos + 1)
             return True
         return False
 
     def integer(self) -> int:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
+        text, start, end = self.text, self.pos, self.pos
+        while text[end:end + 1] in _DIGITS:
+            end += 1
+        if end == start:
             raise ParseError("expected an integer", start)
         try:
-            return int(self.text[start:self.pos])
+            value = int(text[start:end])
         except ValueError:  # longer than int()'s digit limit
-            raise ParseError(f"integer of {self.pos - start} digits is too long", start) from None
+            raise ParseError(f"integer of {end - start} digits is too long", start) from None
+        self._step(end)
+        return value
 
     def generator(self) -> int:
-        if self.peek() != "x":
+        if self.next != "x":
             raise ParseError("expected a generator like x0", self.pos)
-        self.pos += 1
+        self._step(self.pos + 1)
         return self.integer()
-
-    def done(self) -> bool:
-        self.skip_space()
-        return self.pos >= len(self.text)
 
 
 def _parse_monomial(sc: _Scanner) -> Tuple[Tuple[int, int], Tuple[int, ...]]:
@@ -92,42 +95,47 @@ def _parse_monomial(sc: _Scanner) -> Tuple[Tuple[int, int], Tuple[int, ...]]:
     return (a, b), tuple(tail)
 
 
-def _read_element(sc: _Scanner, algebra: Algebra, ends: Tuple[str, ...]) -> LieElement:
-    """Read one element's terms up to a character in ``ends``, where ""
-    stands for the end of the text."""
-    n = algebra.graph.n
-    start = sc.pos
-    if sc.peek() in ends:
-        raise ParseError("empty element", start)
-    linear = {}
-    derived = {}
-    first = True
-    while sc.peek() not in ends:
-        sign = -1 if sc.try_take("-") else 1
-        if sign == 1 and not sc.try_take("+") and not first:
+def _signs(sc: _Scanner, ends: str, what: str) -> Iterator[int]:
+    """The sign of each term of a nonempty sum that runs up to the end of
+    the text or a character in ``ends``, the cursor left on the term: a
+    first term may have a sign, every later one needs + or -."""
+    if sc.next in ends:  # "", the end of the text, is in every string
+        raise ParseError(f"empty {what}", sc.end)
+    while True:
+        if sc.try_take("-"):
+            yield -1
+        else:
+            sc.try_take("+")
+            yield 1
+        if sc.next in ends:
+            return
+        if sc.next not in "+-":
             raise ParseError("expected + or - between terms", sc.pos)
-        first = False
-        ch = sc.peek()
+
+
+def _read_element(sc: _Scanner, algebra: Algebra, ends: str) -> LieElement:
+    """Read one element's terms up to the end of the text or a character in ``ends``."""
+    n = algebra.graph.n
+    linear, derived = {}, {}
+    for sign in _signs(sc, ends, "element"):
         coeff = 1
-        if ch in _DIGITS:
+        if sc.next in _DIGITS:
             coeff = sc.integer()
-            if sc.try_take("*"):
-                ch = sc.peek()
-            else:
+            if not sc.try_take("*"):
                 # bare integer: only "0" stands for the zero element
                 if coeff == 0:
                     continue
                 raise ParseError("a constant term needs a generator or monomial", sc.pos)
-        if ch == "x":
+        if sc.next == "x":
             i = sc.generator()
             if not 0 <= i < n:
-                raise ParseError(f"unknown generator x{i}", sc.pos)
+                raise ParseError(f"unknown generator x{i}", sc.end)
             _bump(linear, i, sign * coeff)
-        elif ch == "[":
+        elif sc.next == "[":
             head, tail = _parse_monomial(sc)
             for v in head + tail:
                 if not 0 <= v < n:
-                    raise ParseError(f"unknown generator x{v}", sc.pos)
+                    raise ParseError(f"unknown generator x{v}", sc.end)
             _add_nf(derived, algebra, *head, tail, sign * coeff)
         else:
             raise ParseError("expected a generator or a bracket monomial", sc.pos)
@@ -136,7 +144,7 @@ def _read_element(sc: _Scanner, algebra: Algebra, ends: Tuple[str, ...]) -> LieE
 
 def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
     """Parse element text and return its normal form."""
-    return _read_element(_Scanner(text), Algebra.of(graph, order), ("",))
+    return _read_element(_Scanner(text), Algebra.of(graph, order), "")
 
 
 def parse_elements(text: str, graph: Graph, order: GeneratorOrder) -> List[LieElement]:
@@ -145,48 +153,39 @@ def parse_elements(text: str, graph: Graph, order: GeneratorOrder) -> List[LieEl
     error, and offsets count from the start of ``text``."""
     algebra = Algebra.of(graph, order)
     sc = _Scanner(text)
-    elements = [_read_element(sc, algebra, ("", ","))]
+    elements = [_read_element(sc, algebra, ",")]
     while sc.try_take(","):
-        elements.append(_read_element(sc, algebra, ("", ",")))
+        elements.append(_read_element(sc, algebra, ","))
     return elements
 
 
 def parse_assoc_poly(text: str, n: int) -> AssocPoly:
-    """Parse ``3*x0^2*x1 - x2 + 4`` style polynomial text; a term of total
-    degree over `MAX_TERM_DEGREE` raises where its last exponent begins."""
+    """Parse ``3*x0^2*x1 - x2 + 4`` style polynomial text: each term an
+    optional coefficient, then factors joined by ``*``.  A term of total
+    degree over `MAX_TERM_DEGREE` raises just past its last variable."""
     sc = _Scanner(text)
-    if sc.done():
-        raise ParseError("empty polynomial", 0)
     terms = {}
-    first = True
-    while not sc.done():
-        sign = -1 if sc.try_take("-") else 1
-        if sign == 1 and not sc.try_take("+") and not first:
-            raise ParseError("expected + or - between terms", sc.pos)
-        first = False
-        have_coeff = sc.peek() in _DIGITS
-        coeff = sc.integer() if have_coeff else 1
-        exps = [0] * n
-        degree = 0
-        have_var = False
-        while True:
-            if (have_coeff or have_var) and not sc.try_take("*"):
-                break
-            if sc.peek() != "x":
-                if have_var or have_coeff:
-                    raise ParseError("expected a variable after *", sc.pos)
-                break
+    for sign in _signs(sc, "", "polynomial"):
+        if sc.next in _DIGITS:
+            coeff = sc.integer()
+            more = sc.try_take("*")
+        elif sc.next == "x":
+            coeff, more = 1, True
+        else:
+            raise ParseError("expected a term", sc.pos)
+        exps, degree = [0] * n, 0
+        while more:
+            if sc.next != "x":
+                raise ParseError("expected a variable after *", sc.pos)
             i = sc.generator()
             if not 0 <= i < n:
-                raise ParseError(f"unknown variable x{i}", sc.pos)
-            at = sc.pos
+                raise ParseError(f"unknown variable x{i}", sc.end)
+            at = sc.end
             power = sc.integer() if sc.try_take("^") else 1
             if (degree := degree + power) > MAX_TERM_DEGREE:
                 raise ParseError(f"a term of degree {degree} is over the limit of {MAX_TERM_DEGREE}", at)
             exps[i] += power
-            have_var = True
-        if not have_var and not have_coeff:
-            raise ParseError("expected a term", sc.pos)
+            more = sc.try_take("*")
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + sign * coeff
     return AssocPoly(n, terms)
@@ -198,7 +197,7 @@ def parse_integers(text: str) -> List[int]:
     values = [sc.integer()]
     while sc.try_take(","):
         values.append(sc.integer())
-    if not sc.done():
+    if sc.next:
         raise ParseError("expected a comma", sc.pos)
     return values
 
@@ -208,7 +207,7 @@ def parse_integer(text: str) -> int:
     integer option on the command line."""
     sc = _Scanner(text)
     value = -sc.integer() if sc.try_take("-") else sc.integer()
-    if not sc.done():
+    if sc.next:
         raise ParseError("expected the end of the integer", sc.pos)
     return value
 

@@ -28,7 +28,11 @@ each atom of the sentence as soon as its variables were assigned, where
 the search now reads its report off the closed-walk lemma, with the
 bracket table that walk shares across sequences, a memo of every pair
 and triple bracket read through an index list, where `eval_theta` now
-keeps one dict of pair brackets per call."""
+keeps one dict of pair brackets per call.  For `pcml.textio` it keeps
+the per-character scanner and the five readers built on it, where
+whitespace was skipped again on every look at the next character and
+an error's offset was wherever that last look had left the scanner:
+the readers now go through a cursor that rests on the next token."""
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -36,7 +40,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from pcml import linalg
 from pcml.centralizer import _kernel_rows
-from pcml.core import Algebra, BasisMonomial, GeneratorOrder, LieElement, _basis, _support_mask, bracket, cycle_generators, is_basis_monomial, mdeg, substitute
+from pcml.core import Algebra, AssocPoly, BasisMonomial, GeneratorOrder, LieElement, _add_nf, _basis, _bump, _support_mask, bracket, cycle_generators, is_basis_monomial, mdeg, substitute
 from pcml.equivalence import (
     Atom,
     PhiHom,
@@ -50,8 +54,10 @@ from pcml.equivalence import (
     phi_lambda,
     theta_atoms,
 )
+from pcml.errors import ParseError
 from pcml.graphs import Graph, circ_dist, perp_classes
 from pcml.oracle import CertifyReport, FreeMonomial, _free_expand, _letters, _without, free_standard_monomials
+from pcml.textio import _DIGITS, MAX_TERM_DEGREE
 
 
 def bases(algebra: Algebra, degree: int) -> Dict[Tuple[int, ...], Tuple[BasisMonomial, ...]]:
@@ -327,3 +333,185 @@ def theta_witness_walk(n: int, m: int, mode: str) -> WitnessSearchReport:
         mode, n, m, None, checked, space,
         exhausted=not no_repeat, no_repeat_sequences=tuple(no_repeat),
     )
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_space(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_space()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, char: str) -> None:
+        if self.peek() != char:
+            raise ParseError(f"expected {char!r}", self.pos)
+        self.pos += 1
+
+    def try_take(self, char: str) -> bool:
+        if self.peek() == char:
+            self.pos += 1
+            return True
+        return False
+
+    def integer(self) -> int:
+        self.skip_space()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected an integer", start)
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than int()'s digit limit
+            raise ParseError(f"integer of {self.pos - start} digits is too long", start) from None
+
+    def generator(self) -> int:
+        if self.peek() != "x":
+            raise ParseError("expected a generator like x0", self.pos)
+        self.pos += 1
+        return self.integer()
+
+    def done(self) -> bool:
+        self.skip_space()
+        return self.pos >= len(self.text)
+
+
+def _parse_monomial(sc: _Scanner) -> Tuple[Tuple[int, int], Tuple[int, ...]]:
+    sc.take("[")
+    a = sc.generator()
+    sc.take(",")
+    b = sc.generator()
+    tail: List[int] = []
+    if sc.try_take(";"):
+        tail.append(sc.generator())
+        while sc.try_take(","):
+            tail.append(sc.generator())
+    sc.take("]")
+    return (a, b), tuple(tail)
+
+
+def _read_element(sc: _Scanner, algebra: Algebra, ends: Tuple[str, ...]) -> LieElement:
+    """Read one element's terms up to a character in ``ends``, where ""
+    stands for the end of the text."""
+    n = algebra.graph.n
+    start = sc.pos
+    if sc.peek() in ends:
+        raise ParseError("empty element", start)
+    linear = {}
+    derived = {}
+    first = True
+    while sc.peek() not in ends:
+        sign = -1 if sc.try_take("-") else 1
+        if sign == 1 and not sc.try_take("+") and not first:
+            raise ParseError("expected + or - between terms", sc.pos)
+        first = False
+        ch = sc.peek()
+        coeff = 1
+        if ch in _DIGITS:
+            coeff = sc.integer()
+            if sc.try_take("*"):
+                ch = sc.peek()
+            else:
+                # bare integer: only "0" stands for the zero element
+                if coeff == 0:
+                    continue
+                raise ParseError("a constant term needs a generator or monomial", sc.pos)
+        if ch == "x":
+            i = sc.generator()
+            if not 0 <= i < n:
+                raise ParseError(f"unknown generator x{i}", sc.pos)
+            _bump(linear, i, sign * coeff)
+        elif ch == "[":
+            head, tail = _parse_monomial(sc)
+            for v in head + tail:
+                if not 0 <= v < n:
+                    raise ParseError(f"unknown generator x{v}", sc.pos)
+            _add_nf(derived, algebra, *head, tail, sign * coeff)
+        else:
+            raise ParseError("expected a generator or a bracket monomial", sc.pos)
+    return LieElement._trusted(algebra, linear, derived)
+
+
+def parse_element(text: str, graph: Graph, order: GeneratorOrder) -> LieElement:
+    """Parse element text and return its normal form."""
+    return _read_element(_Scanner(text), Algebra.of(graph, order), ("",))
+
+
+def parse_elements(text: str, graph: Graph, order: GeneratorOrder) -> List[LieElement]:
+    """Parse comma-separated elements, as in ``x0, [x2,x1;x3], x1``.
+    Commas inside brackets belong to the monomial; an empty entry is an
+    error, and offsets count from the start of ``text``."""
+    algebra = Algebra.of(graph, order)
+    sc = _Scanner(text)
+    elements = [_read_element(sc, algebra, ("", ","))]
+    while sc.try_take(","):
+        elements.append(_read_element(sc, algebra, ("", ",")))
+    return elements
+
+
+def parse_assoc_poly(text: str, n: int) -> AssocPoly:
+    """Parse ``3*x0^2*x1 - x2 + 4`` style polynomial text; a term of total
+    degree over `MAX_TERM_DEGREE` raises where its last exponent begins."""
+    sc = _Scanner(text)
+    if sc.done():
+        raise ParseError("empty polynomial", 0)
+    terms = {}
+    first = True
+    while not sc.done():
+        sign = -1 if sc.try_take("-") else 1
+        if sign == 1 and not sc.try_take("+") and not first:
+            raise ParseError("expected + or - between terms", sc.pos)
+        first = False
+        have_coeff = sc.peek() in _DIGITS
+        coeff = sc.integer() if have_coeff else 1
+        exps = [0] * n
+        degree = 0
+        have_var = False
+        while True:
+            if (have_coeff or have_var) and not sc.try_take("*"):
+                break
+            if sc.peek() != "x":
+                if have_var or have_coeff:
+                    raise ParseError("expected a variable after *", sc.pos)
+                break
+            i = sc.generator()
+            if not 0 <= i < n:
+                raise ParseError(f"unknown variable x{i}", sc.pos)
+            at = sc.pos
+            power = sc.integer() if sc.try_take("^") else 1
+            if (degree := degree + power) > MAX_TERM_DEGREE:
+                raise ParseError(f"a term of degree {degree} is over the limit of {MAX_TERM_DEGREE}", at)
+            exps[i] += power
+            have_var = True
+        if not have_var and not have_coeff:
+            raise ParseError("expected a term", sc.pos)
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + sign * coeff
+    return AssocPoly(n, terms)
+
+
+def parse_integers(text: str) -> List[int]:
+    """Parse comma-separated nonnegative integers, as in ``--order 2,0,1``."""
+    sc = _Scanner(text)
+    values = [sc.integer()]
+    while sc.try_take(","):
+        values.append(sc.integer())
+    if not sc.done():
+        raise ParseError("expected a comma", sc.pos)
+    return values
+
+
+def parse_integer(text: str) -> int:
+    """Parse one integer with an optional minus sign: the type of every
+    integer option on the command line."""
+    sc = _Scanner(text)
+    value = -sc.integer() if sc.try_take("-") else sc.integer()
+    if not sc.done():
+        raise ParseError("expected the end of the integer", sc.pos)
+    return value

@@ -10,6 +10,7 @@ from pcml.centralizer import (
     check_intersection_theorem,
     classify_cycle_centralizer,
     derived_centralizer,
+    support_count,
 )
 from pcml.core import (
     GeneratorOrder,
@@ -386,6 +387,32 @@ def test_good_components_by_adjacency_match_the_joins():
             supports += 1
             nonempty += bool(rows)
     assert supports >= 2000 and nonempty > 400, (supports, nonempty)
+
+
+def test_support_count_is_the_supports_the_walk_visits(monkeypatch):
+    # the estimate `pcml centralizer` refuses by: one `_basis` lookup per
+    # support `_strata` walks, and 0 where a cut answers before the walk
+    looked_up = []
+    monkeypatch.setattr(centralizer, "_basis", lambda algebra, letters: looked_up.append(letters) or _basis(algebra, letters))
+    rng = random.Random(97)
+    cut = walked = 0
+    for _ in range(300):
+        g, bound = _random_case(rng, 8), rng.randint(2, 8)
+        looked_up.clear()
+        for _ in centralizer._strata(g, bound):
+            pass
+        if centralizer._provably_empty(g.graph, g.linear, bound):
+            assert support_count(g, bound) == 0
+            cut += bool(looked_up)
+        else:
+            assert support_count(g, bound) == len(looked_up)
+            walked += 1
+    assert cut > 50 and walked > 20, (cut, walked)
+    for n, far, bound, count in ((24, 12, 22, 4194281), (20, 10, 20, 262125), (18, 9, 18, 65519), (24, 12, 12, 0)):
+        g = linear(cycle_graph(n), GeneratorOrder.ascending(n), {0: 1, far: 1})
+        assert support_count(g, bound) == count
+    with pytest.raises(AlgebraError, match="at least 2"):
+        support_count(linear(C5, O5, {0: 1}), 1)
 
 
 def test_cuts_fire_only_where_no_block_has_a_kernel():

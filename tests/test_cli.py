@@ -300,6 +300,18 @@ def test_oversized_certify_sweeps_exit_2_at_once(capsys):
                          f"ERROR=the sweep is over the limit of {cli.MAX_SWEEP} multidegrees"]
 
 
+def test_oversized_centralizer_walks_exit_2_at_once(capsys):
+    # cycle:24 at degree 22 walked 4,194,281 supports, past 15 s, before the estimate
+    for n, far, bound, estimate in ((24, 12, 22, 4194281), (20, 10, 20, 262125)):
+        start = time.perf_counter()
+        status, lines = invoke(capsys, "centralizer", "--graph", f"cycle:{n}", "--element", f"x0+x{far}",
+                               "--degree", str(bound))
+        assert time.perf_counter() - start < 1
+        assert status == 2
+        assert lines == ["SEED=0", f"ESTIMATE={estimate} supports",
+                         f"ERROR=the support walk is over the limit of {cli.MAX_SWEEP} supports"]
+
+
 def test_sweep_estimate_counts_the_multidegrees_certify_visits(monkeypatch):
     monkeypatch.setattr(cli, "MAX_SWEEP", 0)
     for n in range(1, 6):

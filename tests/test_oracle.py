@@ -1,13 +1,14 @@
 import random
+import time
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
 from pcml import oracle, suite
 from pcml.core import GeneratorOrder, basis_monomials_of_multidegree, multidegrees
 from pcml.errors import AlgebraError
-from pcml.graphs import Graph, cycle_graph
+from pcml.graphs import Graph, complete_graph, cycle_graph
 from pcml.sampling import random_graph, random_homogeneous_raw, raw_to_element
 import reference
 
@@ -171,6 +172,18 @@ def test_a_certify_sweep_builds_one_slice_per_support():
                 assert oracle.certify_basis(graph, delta, order).ok
                 supports.add(tuple(i for i, d in enumerate(delta) if d))
         assert oracle._ideal_slice.cache_info().misses == len(supports)
+
+
+def test_a_slice_reads_the_edges_of_its_own_letters():
+    # a two-letter slice of complete:256 has one edge row, read off the
+    # adjacency of its letters and not found among the graph's 32,640 edges
+    graph = complete_graph(256)
+    supports = list(islice(combinations(range(256), 2), 1000))
+    oracle._ideal_slice.cache_clear()
+    start = time.perf_counter()
+    slices = [oracle._ideal_slice(graph, support) for support in supports]
+    assert time.perf_counter() - start < 0.5
+    assert all(len(red) == 1 for _, red, _ in slices)
 
 
 def test_the_support_slice_is_the_slice_of_every_multidegree_of_its_support():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from pcml import textio
 from pcml.core import AssocPoly, GeneratorOrder, LieElement, format_element, word_element
 from pcml.errors import GraphError, ParseError
 from pcml.graphs import Graph, cycle_graph
@@ -20,6 +21,7 @@ from pcml.textio import (
     parse_integer,
     parse_integers,
 )
+import reference
 
 FREE4 = Graph(4, [])
 O4 = GeneratorOrder.ascending(4)
@@ -231,3 +233,55 @@ def test_print_monomial_shapes():
     x0 = LieElement.generator(FREE4, O4, 0)
     combo = x0 + word_element(FREE4, O4, (2, 1))
     assert format_element(combo) == "x0 + [x2,x1]"
+
+
+C4, ORDER4 = cycle_graph(4), GeneratorOrder([2, 0, 3, 1])
+# pieces of the random texts below, each with its weight: every character
+# of the grammar, digits, spaces, tabs and "\u00b2", and runs that reach
+# deep into a term
+TERM_PIECES = {
+    "x": 1, "x0": 4, "x1": 4, "x2": 4, "x3": 4, "x9": 1, "[": 1, "]": 1, ",": 2, ";": 1, "+": 3,
+    "-": 3, "*": 3, "^": 1, "0": 1, "1": 1, "2": 1, "12": 1, " ": 3, "  ": 1, "\t": 1, "\u00b2": 1,
+    "^0": 2, "^2": 2, "[x1,x0]": 3, "[x2,x0;x1]": 3, "[x3,x1;": 1, "2*": 3, " + ": 4, " - ": 4,
+    "x1^0*": 2, "3*": 2, " * x1": 1,
+}
+INTEGER_PIECES = {"0": 3, "1": 3, "7": 3, "42": 3, ",": 3, ", ": 2, "-": 1, "+": 1, " ": 1, "\t": 1, "x": 1, "\u00b2": 1}
+# texts a rewrite of the term loops can get wrong, read before the random ones
+SEEDED = (
+    "x1^0*", "2*x1^0*", "x1^0*x2^0*", "x1^0", "2*x1^0", "x1^0 + 3", " * x1", "3*", "3*x1*", "*",
+    "0", "0*x1", "- 0", "+x1", "-+x1", "x1 x2", "x1^1025 ", "x7 + x1", "[x1, x9] + x0", "x9 ",
+    "x0, ,x1", ",", "", " ", "\t", "-", "1,-2", " -3 ",
+)
+
+
+def _outcome(parse, text, *args):
+    try:
+        return parse(text, *args)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def _random_texts(pieces, count, seed):
+    rng = random.Random(seed)
+    limit = sys.get_int_max_str_digits()
+    long_runs = ("9" * limit, "1" * (limit + 1)) if limit else ()
+    yield from SEEDED
+    for run in long_runs:
+        yield from (run, f"{run}*x1", f"x{run}", f"x1^{run}", f"x0 - {run}", f"1,{run}")
+    population, weights = list(pieces), list(pieces.values())
+    for _ in range(count):
+        yield "".join(rng.choices(population, weights, k=rng.randrange(9)))
+
+
+@pytest.mark.parametrize("name", ["parse_element", "parse_elements", "parse_assoc_poly", "parse_integers", "parse_integer"])
+def test_the_cursor_reads_as_the_per_character_scanner(name):
+    # every text gives the same value, or the same message at the same offset
+    args = {"parse_element": (C4, ORDER4), "parse_elements": (C4, ORDER4), "parse_assoc_poly": (4,)}.get(name, ())
+    pieces = INTEGER_PIECES if name.startswith("parse_integer") else TERM_PIECES
+    new, old = getattr(textio, name), getattr(reference, name)
+    failed = 0
+    for text in _random_texts(pieces, 200_000, seed=name):
+        got = _outcome(new, text, *args)
+        assert got == _outcome(old, text, *args), text
+        failed += isinstance(got, tuple)
+    assert 0 < failed < 200_000
