@@ -80,7 +80,7 @@ def _graph_and_order(args):
 def _certify(report: Report, graph, delta, order) -> bool:
     """Certify one multidegree's basis and add its line; True if it holds."""
     cert = oracle.certify_basis(graph, delta, order)
-    vec = ",".join(str(d) for d in delta)
+    vec = ",".join(map(str, delta))
     status = "OK" if cert.ok else f"FAIL {cert.witness}"
     report.add_raw(f"delta={vec} count={cert.count} dim={cert.dim} {status}")
     return cert.ok

@@ -127,14 +127,21 @@ class Algebra:
     def tops(self, mask: int) -> Tuple[int, ...]:
         """Components induced on the vertex bitmask ``mask``, once per mask:
         per vertex the greatest vertex of its component in this order, -1
-        outside ``mask``: one search started at the vertices in descending
-        order, so the first start met in each component is its top.  The
-        table is cleared at `NF_CACHE_SIZE` entries, as the normal forms are."""
+        outside ``mask``: one search started at the vertices of ``mask`` in
+        descending order, so the first start met in each component is its
+        top.  The table is cleared at `NF_CACHE_SIZE` entries, as the
+        normal forms are."""
         out = self._tops.get(mask)
         if out is None:
             if len(self._tops) >= NF_CACHE_SIZE:
                 self._tops.clear()
-            out = self._tops[mask] = self.graph.component_labels(mask, reversed(self.order.perm))
+            starts, rest = [], mask
+            while rest:
+                low = rest & -rest
+                starts.append(low.bit_length() - 1)
+                rest ^= low
+            starts.sort(key=self.order.rank.__getitem__, reverse=True)
+            out = self._tops[mask] = self.graph.component_labels(mask, starts)
         return out
 
 
@@ -188,21 +195,28 @@ def is_basis_monomial(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph
     """Check the four basis conditions literally, reading no graph or
     algebra table: conditions 3 and 4 by a search of its own from a
     inside the support, which fails on reaching b or a vertex ranked
-    above a."""
+    above a.  One pass over the tail checks its range and rank order and
+    builds the support mask."""
     _check_fits(graph, order)
     a, b = head
-    letters = (a, b) + tuple(tail)
-    if a == b or min(letters) < 0 or max(letters) >= graph.n:
+    n = graph.n
+    if a == b or not (0 <= a < n and 0 <= b < n):
         return False
     rank = order.rank
-    if rank[b] > rank[a]:
+    top, prev = rank[a], rank[b]
+    if prev > top:
         return False
-    prev = b
+    todo = 1 << b
     for t in tail:
-        if rank[t] < rank[prev]:
+        if not 0 <= t < n:
             return False
-        prev = t
-    todo, stack, top = _support_mask(letters) & ~(1 << a), [a], rank[a]
+        r = rank[t]
+        if r < prev:
+            return False
+        prev = r
+        todo |= 1 << t
+    todo &= ~(1 << a)
+    stack = [a]
     while stack:
         for w in graph.adj[stack.pop()]:
             if todo >> w & 1:

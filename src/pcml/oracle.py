@@ -93,11 +93,6 @@ def expand_word(letters: Sequence[int]) -> Dict[FreeMonomial, int]:
     return _free_expand(a, b, tuple(sorted(letters[2:])))
 
 
-def _letters(delta: Multidegree) -> List[int]:
-    """The letters of a multidegree, ascending."""
-    return [v for v, d in enumerate(delta) for _ in range(d)]
-
-
 def _without(letters: Sequence[int], a: int, b: int) -> Tuple[int, ...]:
     """The letters less one a and one b, in their given order."""
     out = list(letters)
@@ -161,17 +156,23 @@ def _ideal_slice(graph: Graph, support: Tuple[int, ...]):
     return index, [tuple(row) for row in red], pivots
 
 
-def graded_dimension(graph: Graph, delta: Multidegree) -> int:
-    """dim of the multidegree slice of the graph algebra; the oracle's own
-    check of a multidegree from outside, before any work."""
+def _sliced(graph: Graph, delta: Multidegree):
+    """The support of a multidegree, its total degree and its ideal
+    slice (None below degree 2): the oracle's own check of a multidegree
+    from outside, before any work."""
     if len(delta) != graph.n or min(delta, default=0) < 0:
         raise AlgebraError(f"{tuple(delta)} is not a multidegree on {graph.n} generators")
+    supp = _support(delta)
     total = sum(delta)
-    if total == 0:
-        return 0
-    if total == 1:
-        return 1
-    index, red, _ = _ideal_slice(graph, _support(delta))
+    return supp, total, _ideal_slice(graph, supp) if total > 1 else None
+
+
+def graded_dimension(graph: Graph, delta: Multidegree) -> int:
+    """dim of the multidegree slice of the graph algebra."""
+    _, total, piece = _sliced(graph, delta)
+    if piece is None:
+        return total
+    index, red, _ = piece
     return len(index) - len(red)
 
 
@@ -211,27 +212,41 @@ def certify_basis(graph: Graph, delta: Multidegree, order: GeneratorOrder) -> Ce
 
     Candidate monomials are enumerated by brute force over head pairs
     and filtered through the literal four conditions, then compared in
-    number with the oracle dimension.  Independence modulo the ideal
-    slice is checked by reducing each candidate's expansion modulo the
-    slice's cached echelon rows: the candidates are independent modulo
-    the ideal exactly when those residues have full rank.  The
-    multidegree is checked first, by `graded_dimension`.
+    number with the oracle dimension.  Every ordered pair a != b of the
+    support is offered, with the other letters in rank order as its
+    tail, although conditions 1 and 2 admit only b = mu, the rank-least
+    letter: those conditions are part of the claim under test, not
+    assumed.  Independence modulo the ideal slice is checked by reducing
+    each candidate's expansion modulo the slice's cached echelon rows:
+    the candidates are independent modulo the ideal exactly when those
+    residues have full rank.  The multidegree is checked first, as
+    `graded_dimension` checks it.
     """
     _check_fits(graph, order)
-    dim = graded_dimension(graph, delta)
-    total = sum(delta)
-    if total < 2:
-        count = 1 if total == 1 else 0
-        return CertifyReport(count == dim, delta, count, dim, None)
-    ascending = _letters(delta)
-    ranked = [v for v in order.perm for _ in range(delta[v])]
-    supp = _support(delta)
-    heads = [(a, b) for a in supp for b in supp
-             if a != b and is_basis_monomial((a, b), _without(ranked, a, b), graph, order)]
+    supp, total, piece = _sliced(graph, delta)
+    if piece is None:
+        return CertifyReport(True, delta, total, total, None)
+    index, red, pivots = piece
+    dim = len(index) - len(red)
+    ranked: List[int] = []
+    for v in sorted(supp, key=order.rank.__getitem__):
+        ranked += [v] * delta[v]
+    heads = []
+    for a in supp:
+        rest = ranked.copy()
+        rest.remove(a)
+        for b in supp:
+            if b != a:
+                tail = rest.copy()
+                tail.remove(b)
+                if is_basis_monomial((a, b), tuple(tail), graph, order):
+                    heads.append((a, b))
     count = len(heads)
     if count != dim:
         return CertifyReport(False, delta, count, dim, "count != dim")
-    index, red, pivots = _ideal_slice(graph, supp)
+    ascending: List[int] = []
+    for v in supp:
+        ascending += [v] * delta[v]
     residues = [linalg.residue(red, pivots, _coordinates(index, _free_expand(a, b, _without(ascending, a, b))))
                 for a, b in heads]
     if linalg.rank(residues) == count:

@@ -14,7 +14,11 @@ multidegree's own standard monomials, where the oracle now keeps one
 slice per support, and the first independence check of a basis claim:
 one elimination of that slice's rows stacked with the candidates'
 expansions, where the oracle now reduces the candidates modulo the
-cached slice.  For merge witnesses it keeps the scale and the kill
+cached slice.  For the literal basis check it keeps the body that
+built the tuple of all the letters, their min, their max and their
+support mask before its checks, where `is_basis_monomial` now checks
+the tail's range and rank order and builds the mask in one pass.  For
+merge witnesses it keeps the scale and the kill
 check computed one closure element at a time, where the witness now
 solves each distinct scale polynomial once and substitutes each
 distinct monomial once, and the grouping of an element's derived terms
@@ -40,7 +44,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from pcml import linalg
 from pcml.centralizer import _kernel_rows
-from pcml.core import Algebra, AssocPoly, BasisMonomial, GeneratorOrder, LieElement, _add_nf, _basis, _bump, _support_mask, bracket, cycle_generators, is_basis_monomial, mdeg, substitute
+from pcml.core import Algebra, AssocPoly, BasisMonomial, GeneratorOrder, LieElement, _add_nf, _basis, _bump, _check_fits, _support_mask, bracket, cycle_generators, is_basis_monomial, mdeg, substitute
 from pcml.equivalence import (
     Atom,
     PhiHom,
@@ -56,7 +60,7 @@ from pcml.equivalence import (
 )
 from pcml.errors import ParseError
 from pcml.graphs import Graph, circ_dist, perp_classes
-from pcml.oracle import CertifyReport, FreeMonomial, _free_expand, _letters, _without, free_standard_monomials
+from pcml.oracle import CertifyReport, FreeMonomial, _free_expand, _without, free_standard_monomials
 from pcml.textio import _DIGITS, MAX_TERM_DEGREE
 
 
@@ -136,7 +140,7 @@ def ideal_slice_by_multidegree(graph: Graph, delta: Tuple[int, ...]) -> Tuple[Tu
     multidegree, over its own standard monomials: the expansions of
     [x_i,x_j].w for every edge {i,j} in supp delta and the associative
     monomial w completing delta."""
-    letters = _letters(delta)
+    letters = [v for v, d in enumerate(delta) for _ in range(d)]
     basis = free_standard_monomials(letters)
     index = {m: k for k, m in enumerate(basis)}
     rows = []
@@ -185,6 +189,33 @@ def certify_basis_by_stacked_rank(graph: Graph, delta: Tuple[int, ...], order: G
     independent = linalg.rank(stacked) == len(red) + count
     witness = None if independent else "dependent modulo the relation ideal"
     return CertifyReport(independent, delta, count, dim, witness)
+
+
+def is_basis_monomial_by_letters(head: Tuple[int, int], tail: Tuple[int, ...], graph: Graph, order: GeneratorOrder) -> bool:
+    """`core.is_basis_monomial` from the tuple of all its letters: range
+    first, then head and tail rank order, then the search from a."""
+    _check_fits(graph, order)
+    a, b = head
+    letters = (a, b) + tuple(tail)
+    if a == b or min(letters) < 0 or max(letters) >= graph.n:
+        return False
+    rank = order.rank
+    if rank[b] > rank[a]:
+        return False
+    prev = b
+    for t in tail:
+        if rank[t] < rank[prev]:
+            return False
+        prev = t
+    todo, stack, top = _support_mask(letters) & ~(1 << a), [a], rank[a]
+    while stack:
+        for w in graph.adj[stack.pop()]:
+            if todo >> w & 1:
+                if w == b or rank[w] > top:
+                    return False
+                todo ^= 1 << w
+                stack.append(w)
+    return True
 
 
 def compaction_witness_by_element(graph: Graph, gamma: Sequence[LieElement]) -> Tuple[PhiHom, List[LieElement], List[LieElement]]:

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import weakref
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -33,6 +34,7 @@ from pcml.equivalence import _glued_key, build_phi_hom, merge_scaling_components
 from pcml.errors import AlgebraError
 from pcml.graphs import Graph, cycle_graph
 from pcml.sampling import random_element, random_graph
+import reference
 
 
 FREE3 = Graph(3, [])
@@ -188,6 +190,46 @@ def test_is_basis_monomial_conditions():
     assert not is_basis_monomial((2, 0), (1, 0), FREE3, ASC3)  # unsorted tail
     assert not is_basis_monomial((1, 1), (), FREE3, ASC3)
 
+
+
+def _basis_check_cases(rng):
+    """Seeded (head, tail, graph, order) on at most 7 vertices: letters
+    drawn with repeats, every ordered head pair of them with the rest as
+    tail, in rank order or shuffled, and again with a letter out of range."""
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        graph = random_graph(rng, n)
+        order = GeneratorOrder(rng.sample(range(n), n))
+        letters = [rng.randrange(n) for _ in range(rng.randint(2, 7))]
+        for i, j in permutations(range(len(letters)), 2):
+            a, b = letters[i], letters[j]
+            tail = sorted((v for k, v in enumerate(letters) if k not in (i, j)), key=order.rank.__getitem__)
+            yield (a, b), tuple(tail), graph, order
+            rng.shuffle(tail)
+            yield (a, b), tuple(tail), graph, order
+            bad = rng.choice((-n - 1, -1, n, n + 2))
+            if tail and rng.random() < 0.5:
+                tail[rng.randrange(len(tail))] = bad
+                yield (a, b), tuple(tail), graph, order
+            else:
+                yield ((bad, b) if rng.random() < 0.5 else (a, bad)), tuple(tail), graph, order
+
+
+def test_is_basis_monomial_matches_the_letter_tuple_check():
+    seen = Counter()
+    for head, tail, graph, order in _basis_check_cases(random.Random(53)):
+        expected = reference.is_basis_monomial_by_letters(head, tail, graph, order)
+        assert is_basis_monomial(head, tail, graph, order) == expected, (head, tail, graph, order)
+        a, b = head
+        if a in tail:
+            # a recurs in the tail, and the search from a meets it again
+            # through a neighbour in the support
+            seen["a in tail", expected, bool(graph.adj[a] & set(tail))] += 1
+        seen["b in tail", expected] += b in tail
+        seen["out of range", expected] += any(not 0 <= v < graph.n for v in head + tail)
+    assert min(seen[key] for key in (("a in tail", True, True), ("a in tail", False, True),
+                                      ("b in tail", True), ("out of range", False))) > 20, seen
+    assert seen["out of range", True] == 0
 
 def test_equal_and_is_zero():
     x = gens(FREE3, ASC3)

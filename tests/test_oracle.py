@@ -91,6 +91,36 @@ def test_criterion_1_failure_says_why(monkeypatch):
     assert result.detail.endswith("count=0 dim=1: count != dim")
 
 
+
+def test_certify_offers_every_ordered_head_pair_with_the_rest_in_rank_order(monkeypatch):
+    # conditions 1 and 2 are part of the claim under test: every ordered
+    # pair a != b of the support is asked about, not only b = mu
+    calls = []
+    literal = oracle.is_basis_monomial
+
+    def record(head, tail, graph, order):
+        calls.append((head, tail, graph, order))
+        return literal(head, tail, graph, order)
+
+    monkeypatch.setattr(oracle, "is_basis_monomial", record)
+    rng = random.Random(37)
+    offered = 0
+    for n in range(1, 7):
+        for _ in range(2):
+            graph = random_graph(rng, n)
+            order = GeneratorOrder(rng.sample(range(n), n))
+            for degree in range(6):
+                for delta in multidegrees(n, degree):
+                    calls.clear()
+                    assert oracle.certify_basis(graph, delta, order).ok
+                    ranked = [v for v in order.perm for _ in range(delta[v])]
+                    supp = [v for v, d in enumerate(delta) if d]
+                    expected = [((a, b), oracle._without(ranked, a, b), graph, order)
+                                for a in supp for b in supp if a != b] if degree >= 2 else []
+                    assert calls == expected, (graph.edge_list(), order, delta)
+                    offered += len(calls)
+    assert offered > 8000
+
 def test_certify_matches_the_stacked_rank_check(monkeypatch):
     # under the literal basis check, and again with as many heads as the
     # dimension accepted at random, so the claims are dependent or not
@@ -201,7 +231,7 @@ def test_the_support_slice_is_the_slice_of_every_multidegree_of_its_support():
                     supp = tuple(i for i, d in enumerate(delta) if d)
                     index, slice_red, slice_pivots = oracle._ideal_slice(graph, supp)
                     assert (slice_red, slice_pivots) == (red, pivots), (graph.edge_list(), delta)
-                    letters = oracle._letters(delta)
+                    letters = [v for v, d in enumerate(delta) for _ in range(d)]
                     for a, b in permutations(supp, 2):
                         combo = oracle._free_expand(a, b, oracle._without(letters, a, b))
                         row = [0] * len(basis)
