@@ -191,7 +191,6 @@ def test_is_basis_monomial_conditions():
     assert not is_basis_monomial((1, 1), (), FREE3, ASC3)
 
 
-
 def _basis_check_cases(rng):
     """Seeded (head, tail, graph, order) on at most 7 vertices: letters
     drawn with repeats, every ordered head pair of them with the rest as
@@ -230,6 +229,7 @@ def test_is_basis_monomial_matches_the_letter_tuple_check():
     assert min(seen[key] for key in (("a in tail", True, True), ("a in tail", False, True),
                                       ("b in tail", True), ("out of range", False))) > 20, seen
     assert seen["out of range", True] == 0
+
 
 def test_equal_and_is_zero():
     x = gens(FREE3, ASC3)

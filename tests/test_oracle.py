@@ -91,7 +91,6 @@ def test_criterion_1_failure_says_why(monkeypatch):
     assert result.detail.endswith("count=0 dim=1: count != dim")
 
 
-
 def test_certify_offers_every_ordered_head_pair_with_the_rest_in_rank_order(monkeypatch):
     # conditions 1 and 2 are part of the claim under test: every ordered
     # pair a != b of the support is asked about, not only b = mu
@@ -120,6 +119,7 @@ def test_certify_offers_every_ordered_head_pair_with_the_rest_in_rank_order(monk
                     assert calls == expected, (graph.edge_list(), order, delta)
                     offered += len(calls)
     assert offered > 8000
+
 
 def test_certify_matches_the_stacked_rank_check(monkeypatch):
     # under the literal basis check, and again with as many heads as the
