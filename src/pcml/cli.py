@@ -44,8 +44,9 @@ from .textio import (
 )
 
 DEFAULT_DEGREE_BOUND = 6
-# the most multidegrees `certify` sweeps and supports `centralizer` walks;
-# the largest examples sweep 456 multidegrees and walk 26 supports
+# the most multidegrees `certify` sweeps, supports `centralizer` walks and
+# closure candidates `gamma-witness` builds; the largest examples sweep 456
+# multidegrees, walk 26 supports and build 474 candidates
 MAX_SWEEP = 10 ** 5
 
 
@@ -245,6 +246,10 @@ def _cmd_gamma_witness(args, report: Report) -> None:
     order = GeneratorOrder.ascending(graph.n)
     lines = read_file(args.gamma, "gamma file", AlgebraError).split("\n")
     gamma = [parse_element(t, graph, order) for t in lines if t.strip()]
+    k = len(gamma)
+    candidates = k + k * k + 2 * k ** 3  # what `gamma_closure` pushes
+    if candidates > MAX_SWEEP:
+        _refuse(report, f"{candidates} closure candidates", "the closure", "candidates")
     result = compaction_witness(graph, gamma)
     report.add("GAMMA_SIZE", result.gamma_size)
     report.add("CLOSURE_SIZE", result.closure_size)

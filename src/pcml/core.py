@@ -324,10 +324,19 @@ def _accumulate(acc: Dict, terms: Iterable[Tuple[object, int]], coeff: int) -> N
         _bump(acc, m, coeff * c)
 
 
-def _add_nf(acc: Dict, algebra: Algebra, a: int, b: int, tail: Iterable[int], coeff: int) -> None:
+def _add_nf(acc: Dict, algebra: Algebra, a: int, b: int, tail: Sequence[int], coeff: int) -> None:
     """acc += coeff * NF([x_a,x_b].tail), for letters the engine built
-    itself (so in range), the tail in any order."""
-    _accumulate(acc, _monomial_nf(algebra, a, b, tuple(sorted(tail, key=algebra.order.rank.__getitem__))), coeff)
+    itself (so in range), the tail in any order.  A tail of at most one
+    letter is already sorted.  The terms are summed here by `_bump`'s
+    rule: a zero sum drops its key, and a zero increment of an absent
+    key stores nothing."""
+    tail = tuple(sorted(tail, key=algebra.order.rank.__getitem__)) if len(tail) > 1 else tuple(tail)
+    for m, c in _monomial_nf(algebra, a, b, tail):
+        new = acc.get(m, 0) + coeff * c
+        if new:
+            acc[m] = new
+        elif m in acc:
+            del acc[m]
 
 
 class LieElement:
@@ -438,7 +447,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     acc: Dict[BasisMonomial, int] = {}
     for i, ci in a.linear.items():
         for j, cj in b.linear.items():
-            _accumulate(acc, _monomial_nf(algebra, i, j, ()), ci * cj)
+            _add_nf(acc, algebra, i, j, (), ci * cj)
     for ((p, q), tail), c1 in a.derived.items():
         for j, cj in b.linear.items():
             _add_nf(acc, algebra, p, q, tail + (j,), c1 * cj)

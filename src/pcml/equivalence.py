@@ -46,6 +46,7 @@ from .core import (
     GeneratorOrder,
     LieElement,
     _accumulate,
+    _add_nf,
     _substituted,
     basis_monomial_with_start,
     bracket,
@@ -54,6 +55,7 @@ from .core import (
 )
 from .errors import AlgebraError, CertificationError, GraphError
 from .graphs import Graph, circ_dist, closed_neighborhood, perp_classes
+from .oracle import ideal_member
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +125,92 @@ def eval_theta(inst: ThetaInstance, assignment: Sequence[LieElement]) -> ThetaRe
 
     Each pair bracket [z_i, z_j] an atom reads is computed once per
     call, so the inner [z_i, z_{i+2}] of the triple atoms is bracketed
-    once per i; each triple atom then costs one more bracket."""
+    once per i.  A triple atom [[z_i, z_{i+2}], z_j] is then decided
+    without building its element: a `bracket` has no linear part, and
+    two derived elements commute, so it is the action of the linear
+    part of z_j on the pair's derived terms, summed by `_add_nf` into
+    one dict per atom; the atom holds iff that dict is not empty."""
     m = inst.m
     if len(assignment) != m:
         raise AlgebraError(f"assignment length {len(assignment)} != m = {m}")
-    if any(z.algebra is not inst.algebra for z in assignment):
+    algebra = inst.algebra
+    if any(z.algebra is not algebra for z in assignment):
         raise AlgebraError("assignment element over the wrong algebra")
     pairs: Dict[Tuple[int, int], LieElement] = {}
     for atom in theta_atoms(m):
         family, i, j = atom
-        k = (i + 2) % m if family == "triple-nonzero" else j
-        if (i, k) not in pairs:
-            pairs[i, k] = bracket(assignment[i], assignment[k])
-        if family == "triple-nonzero":
-            holds = not bracket(pairs[i, k], assignment[j]).is_zero()
+        triple = family == "triple-nonzero"
+        k = (i + 2) % m if triple else j
+        pair = pairs.get((i, k))
+        if pair is None:
+            pair = pairs[i, k] = bracket(assignment[i], assignment[k])
+        if triple:
+            acc: Dict[BasisMonomial, int] = {}
+            linear = assignment[j].linear
+            for ((p, q), tail), c in pair.derived.items():
+                for v, cv in linear.items():
+                    _add_nf(acc, algebra, p, q, tail + (v,), c * cv)
+            holds = bool(acc)
         else:
-            holds = pairs[i, k].is_zero() == (family == "adjacent-zero")
+            holds = pair.is_zero() == (family == "adjacent-zero")
         if not holds:
             return ThetaResult(False, atom)
     return ThetaResult(True, None)
 
 
 def theta_identity_holds(m: int) -> bool:
-    """Theta on the cycle of length m under z_i = x_i."""
-    assignment = cycle_generators(m)
-    return eval_theta(ThetaInstance(m, assignment[0].graph, assignment[0].order), assignment).holds
+    """Theta on the cycle of length m under z_i = x_i, decided by the
+    engine alone on one atom per rotation orbit (`_theta_identity`)."""
+    return _theta_identity(m, certify=False)
+
+
+def _theta_identity(m: int, certify: bool) -> bool:
+    """Theta on the cycle of length m under z_i = x_i, by rotation orbits.
+
+    Lemma: x_k -> x_{k+1} (indices mod m) maps the edges of C_m onto
+    themselves, so it is an automorphism of M(C_m), and it preserves
+    whether a bracket vanishes.  It sends each atom (i, j) of the
+    identity assignment to the atom (i + 1, j + 1) of the same family
+    (a distant pair may come out as (j + 1, i + 1), the same atom), and
+    each atom's orbit meets i = 0.  So Theta(m) holds iff the atoms with
+    i = 0 do: 2m - 3 of them for m >= 5, 4 for m = 4.  The generator
+    order does not enter, since vanishing is basis-free.
+
+    Each of those atoms asks whether one left-normed word of 2 or 3
+    letters vanishes, and the engine's normal form decides it.  With
+    ``certify``, `oracle.ideal_member`, which shares no path with the
+    engine, decides it too, and a disagreement raises
+    `CertificationError`.  The verdicts of `distinguish_cycles`,
+    `search_theta_witness` and the suite's criterion 5 are certified;
+    `theta_identity_holds` is not, and so, like `eval_theta`, it
+    eliminates no matrix.
+    """
+    x = cycle_generators(m)
+    graph = x[0].graph
+    holds = True
+    for atom in _orbit_atoms(m):
+        family, _, j = atom
+        if family == "triple-nonzero":
+            word = (0, 2, j)
+            engine = bracket(bracket(x[0], x[2]), x[j]).is_zero()
+        else:
+            word = (0, j)
+            engine = bracket(x[0], x[j]).is_zero()
+        if certify and engine != ideal_member([(1, word)], graph):
+            raise CertificationError(
+                f"engine and oracle disagree on the atom {family}(0,{j}) of Theta({m}): "
+                f"the engine says [{','.join(f'x{v}' for v in word)}] {'is' if engine else 'is not'} zero")
+        holds &= engine == (family == "adjacent-zero")
+    return holds
+
+
+def _orbit_atoms(m: int) -> List[Atom]:
+    """The atoms of Theta(m) with i = 0, in evaluation order: one in each
+    orbit of the rotation x_k -> x_{k+1}."""
+    out = [Atom("adjacent-zero", 0, 1)]
+    out += [Atom("distant-nonzero", 0, j) for j in range(2, m - 1)]
+    out += [Atom("triple-nonzero", 0, j) for j in range(m) if circ_dist(m, 0, j) * circ_dist(m, 2, j) != 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +274,8 @@ def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") ->
     n divides m.  Injectivity gives m <= n, so m = n, and sigma is one
     of the 2n laps sigma(k) = s +- k.  The laps are the images of the
     identity (0, 1, ..., n-1) under the dihedral automorphisms of C_n,
-    so they all hold or all fail, as `theta_identity_holds(n)` says.
+    so they all hold or all fail, as `theta_identity_holds(n)` says
+    (certified here in the oracle).
 
     The report is the one an exhaustive walk in lexicographic order
     would give.  ``checked`` counts the constrained sequences up to the
@@ -243,7 +307,7 @@ def search_theta_witness(n: int, m: int, mode: str = "generator-assignments") ->
         if m == n:
             laps = tuple(sorted(tuple((s + d * k) % n for k in range(n)) for s in range(n) for d in (1, -1)))
         return WitnessSearchReport(mode, n, m, None, total, space, exhausted=not laps, no_repeat_sequences=laps)
-    if m != n or not theta_identity_holds(n):
+    if m != n or not _theta_identity(n, certify=True):
         return WitnessSearchReport(mode, n, m, None, total, space, True)
     before = sum(counts[m - 1 - pos][-step % n] for pos in range(1, m) for step in _steps(n, pos - 1) if step < pos)
     return WitnessSearchReport(mode, n, m, tuple(range(n)), before + 1, space, False)
@@ -278,7 +342,7 @@ def distinguish_cycles(n: int, m: int) -> DistinguishReport:
         }
         separated = abelian and not counter.is_zero()
         return DistinguishReport(n, m, False, "Psi", separated, detail)
-    holds_large = theta_identity_holds(large)
+    holds_large = _theta_identity(large, certify=True)
     search = search_theta_witness(small, large, mode="generator-assignments")
     detail = {
         "theta_holds_in_large": holds_large,

@@ -24,6 +24,7 @@ from .core import (
     multidegrees,
 )
 from .equivalence import (
+    _theta_identity,
     build_phi_hom,
     compaction_witness,
     distinguish_cycles,
@@ -31,7 +32,6 @@ from .equivalence import (
     merge_scaling_components,
     phi_lambda,
     search_theta_witness,
-    theta_identity_holds,
 )
 from .graphs import (
     Graph,
@@ -207,7 +207,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     """Cycle separation: the sentence holds on the matching cycle,
     exhausts on shorter ones, and the abelian sentence settles n=3."""
     for m in range(4, 11):
-        if not theta_identity_holds(m):
+        if not _theta_identity(m, certify=True):
             return CriterionResult(5, "cycle-separation", False, f"identity fails m={m}")
     searched = []
     for n in range(4, 10):

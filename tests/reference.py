@@ -32,7 +32,10 @@ each atom of the sentence as soon as its variables were assigned, where
 the search now reads its report off the closed-walk lemma, with the
 bracket table that walk shares across sequences, a memo of every pair
 and triple bracket read through an index list, where `eval_theta` now
-keeps one dict of pair brackets per call.  For `pcml.textio` it keeps
+keeps one dict of pair brackets per call, and the evaluation of every
+atom of Theta(m) under z_k = x_k, where `theta_identity_holds` now
+decides one atom per rotation orbit, in the engine and in the oracle.
+For `pcml.textio` it keeps
 the per-character scanner and the five readers built on it, where
 whitespace was skipped again on every look at the next character and
 an error's offset was wherever that last look had left the scanner:
@@ -48,10 +51,12 @@ from pcml.core import Algebra, AssocPoly, BasisMonomial, GeneratorOrder, LieElem
 from pcml.equivalence import (
     Atom,
     PhiHom,
+    ThetaInstance,
     WitnessSearchReport,
     _completion_counts,
     _steps,
     build_phi_hom,
+    eval_theta,
     gamma_closure,
     lambda_zero,
     merge_relabeling,
@@ -335,6 +340,13 @@ def _walk(n: int, m: int, fails: Callable[[List[int], int], bool], first_only: b
         if extend(1):
             break
     return found, checked
+
+
+def theta_identity_by_evaluation(m: int) -> bool:
+    """`equivalence.theta_identity_holds` by evaluating every atom of
+    Theta(m) on the cycle of length m under z_k = x_k."""
+    x = cycle_generators(m)
+    return eval_theta(ThetaInstance(m, x[0].graph, x[0].order), x).holds
 
 
 def theta_witness_walk(n: int, m: int, mode: str) -> WitnessSearchReport:

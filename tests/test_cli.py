@@ -8,7 +8,8 @@ from pathlib import Path
 import pcml
 from pcml import cli, equivalence, oracle
 from pcml.cli import run
-from pcml.core import LieElement, multidegrees
+from pcml.core import GeneratorOrder, LieElement, multidegrees
+from pcml.graphs import Graph
 from pcml.suite import EXAMPLE_GRAPH_EDGES
 from pcml.textio import MAX_VERTICES
 
@@ -310,6 +311,50 @@ def test_oversized_centralizer_walks_exit_2_at_once(capsys):
         assert status == 2
         assert lines == ["SEED=0", f"ESTIMATE={estimate} supports",
                          f"ERROR=the support walk is over the limit of {cli.MAX_SWEEP} supports"]
+
+
+def test_oversized_gamma_closures_exit_2_before_the_closure(capsys, tmp_path, monkeypatch):
+    # 120 elements built a closure of 34 s and 776 MiB before the estimate
+    reached = []
+
+    def stub(graph, gamma):
+        reached.append(len(gamma))
+        return equivalence.CompactionWitnessReport(1, len(gamma), 0, 0, 3, 2)
+
+    monkeypatch.setattr(cli, "compaction_witness", stub)
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"n": 4, "edges": [[2, 3], [1, 2], [1, 3]]}))
+    fpath = tmp_path / "gamma.txt"
+    for k, estimate in ((37, 102712), (120, 3470520)):
+        fpath.write_text("".join(f"{c}*x0 + x1\n" for c in range(1, k + 1)))
+        status, lines = invoke(capsys, "gamma-witness", "--graph", str(gpath), "--gamma", str(fpath))
+        assert status == 2
+        assert lines == ["SEED=0", f"ESTIMATE={estimate} closure candidates",
+                         f"ERROR=the closure is over the limit of {cli.MAX_SWEEP} candidates"]
+    assert not reached
+    # 36 elements give 94,644 candidates, under the limit
+    fpath.write_text("".join(f"{c}*x0 + x1\n" for c in range(1, 37)))
+    status, lines = invoke(capsys, "gamma-witness", "--graph", str(gpath), "--gamma", str(fpath))
+    assert status == 0 and "GAMMA_SIZE=36" in lines
+    assert reached == [36]
+
+
+def test_the_closure_estimate_counts_what_gamma_closure_pushes(monkeypatch):
+    # gamma_closure pushes each element, then one difference per candidate after them
+    subtractions = []
+    engine_sub = LieElement.__sub__
+
+    def counted(a, b):
+        subtractions.append(1)
+        return engine_sub(a, b)
+
+    monkeypatch.setattr(LieElement, "__sub__", counted)
+    graph, order = Graph(4, [(2, 3), (1, 2), (1, 3)]), GeneratorOrder.ascending(4)
+    for k in range(1, 6):
+        gamma = [LieElement.generator(graph, order, v % 4) * (v + 1) for v in range(k)]
+        subtractions.clear()
+        equivalence.gamma_closure(gamma)
+        assert k + len(subtractions) == k + k * k + 2 * k ** 3
 
 
 def test_sweep_estimate_counts_the_multidegrees_certify_visits(monkeypatch):

@@ -34,6 +34,7 @@ from pcml.equivalence import _glued_key, build_phi_hom, merge_scaling_components
 from pcml.errors import AlgebraError
 from pcml.graphs import Graph, cycle_graph
 from pcml.sampling import random_element, random_graph
+from pcml.textio import parse_element
 import reference
 
 
@@ -492,6 +493,27 @@ def test_scalar_arithmetic():
     assert e.linear == {0: 2, 1: -3}
     assert (e - e).is_zero()
     assert (-e) + e == LieElement.zero(FREE3, ASC3)
+
+
+def test_zero_coefficients_pass_through_the_kernel():
+    c5, o5 = cycle_graph(5), GeneratorOrder.ascending(5)
+    assert parse_element("0*[x2,x0]+x1", c5, o5) == LieElement.generator(c5, o5, 1)
+    g = parse_element("[x2,x0] + [x3,x1] + x0 + x4", c5, o5)
+    # x0 -> 0, x4 -> 2*x4, the rest fixed
+    image = substitute(g, [(0, 0), (1, 1), (1, 2), (1, 3), (2, 4)], c5, o5)
+    assert image == parse_element("[x3,x1] + 2*x4", c5, o5) and 0 not in image.linear
+    algebra = Algebra.of(c5, o5)
+    acc = {}
+    core._add_nf(acc, algebra, 2, 0, (), 0)
+    core._add_nf(acc, algebra, 2, 0, (1,), 0)
+    assert acc == {}
+    # two terms that meet on one key with opposite signs leave nothing
+    graph, order = Graph(5, [(0, 2), (2, 3)]), GeneratorOrder([1, 2, 4, 0, 3])
+    algebra = Algebra.of(graph, order)
+    core._add_nf(acc, algebra, 3, 1, (0, 2), 2)
+    assert acc == {BasisMonomial((3, 1), (2, 0)): 2}
+    core._add_nf(acc, algebra, 0, 1, (3, 2), -2)
+    assert acc == {}
 
 
 def test_basis_monomial_count_is_components_minus_one():

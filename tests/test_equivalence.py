@@ -36,7 +36,7 @@ from pcml.errors import AlgebraError, CertificationError, GraphError
 from pcml.graphs import Graph, circ_dist, cycle_graph
 from pcml.sampling import random_element, random_graph, random_graph_with_merged_pair, random_word
 from pcml.textio import parse_element
-from reference import compaction_witness_by_element, completion_counts_table, glued_decomposition, theta_witness_walk
+from reference import compaction_witness_by_element, completion_counts_table, glued_decomposition, theta_identity_by_evaluation, theta_witness_walk
 
 # four vertices, 2 and 3 neighborhood-equivalent, 0 isolated
 MERGE4 = Graph(4, [(2, 3), (1, 2), (1, 3)])
@@ -64,6 +64,50 @@ def _constrained_sequences(n, m):
 
 def test_theta_identity_small_cycles():
     for m in range(4, 7):
+        assert theta_identity_holds(m)
+
+
+def test_theta_identity_matches_the_full_evaluation():
+    for m in range(4, 41):
+        assert theta_identity_holds(m) == theta_identity_by_evaluation(m), m
+
+
+def test_the_orbit_atoms_are_the_atoms_with_i_zero():
+    for m in range(4, 41):
+        atoms = equivalence._orbit_atoms(m)
+        assert atoms == [atom for atom in equivalence.theta_atoms(m) if atom.i == 0], m
+        assert len(atoms) == (4 if m == 4 else 2 * m - 3)
+
+
+@pytest.mark.parametrize("word", [(0, 2), (0, 2, 3)])
+def test_the_oracle_catches_an_engine_case_that_flips_an_orbit_atom(monkeypatch, word):
+    m = 10
+    x = cycle_generators(m)
+    algebra = x[0].algebra
+    assert theta_identity_holds(m)
+    engine_cases = core._nf_cases
+
+    def flipped(alg, a, b, tail):
+        if alg is algebra and sorted((a, b) + tail) == sorted(word):
+            return ()
+        return engine_cases(alg, a, b, tail)
+
+    monkeypatch.setattr(algebra, "_nf", {})  # keeps cached normal forms out of play
+    monkeypatch.setattr(core, "_nf_cases", flipped)
+    # the engine alone now refutes Theta(10), the oracle does not
+    assert theta_identity_by_evaluation(m) is False and theta_identity_holds(m) is False
+    for certified in (lambda: distinguish_cycles(5, m), lambda: search_theta_witness(m, m),
+                      suite.criterion_5):
+        with pytest.raises(CertificationError, match=r"disagree on the atom (distant|triple)-nonzero\(0,"):
+            certified()
+
+
+def test_theta_identity_holds_eliminates_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an elimination")
+
+    monkeypatch.setattr(oracle.linalg, "rref", refuse)
+    for m in range(4, 12):
         assert theta_identity_holds(m)
 
 
@@ -239,43 +283,72 @@ def _theta_instance(rng, kind):
     return ThetaInstance(m, graph, order), z
 
 
+# [[z1, z3], z0] = 0 only by cancellation: [z1, z3] has two derived
+# terms, each of which x0 sends to the same nonzero multiple of one
+# basis monomial, with opposite signs
+CANCELLING = (
+    Graph(6, [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (2, 5), (3, 4)]),
+    GeneratorOrder([4, 3, 0, 2, 1, 5]),
+    ["3*x0", "-2*[x5,x1]", "-2*x2", "3*x3", "x4"],
+)
+
+
+def test_the_pinned_triple_atom_vanishes_only_by_cancellation():
+    graph, order, texts = CANCELLING
+    z = [parse_element(t, graph, order) for t in texts]
+    pair = bracket(z[1], z[3])
+    parts = [word_element(graph, order, m.head + m.tail + (0,)) * (c * 3) for m, c in pair.derived.items()]
+    assert len(parts) == 2 and all(not part.is_zero() for part in parts)
+    assert (parts[0] + parts[1]).is_zero() and bracket(pair, z[0]).is_zero()
+
+
 def test_eval_theta_matches_naive_atom_loop():
+    graph, order, texts = CANCELLING
+    cases = [(ThetaInstance(len(texts), graph, order), [parse_element(t, graph, order) for t in texts])]
     rng = random.Random(23)
+    cases += [_theta_instance(rng, ("random", "cycle", "derived")[trial % 3]) for trial in range(300)]
     seen = set()
-    for trial in range(300):
-        inst, z = _theta_instance(rng, ("random", "cycle", "derived")[trial % 3])
+    for inst, z in cases:
         result = eval_theta(inst, z)
         assert (result.holds, result.failing_atom) == _naive_eval_theta(inst, z)
         seen.add(result.failing_atom.family if result.failing_atom else "holds")
+    assert eval_theta(*cases[0]).failing_atom == Atom("triple-nonzero", 1, 0)
     assert seen == {"adjacent-zero", "distant-nonzero", "triple-nonzero", "holds"}
 
 
-def _atom_brackets(m, failing):
-    """The brackets Theta(m) needs up to and including ``failing`` (all
-    atoms if None): one per distinct pair (i, j) the atoms read, the
-    inner pair (i, i + 2) of a triple atom included, and one per triple
-    atom."""
-    pairs, triples = set(), 0
+def _atom_calls(m, z, failing):
+    """The `bracket` and `_add_nf` calls Theta(m) needs up to and
+    including ``failing`` (all atoms if None): one bracket per distinct
+    pair (i, j) the atoms read, the inner pair (i, i + 2) of a triple
+    atom included, and per triple atom one `_add_nf` for each pair of a
+    derived term of [z_i, z_{i+2}] and a linear term of z_j."""
+    pairs, adds = set(), 0
     for atom in equivalence.theta_atoms(m):
         if atom.family == "triple-nonzero":
-            pairs.add((atom.i, (atom.i + 2) % m))
-            triples += 1
+            k = (atom.i + 2) % m
+            pairs.add((atom.i, k))
+            adds += len(bracket(z[atom.i], z[k]).derived) * len(z[atom.j].linear)
         else:
             pairs.add((atom.i, atom.j))
         if atom == failing:
             break
-    return len(pairs) + triples
+    return len(pairs), adds
 
 
 def test_eval_theta_brackets_each_pair_once(monkeypatch):
-    calls = []
-    engine_bracket = equivalence.bracket
+    brackets, adds = [], []
+    engine_bracket, engine_add_nf = equivalence.bracket, equivalence._add_nf
 
-    def counted(a, b):
-        calls.append((a, b))
+    def counted_bracket(a, b):
+        brackets.append((a, b))
         return engine_bracket(a, b)
 
-    monkeypatch.setattr(equivalence, "bracket", counted)
+    def counted_add_nf(*args):
+        adds.append(args)
+        engine_add_nf(*args)
+
+    monkeypatch.setattr(equivalence, "bracket", counted_bracket)
+    monkeypatch.setattr(equivalence, "_add_nf", counted_add_nf)
     cases = []
     for m in range(5, 10):
         x = cycle_generators(m)
@@ -283,14 +356,22 @@ def test_eval_theta_brackets_each_pair_once(monkeypatch):
     x = cycle_generators(5)
     for seq in ((0, 1, 2, 3, 0), (0, 1, 2, 3, 4, 0)):
         cases.append((ThetaInstance(len(seq), x[0].graph, x[0].order), [x[k] for k in seq]))
+    rng = random.Random(29)
+    cases += [_theta_instance(rng, ("random", "cycle", "derived")[trial % 3]) for trial in range(60)]
     failures = []
     for inst, z in cases:
-        calls.clear()
+        brackets.clear()
+        adds.clear()
         result = eval_theta(inst, z)
-        assert len(calls) == _atom_brackets(inst.m, result.failing_atom), (inst.m, result)
+        assert (len(brackets), len(adds)) == _atom_calls(inst.m, z, result.failing_atom), (inst.m, result)
         failures.append(result.failing_atom)
     assert failures[:5] == [None] * 5
-    assert failures[5:] == [Atom("adjacent-zero", 3, 4), Atom("distant-nonzero", 0, 4)]
+    assert failures[5:7] == [Atom("adjacent-zero", 3, 4), Atom("distant-nonzero", 0, 4)]
+    assert "triple-nonzero" in {atom.family for atom in failures[7:] if atom}
+    # some triple atom adds more than one term
+    assert any(len(bracket(z[i], z[(i + 2) % inst.m]).derived) * len(z[j].linear) > 1
+               for inst, z in cases for family, i, j in equivalence.theta_atoms(inst.m)
+               if family == "triple-nonzero")
 
 
 def _closed_walks(n, m):
