@@ -14,7 +14,6 @@ from .core import (
     basis_monomials_of_multidegree,
     bracket,
     format_element,
-    homogeneous_components,
     is_basis_monomial,
     mdeg,
     multidegrees,

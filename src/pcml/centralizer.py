@@ -61,17 +61,18 @@ off at the components other than C(mu).  If C(mu) is good, the kernel
 rows are the unit vectors of the good columns; otherwise the good
 entries sum to zero too, and the rows are e_f - e_j, for f the first
 good column and j each later one: the rows `linalg.kernel_basis`
-returns.  `_good_rows` writes them from the tops of S, keeping a top
-when every i in supp g has a neighbour with that top, without an
-elimination or the coefficients of g.
+returns.  `_good_rows` writes them from the tops of S alone, keeping a
+top when every i in supp g has a neighbour with that top, without a
+basis, an elimination or the coefficients of g: the columns are the
+tops other than C(mu)'s, by vertex, which every multidegree on S
+shares as its heads.
 
-So both solves enumerate one unit, `_strata`: the supports S of
-2..min(d, m) of the m = n - |supp g| letters off supp g, each with the
-basis of the multidegree with exponent 1 on each letter of S, whose
-heads every multidegree on S shares.  Only where the rows of S are
-nonzero does `derived_centralizer` visit the multidegrees on S up to
-degree d, one `_basis` each, and each returns an element.  It
-cross-checks every vector with `bracket`, through the normal-form table.
+So both solves enumerate one unit, `_strata`: the letters of each
+support S of 2..min(d, m) of the m = n - |supp g| letters off supp g.
+Only where the rows of S are nonzero does `derived_centralizer` visit
+the multidegrees on S up to degree d, one `_basis` each, and each
+returns an element.  It cross-checks every vector with `bracket`,
+through the normal-form table.
 
 Cuts.  Let F be the m letters off supp g and N(i) the neighbours of i
 in F.  A support S gives elements only if it holds two good components
@@ -97,9 +98,10 @@ C(x_i) over i in supp g, follows: on a multidegree that meets supp g
 both sides are 0, the left by the facts above, the right as x_i is
 injective on M_delta for i in supp delta; on one off supp g both are
 the common kernel of the x_i.  `check_intersection_theorem` checks it
-on the columns `_strata` yields: the closed form on the left against
-one elimination of the normal-form images of the x_i (`_kernel_rows`)
-on the right.  The two sides share only the tops table.
+on each support `_strata` yields with a nonempty `_basis`: the closed
+form on the left against one elimination of the normal-form images of
+the x_i (`_kernel_rows`) over that basis on the right.  The two sides
+share only the tops table.
 """
 
 from __future__ import annotations
@@ -135,18 +137,20 @@ def _check_linear(g: LieElement) -> Dict[int, int]:
     return g.linear
 
 
-def _good_rows(algebra: Algebra, lin: Dict[int, int], letters: Sequence[int], columns: Sequence[BasisMonomial]) -> List[Tuple[int, ...]]:
-    """Kernel rows of h -> [h, g], g = sum lin[i] x_i, over the basis
-    ``columns`` of the support ``letters`` (in rank order) off supp g,
-    in closed form: a component is good when every i in supp g has a
-    neighbour in it (see the module docstring)."""
+def _good_rows(algebra: Algebra, lin: Dict[int, int], letters: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Kernel rows of h -> [h, g], g = sum lin[i] x_i, on the support
+    ``letters`` (in rank order) off supp g, in closed form from its tops
+    alone: a component is good when every i in supp g has a neighbour in
+    it, and the columns are the tops other than the least letter's, by
+    vertex, the heads `_basis` returns (see the module docstring)."""
     top = algebra.tops(_support_mask(letters))
     good = set(top) - {-1}
     for i in lin:
         good &= {top[v] for v in algebra.graph.adj[i]}
         if len(good) < 2:
             return []
-    units = [tuple(int(k == j) for k in range(len(columns))) for j, m in enumerate(columns) if m.head[0] in good]
+    heads = sorted(set(top) - {-1, top[letters[0]]})
+    units = [tuple(int(h == t) for h in heads) for t in heads if t in good]
     if top[letters[0]] in good:
         return units
     return [tuple(a - b for a, b in zip(units[0], unit)) for unit in units[1:]]
@@ -194,18 +198,13 @@ def _kernel_rows(algebra: Algebra, forms: Sequence[Dict[int, int]], columns: Seq
     return linalg.kernel_basis(matrix, len(columns))
 
 
-def _strata(g: LieElement, degree_bound: int) -> Iterator[Tuple[Tuple[int, ...], List[BasisMonomial]]]:
-    """(letters in rank order, columns) of every support S of 2..min(d, m)
-    of the m letters off supp g with a nonempty basis, the columns being
-    that of the multidegree with exponent 1 on each letter of S."""
+def _strata(g: LieElement, degree_bound: int) -> Iterator[Tuple[int, ...]]:
+    """The letters, in rank order, of every support S of 2..min(d, m) of
+    the m letters off supp g."""
     lin = _check_linear(g)
-    algebra = g.algebra
-    free = [v for v in algebra.order.perm if v not in lin]
+    free = [v for v in g.algebra.order.perm if v not in lin]
     for size in range(2, min(degree_bound, len(free)) + 1):
-        for letters in combinations(free, size):
-            columns = _basis(algebra, list(letters))
-            if columns:
-                yield letters, columns
+        yield from combinations(free, size)
 
 
 def support_count(g: LieElement, degree_bound: int) -> int:
@@ -243,8 +242,8 @@ def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
     algebra = g.algebra
     rank = algebra.order.rank.__getitem__
     found = []
-    for letters, columns in _strata(g, degree_bound):
-        rows = _good_rows(algebra, g.linear, letters, columns)
+    for letters in _strata(g, degree_bound):
+        rows = _good_rows(algebra, g.linear, letters)
         if not rows:
             continue
         for extra in range(degree_bound - len(letters) + 1):
@@ -275,8 +274,9 @@ def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[in
     g = LieElement.from_linear(graph, order, dict(zip(indices, coefficients)))
     forms = [{i: 1} for i in indices]
     return all(
-        linalg.same_rowspan(_good_rows(g.algebra, g.linear, letters, columns), _kernel_rows(g.algebra, forms, columns))
-        for letters, columns in _strata(g, degree_bound)
+        linalg.same_rowspan(_good_rows(g.algebra, g.linear, letters), _kernel_rows(g.algebra, forms, columns))
+        for letters in _strata(g, degree_bound)
+        if (columns := _basis(g.algebra, list(letters)))
     )
 
 
@@ -335,7 +335,8 @@ def classify_cycle_centralizer(n: int, i: int, j: int, degree_bound: int) -> Cyc
             form_ok = False
             continue
         image = act(base, AssocPoly(n, {tuple(exps): 1}))
-        if not _proportional(h, image):
+        m0 = next(iter(image.derived), None)
+        if m0 is None or h * image.derived[m0] != image * h.derived.get(m0, 0):
             form_ok = False
     if kind == "adjacent":
         form_ok = support_ok = True
@@ -343,17 +344,3 @@ def classify_cycle_centralizer(n: int, i: int, j: int, degree_bound: int) -> Cyc
         n, i, j, degree_bound, kind, len(slice_.elements), counts,
         support_ok, form_ok, homogeneous_ok,
     )
-
-
-def _proportional(a: LieElement, b: LieElement) -> bool:
-    """a = (p/q) b for some rational p/q, with b nonzero."""
-    if b.is_zero():
-        return a.is_zero()
-    if a.is_zero():
-        return True
-    if set(a.derived) != set(b.derived) or a.linear or b.linear:
-        return False
-    items = iter(a.derived.items())
-    m0, ca = next(items)
-    cb = b.derived[m0]
-    return all(c * cb == ca * b.derived[m] for m, c in a.derived.items())

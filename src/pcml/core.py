@@ -126,22 +126,23 @@ class Algebra:
 
     def tops(self, mask: int) -> Tuple[int, ...]:
         """Components induced on the vertex bitmask ``mask``, once per mask:
-        per vertex the greatest vertex of its component in this order, -1
-        outside ``mask``: one search started at the vertices of ``mask`` in
-        descending order, so the first start met in each component is its
-        top.  The table is cleared at `NF_CACHE_SIZE` entries, as the
-        normal forms are."""
+        per vertex the greatest vertex of its block of `Graph.components`
+        in this order, -1 outside ``mask``.  The table is cleared at
+        `NF_CACHE_SIZE` entries, as the normal forms are."""
         out = self._tops.get(mask)
         if out is None:
             if len(self._tops) >= NF_CACHE_SIZE:
                 self._tops.clear()
-            starts, rest = [], mask
-            while rest:
-                low = rest & -rest
-                starts.append(low.bit_length() - 1)
-                rest ^= low
-            starts.sort(key=self.order.rank.__getitem__, reverse=True)
-            out = self._tops[mask] = self.graph.component_labels(mask, starts)
+            top = [-1] * self.graph.n
+            rank = self.order.rank.__getitem__
+            for block in self.graph.components(mask):
+                if len(block) == 1:  # a lone vertex, the commonest block, is its own top
+                    top[block[0]] = block[0]
+                    continue
+                greatest = max(block, key=rank)
+                for v in block:
+                    top[v] = greatest
+            out = self._tops[mask] = tuple(top)
         return out
 
 
@@ -583,26 +584,6 @@ def word_element(graph: Graph, order: GeneratorOrder, letters: Iterable[int]) ->
     algebra = Algebra.of(graph, order)
     nf = monomial_normal_form(algebra, (seq[0], seq[1]), seq[2:])
     return LieElement._trusted(algebra, {}, dict(nf))
-
-
-# ---------------------------------------------------------------------------
-# gradings
-# ---------------------------------------------------------------------------
-
-def homogeneous_components(g: LieElement) -> List[Tuple[Multidegree, LieElement]]:
-    """Split g into its nonzero multidegree-homogeneous parts."""
-    n = g.graph.n
-    buckets: Dict[Multidegree, Tuple[Dict[int, int], Dict[BasisMonomial, int]]] = {}
-    for i, c in g.linear.items():
-        d = [0] * n
-        d[i] = 1
-        buckets.setdefault(tuple(d), ({}, {}))[0][i] = c
-    for m, c in g.derived.items():
-        buckets.setdefault(mdeg(m, n), ({}, {}))[1][m] = c
-    return [
-        (delta, LieElement._trusted(g.algebra, lin, der))
-        for delta, (lin, der) in sorted(buckets.items())
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Vertices are the integers 0..n-1 and stand for the generators x_0..x_{n-1}
 of the algebra defined by the graph.  Graphs are immutable values that
-keep no tables: `Graph.component_labels` searches the components of an
+keep no tables: `Graph.components` searches the components of an
 induced vertex set each time it is asked, and the caches that need them
 belong to the callers (`pcml.core.Algebra.tops`).  Everything else is a
 pure function, and nothing here reads text or files: graph specs and
@@ -46,21 +46,23 @@ class Graph:
         self.adj = tuple(frozenset(s) for s in adj)
         self._hash = hash((n, self.edges))
 
-    def component_labels(self, mask: int, starts: Iterable[int]) -> Tuple[int, ...]:
-        """Components induced on the vertex bitmask ``mask``, uncached: per
-        vertex the first of ``starts`` (which lists every vertex of ``mask``)
-        in its component, -1 outside ``mask``."""
-        out = [-1] * self.n
-        for v in starts:
-            if mask >> v & 1 and out[v] < 0:
-                out[v] = v
-                stack = [v]
-                while stack:
-                    for w in self.adj[stack.pop()]:
-                        if mask >> w & 1 and out[w] < 0:
-                            out[w] = v
-                            stack.append(w)
-        return tuple(out)
+    def components(self, mask: int) -> List[List[int]]:
+        """Components induced on the vertex bitmask ``mask``, uncached: one
+        search over its set bits, each block started at the least vertex
+        not yet reached, so the blocks come in order of their least vertex."""
+        blocks = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            block = [low.bit_length() - 1]
+            for v in block:  # grows while it is read: a breadth-first search
+                for w in self.adj[v]:
+                    if rest >> w & 1:
+                        rest ^= 1 << w
+                        block.append(w)
+            blocks.append(block)
+        return blocks
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.adj[i]
@@ -108,18 +110,14 @@ def components_within(graph: Graph, vertices: Iterable[int]) -> Tuple[FrozenSet[
     """Connected components of the subgraph induced on ``vertices``.
 
     Vertices keep their original labels.  Blocks come back sorted by
-    their least element: `Graph.component_labels` from ascending starts.
+    their least element, as `Graph.components` finds them.
     """
     mask = 0
     for v in vertices:
         if not 0 <= v < graph.n:
             raise GraphError(f"vertex {v} out of range")
         mask |= 1 << v
-    blocks: Dict[int, List[int]] = {}
-    for v, label in enumerate(graph.component_labels(mask, range(graph.n))):
-        if label >= 0:
-            blocks.setdefault(label, []).append(v)
-    return tuple(frozenset(b) for b in blocks.values())
+    return tuple(frozenset(b) for b in graph.components(mask))
 
 
 def closed_neighborhood(graph: Graph, x: int) -> VertexSet:

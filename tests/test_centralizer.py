@@ -1,5 +1,6 @@
 import inspect
 import random
+from collections import Counter
 from itertools import combinations, groupby
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 
 from pcml import centralizer, linalg, suite
 from pcml.centralizer import (
+    CentralizerSlice,
     check_intersection_theorem,
     classify_cycle_centralizer,
     derived_centralizer,
@@ -243,9 +245,9 @@ def test_intersection_strata_match_the_full_blocks(monkeypatch):
 
 
 def test_intersection_check_eliminates_once_per_support(monkeypatch):
-    # one elimination per support `_strata` yields, for the generators'
-    # side; g's side is the closed form, however many blocks the
-    # degrees have
+    # one elimination per support `_strata` yields with a nonempty basis,
+    # for the generators' side; g's side is the closed form, however
+    # many blocks the degrees have
     kernel_rows = centralizer._kernel_rows
     calls = []
 
@@ -267,21 +269,21 @@ def test_intersection_check_eliminates_once_per_support(monkeypatch):
         calls.clear()
         assert check_intersection_theorem(supp, coeffs, graph, bound, order)
         g = linear(graph, order, dict(zip(supp, coeffs)))
-        assert len(calls) == sum(1 for _ in centralizer._strata(g, bound))
+        assert len(calls) == sum(1 for letters in centralizer._strata(g, bound) if _basis(g.algebra, list(letters)))
+        assert 0 not in calls
         total += len(calls)
     assert total > 60, total
 
 
 def test_centralizer_solves_once_per_support(monkeypatch):
-    # no `_basis` at all when a cut rules out every support; else one
-    # `_basis` and no elimination per support of 2..min(d, m) letters off
-    # supp g, m = n - |supp g|, and beyond that one `_basis` per
-    # multidegree of the slice, each of which returns an element
+    # no elimination, and one `_basis` per multidegree of the slice, each
+    # of which returns an element: none on a support whose closed-form
+    # rows are empty, so none at all when a cut rules out every support
     basis, kernel_rows = centralizer._basis, centralizer._kernel_rows
     bases, eliminations = [], []
 
     def counted_basis(algebra, ranked):
-        bases.append(len(ranked))
+        bases.append(tuple(Counter(ranked).get(v, 0) for v in range(algebra.graph.n)))
         return basis(algebra, ranked)
 
     def counted_rows(algebra, forms, columns):
@@ -308,12 +310,11 @@ def test_centralizer_solves_once_per_support(monkeypatch):
         supports = sum(comb(m, s) for s in range(2, min(bound, m) + 1))
         assert len(eliminations) == 0
         multidegrees = {mdeg(next(iter(h.derived)), graph.n) for h in slice_.elements}
-        assert len(bases) <= supports + len(multidegrees)
+        assert len(bases) == len(set(bases)) and set(bases) == multidegrees
         if centralizer._provably_empty(graph, lin, bound):
-            assert slice_.is_empty() and len(bases) == 0
+            assert slice_.is_empty()
             cut += supports > 0
         else:
-            assert len(bases) == supports + len(multidegrees)
             walked_empty += slice_.is_empty() and supports > 0
         nonempty += not slice_.is_empty()
     assert cut > 10 and walked_empty > 5 and nonempty > 10, (cut, walked_empty, nonempty)
@@ -321,10 +322,11 @@ def test_centralizer_solves_once_per_support(monkeypatch):
 
 def test_centralizer_rejects_a_kernel_vector_that_does_not_commute(monkeypatch):
     # every unit vector, where some column's bracket with g is nonzero
-    monkeypatch.setattr(
-        centralizer, "_good_rows",
-        lambda algebra, lin, letters, columns: [tuple(int(i == j) for j in range(len(columns))) for i in range(len(columns))],
-    )
+    def every_unit(algebra, lin, letters):
+        k = len(_basis(algebra, list(letters)))
+        return [tuple(int(i == j) for j in range(k)) for i in range(k)]
+
+    monkeypatch.setattr(centralizer, "_good_rows", every_unit)
     with pytest.raises(CertificationError, match="fails the bracket check"):
         derived_centralizer(linear(C5, O5, {0: 1, 2: 1}), 3)
 
@@ -365,10 +367,11 @@ def test_closed_form_matches_the_elimination():
     supports = nonempty = 0
     for _ in range(600):
         g = _random_case(rng, 9)
-        for letters, columns in centralizer._strata(g, 9):
-            rows = centralizer._good_rows(g.algebra, g.linear, letters, columns)
+        for letters in centralizer._strata(g, 9):
+            columns = _basis(g.algebra, list(letters))
+            rows = centralizer._good_rows(g.algebra, g.linear, letters)
             assert rows == centralizer._kernel_rows(g.algebra, [g.linear], columns)
-            supports += 1
+            supports += bool(columns)
             nonempty += bool(rows)
     assert supports >= 5000 and nonempty > 1000, (supports, nonempty)
 
@@ -381,31 +384,28 @@ def test_good_components_by_adjacency_match_the_joins():
     supports = nonempty = 0
     for _ in range(300):
         g = _random_case(rng, 8)
-        for letters, columns in centralizer._strata(g, 8):
-            rows = centralizer._good_rows(g.algebra, g.linear, letters, columns)
+        for letters in centralizer._strata(g, 8):
+            columns = _basis(g.algebra, list(letters))
+            rows = centralizer._good_rows(g.algebra, g.linear, letters)
             assert rows == good_rows_by_joins(g.algebra, g.linear, letters, columns)
-            supports += 1
+            supports += bool(columns)
             nonempty += bool(rows)
     assert supports >= 2000 and nonempty > 400, (supports, nonempty)
 
 
-def test_support_count_is_the_supports_the_walk_visits(monkeypatch):
-    # the estimate `pcml centralizer` refuses by: one `_basis` lookup per
-    # support `_strata` walks, and 0 where a cut answers before the walk
-    looked_up = []
-    monkeypatch.setattr(centralizer, "_basis", lambda algebra, letters: looked_up.append(letters) or _basis(algebra, letters))
+def test_support_count_is_the_supports_the_walk_visits():
+    # the estimate `pcml centralizer` refuses by: the supports `_strata`
+    # yields, and 0 where a cut answers before the walk
     rng = random.Random(97)
     cut = walked = 0
     for _ in range(300):
         g, bound = _random_case(rng, 8), rng.randint(2, 8)
-        looked_up.clear()
-        for _ in centralizer._strata(g, bound):
-            pass
+        visited = sum(1 for _ in centralizer._strata(g, bound))
         if centralizer._provably_empty(g.graph, g.linear, bound):
             assert support_count(g, bound) == 0
-            cut += bool(looked_up)
+            cut += bool(visited)
         else:
-            assert support_count(g, bound) == len(looked_up)
+            assert support_count(g, bound) == visited
             walked += 1
     assert cut > 50 and walked > 20, (cut, walked)
     for n, far, bound, count in ((24, 12, 22, 4194281), (20, 10, 20, 262125), (18, 9, 18, 65519), (24, 12, 12, 0)):
@@ -527,6 +527,41 @@ def test_classify_adjacent_reports_empty():
     report = classify_cycle_centralizer(5, 0, 1, 4)
     assert report.kind == "adjacent"
     assert report.count == 0
+
+
+def test_classify_flags_an_element_off_the_expected_support(monkeypatch):
+    # [x_{i-1}, x_{i+1}] itself has the predicted form and one multidegree,
+    # but from n = 5 on it misses letters of the complement of {i, j}
+    def base_only(g, bound):
+        n, i = g.graph.n, min(g.linear)
+        x = cycle_generators(n)
+        return CentralizerSlice(g, bound, [bracket(x[(i - 1) % n], x[(i + 1) % n])])
+
+    monkeypatch.setattr(centralizer, "derived_centralizer", base_only)
+    report = classify_cycle_centralizer(6, 0, 3, 4)
+    assert not report.support_ok and report.form_ok and report.homogeneous_ok
+    result = suite.criterion_3()
+    assert not result.ok and result.detail == "part=b n=5 pair=(0,2) support=False form=True", result
+
+
+def test_classify_flags_an_element_over_two_multidegrees(monkeypatch):
+    found = centralizer.derived_centralizer
+
+    def summed(g, bound):
+        elements = found(g, bound).elements
+        return CentralizerSlice(g, bound, [elements[0] + elements[-1]])
+
+    monkeypatch.setattr(centralizer, "derived_centralizer", summed)
+    report = classify_cycle_centralizer(6, 0, 3, 5)
+    assert report.support_ok and report.form_ok and not report.homogeneous_ok
+
+
+def test_classify_flags_a_zero_image(monkeypatch):
+    # a zero image is proportional to no slice element
+    monkeypatch.setattr(centralizer, "act", lambda element, poly: LieElement.zero(element.graph, element.order))
+    report = classify_cycle_centralizer(6, 0, 3, 5)
+    assert report.count == 5
+    assert report.support_ok and not report.form_ok and report.homogeneous_ok
 
 
 def test_classify_validation():

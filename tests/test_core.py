@@ -23,7 +23,6 @@ from pcml.core import (
     basis_monomials_of_multidegree,
     bracket,
     format_element,
-    homogeneous_components,
     is_basis_monomial,
     mdeg,
     multidegrees,
@@ -48,7 +47,8 @@ def gens(graph, order):
 
 def _multidegree(e):
     """The multidegree of a nonzero homogeneous element."""
-    [(delta, _)] = homogeneous_components(e)
+    n = e.graph.n
+    [delta] = {tuple(int(v == i) for v in range(n)) for i in e.linear} | {mdeg(m, n) for m in e.derived}
     return delta
 
 
@@ -147,17 +147,6 @@ def test_mdeg_and_glued():
     m2 = BasisMonomial((3, 0), (2,))
     assert _glued_key(m2, 4) == (("glued", (1, 0, 2), 3), 1)
     assert set(m.letters()) == {0, 2, 3}
-
-
-def test_homogeneous_components():
-    x = gens(FREE3, ASC3)
-    g = x[0] + bracket(x[1], x[0])
-    comps = homogeneous_components(g)
-    assert [delta for delta, _ in comps] == [(1, 0, 0), (1, 1, 0)]
-    assert sum((part for _, part in comps), LieElement.zero(FREE3, ASC3)) == g
-    h = bracket(x[1], x[0])
-    assert len(homogeneous_components(h)) == 1
-    assert homogeneous_components(LieElement.zero(FREE3, ASC3)) == []
 
 
 def test_glued_decomposition():
@@ -410,9 +399,14 @@ def test_homogeneous_sum_zero_iff_parts_zero():
         g = random_graph(rng, n)
         o = GeneratorOrder.ascending(n)
         e = random_element(g, o, rng)
-        parts = homogeneous_components(e)
+        by_mdeg = {}
+        for m, c in e.derived.items():
+            by_mdeg.setdefault(mdeg(m, n), {})[m] = c
+        parts = [LieElement(g, o, {i: c}, {}) for i, c in e.linear.items()]
+        parts += [LieElement(g, o, {}, terms) for terms in by_mdeg.values()]
         assert e.is_zero() == (not parts)
-        for _, part in parts:
+        assert sum(parts, LieElement.zero(g, o)) == e
+        for part in parts:
             assert not part.is_zero()
 
 

@@ -65,15 +65,14 @@ def test_components_table_matches_a_plain_search(algebra, data):
     supports = data.draw(st.lists(st.sets(st.integers(0, graph.n - 1)), min_size=1, max_size=6))
     for support in supports:
         expected = plain_components(graph, support)
-        least = {v: min(block) for block in expected for v in block}
-        labels = tuple(least.get(v, -1) for v in range(graph.n))
         greatest = {v: max(block, key=order.rank.__getitem__) for block in expected for v in block}
         tops = tuple(greatest.get(v, -1) for v in range(graph.n))
         mask = sum(1 << v for v in support)
         owner = Algebra.of(graph, order)
         assert components_within(graph, support) == expected
-        assert graph.component_labels(mask, range(graph.n)) == labels
-        assert graph.component_labels(mask, reversed(order.perm)) == tops
+        blocks = graph.components(mask)
+        assert tuple(map(frozenset, blocks)) == expected
+        assert sum(map(len, blocks)) == len(support)
         for _ in ("cold", "warm"):
             assert owner.tops(mask) == tops
 
@@ -107,7 +106,7 @@ def test_the_oracle_certifies_bases_without_the_engine_components(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle read an engine components path")
 
-    monkeypatch.setattr(Graph, "component_labels", refuse)
+    monkeypatch.setattr(Graph, "components", refuse)
     monkeypatch.setattr(Algebra, "tops", refuse)
     monkeypatch.setattr(Algebra, "of", refuse)
     rng = random.Random(61)
