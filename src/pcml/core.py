@@ -319,10 +319,13 @@ def _bump(acc: Dict, key, value) -> None:
 
 
 def _accumulate(acc: Dict, terms: Iterable[Tuple[object, int]], coeff: int) -> None:
-    """acc += coeff * terms, for terms such as a monomial normal form or
-    the items of an element's dicts."""
+    """acc += coeff * terms, summed here by `_bump`'s rule."""
     for m, c in terms:
-        _bump(acc, m, coeff * c)
+        new = acc.get(m, 0) + coeff * c
+        if new:
+            acc[m] = new
+        elif m in acc:
+            del acc[m]
 
 
 def _add_nf(acc: Dict, algebra: Algebra, a: int, b: int, tail: Sequence[int], coeff: int) -> None:
@@ -483,8 +486,7 @@ class AssocPoly:
         if self.n != other.n:
             raise AlgebraError("polynomials over different generator sets")
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            _bump(terms, e, c)
+        _accumulate(terms, other.terms.items(), 1)
         return AssocPoly(self.n, terms)
 
     def __neg__(self) -> "AssocPoly":

@@ -38,7 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Algebra,
@@ -534,27 +534,23 @@ def _glued_key(m: BasisMonomial, n: int) -> Tuple[Tuple, int]:
     return ("glued", tuple(glued), m.head[0]), power
 
 
-def _scale_polynomials(elements: Sequence[LieElement], hom: PhiHom) -> Tuple[Dict[BasisMonomial, Tuple[Tuple, int]], List[List[Tuple[Tuple, Tuple[int, ...]]]]]:
+def _scale_polynomials(elements: Sequence[LieElement], hom: PhiHom) -> Tuple[Dict[BasisMonomial, Tuple[Tuple, int]], List[Dict[Tuple, Tuple[int, ...]]]]:
     """The glued label and power of each distinct monomial of the
     elements, from one `_glued_key` call each, and for each element the
-    (label, coeffs) of every scaling component, in the order of
-    `merge_scaling_components`.
-
-    A derived term is keyed by its glued label; within one label the
-    number of x_{n-1} fixes the multidegree and so the term, and is its
-    power of lambda.
-    """
+    coeffs of each scaling component keyed by its label, linear ones
+    first (only `merge_scaling_components` sorts them).  Within one glued
+    label the number of x_{n-1} fixes the multidegree and so the term,
+    and is its power of lambda."""
     n = hom.graph.n
     last, kept = n - 1, n - 2
     glued: Dict[BasisMonomial, Tuple[Tuple, int]] = {}
-    out: List[List[Tuple[Tuple, Tuple[int, ...]]]] = []
+    out: List[Dict[Tuple, Tuple[int, ...]]] = []
     for g in elements:
         if g.algebra is not hom.source:
             raise AlgebraError("element is not over the homomorphism's source algebra")
-        comps = [(("linear", i), (g.linear[i],)) for i in sorted(g.linear) if i != kept and i != last]
-        pair = (g.linear.get(kept, 0), g.linear.get(last, 0))
-        if pair != (0, 0):
-            comps.append((("linear-pair",), pair))
+        comps = {("linear", i): (c,) for i, c in g.linear.items() if i < kept}  # neither merged vertex
+        if kept in g.linear or last in g.linear:  # no zero is stored
+            comps[("linear-pair",)] = (g.linear.get(kept, 0), g.linear.get(last, 0))
         polys: Dict[Tuple, List[int]] = {}
         for m, c in g.derived.items():
             if m not in glued:
@@ -564,21 +560,22 @@ def _scale_polynomials(elements: Sequence[LieElement], hom: PhiHom) -> Tuple[Dic
             if coeffs is None:
                 coeffs = polys[label] = [0] * (label[1][kept] + 1)
             coeffs[power] = c
-        comps.extend((label, tuple(coeffs)) for label, coeffs in sorted(polys.items()))
+        for label, coeffs in polys.items():
+            comps[label] = tuple(coeffs)
         out.append(comps)
     return glued, out
 
 
 def merge_scaling_components(g: LieElement, hom: PhiHom) -> List[ScalingComponent]:
     """Scale polynomials governing when phi_lambda kills each piece of g,
-    each glued one with its part of g and the basis monomial that part
-    maps onto."""
+    linear ones first, each glued one with its part of g and the basis
+    monomial that part maps onto."""
     glued, (comps,) = _scale_polynomials([g], hom)
     parts: Dict[Tuple, Dict[BasisMonomial, int]] = {}
     for m, c in g.derived.items():
         parts.setdefault(glued[m][0], {})[m] = c
     out: List[ScalingComponent] = []
-    for label, coeffs in comps:
+    for label, coeffs in sorted(comps.items(), key=lambda item: (item[0][0] == "glued", item[0])):
         base = part = None
         if label[0] == "glued":
             base = basis_monomial_with_start(label[1], label[2], hom.target_graph, hom.target_order)
@@ -594,8 +591,7 @@ def lambda_zero(g: LieElement, hom: PhiHom) -> int:
     scale, as phi_lambda(g) != 0 already when one component survives."""
     if g.is_zero():
         raise AlgebraError("the zero element has no nonvanishing threshold")
-    _, (comps,) = _scale_polynomials([g], hom)
-    return _threshold(coeffs for _, coeffs in comps)
+    return _threshold(_scale_polynomials([g], hom)[1][0].values())
 
 
 def _threshold(polys: Iterable[Sequence[int]]) -> int:
@@ -609,31 +605,35 @@ def _threshold(polys: Iterable[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 def gamma_closure(gamma: Sequence[LieElement]) -> List[LieElement]:
-    """Close a finite set under g_i - g_j, g_i + g_j - g_k, and
-    [g_i, g_j] - g_k, deduplicating structurally by the sets of terms."""
-    out: List[LieElement] = []
-    seen = set()
-
-    def push(e: LieElement) -> None:
-        key = (frozenset(e.linear.items()), frozenset(e.derived.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(e)
-
+    """Close a finite set under g_i - g_j, g_i + g_j - g_l, and
+    [g_i, g_j] - g_l, deduplicating structurally by the sets of terms.
+    Each candidate's two term dicts are summed by `_accumulate`, an
+    element is built only for a new key, and [g_j, g_i] = -[g_i, g_j]."""
+    # one bracket per unordered pair, which also checks that all share one algebra
+    products = {(i, j): bracket(a, gamma[j]).derived for i, a in enumerate(gamma) for j in range(i + 1, len(gamma))}
+    seen: Dict[Tuple, LieElement] = {}  # key -> element, in push order
     for g in gamma:
-        push(g)
-    k = len(gamma)
-    for i in range(k):
-        for j in range(k):
-            push(gamma[i] - gamma[j])
-    for i in range(k):
-        for j in range(k):
-            total = gamma[i] + gamma[j]
-            product = bracket(gamma[i], gamma[j])
-            for l in range(k):
-                push(total - gamma[l])
-                push(product - gamma[l])
-    return out
+        seen.setdefault((frozenset(g.linear.items()), frozenset(g.derived.items())), g)
+
+    def push(linear: Dict[int, int], derived: Dict[BasisMonomial, int], g: LieElement) -> None:
+        linear, derived = dict(linear), dict(derived)  # the candidate (linear, derived) - g
+        _accumulate(linear, g.linear.items(), -1)
+        _accumulate(derived, g.derived.items(), -1)
+        key = (frozenset(linear.items()), frozenset(derived.items()))
+        if key not in seen:
+            seen[key] = LieElement._trusted(g.algebra, linear, derived)
+
+    for a in gamma:
+        for g in gamma:
+            push(a.linear, a.derived, g)
+    for i, a in enumerate(gamma):
+        for j, b in enumerate(gamma):
+            total = a + b
+            product = products[i, j] if i < j else {m: -c for m, c in products.get((j, i), {}).items()}
+            for g in gamma:
+                push(total.linear, total.derived, g)
+                push({}, product, g)
+    return list(seen.values())
 
 
 def merge_relabeling(graph: Graph, keep: int, remove: int) -> Tuple[Dict[int, int], Graph]:
@@ -661,20 +661,16 @@ class CompactionWitnessReport(NamedTuple):
     ok: bool = True
 
 
-def _images(hom: PhiHom, elements: Sequence[LieElement]) -> Iterator[LieElement]:
-    """phi_lambda(hom, g) for each g of elements, in order, substituting
-    each distinct generator and monomial of the elements once.
-
-    `_substituted` maps an element term by term, so the image of g is
-    the sum of c * phi_lambda(key) over the terms c * key of g, where a
-    key is a generator or a basis monomial; the per-key images are kept
-    only for the call.
-    """
+def _first_killed(hom: PhiHom, elements: Sequence[LieElement]) -> Optional[LieElement]:
+    """The first of ``elements`` that phi_lambda sends to 0, or None.
+    `_substituted` maps term by term, generators to generators, so each
+    part of an image sums c * phi_lambda(key) over that part's terms
+    c * key; a distinct key is substituted once per call, and a derived
+    part is summed only when the linear one is 0."""
     table: Dict[object, Tuple] = {}  # key -> terms of its image
     for g in elements:
-        linear: Dict[int, int] = {}
-        derived: Dict[BasisMonomial, int] = {}
-        for part, (terms, acc) in enumerate(((g.linear, linear), (g.derived, derived))):
+        for part, terms in enumerate((g.linear, g.derived)):
+            acc: Dict = {}
             for key, c in terms.items():
                 image = table.get(key)
                 if image is None:
@@ -683,7 +679,11 @@ def _images(hom: PhiHom, elements: Sequence[LieElement]) -> Iterator[LieElement]
                     found = _substituted(LieElement._trusted(hom.source, *unit), hom.images, hom.target)
                     image = table[key] = tuple((found.linear, found.derived)[part].items())
                 _accumulate(acc, image, c)
-        yield LieElement._trusted(hom.target, linear, derived)
+            if acc:
+                break
+        else:
+            return g
+    return None
 
 
 def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: GeneratorOrder = None) -> CompactionWitnessReport:
@@ -703,11 +703,9 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     those elements.  Three checks then run, each raising
     `CertificationError` when it fails:
 
-    - kill: phi_lambda sends no nonzero closure element to 0.  The
-      images come from `_images`, which substitutes each distinct
-      generator and monomial of the closure once and sums c * image
-      over each element's terms; the substitution is linear term by
-      term, so each sum is phi_lambda of its element;
+    - kill: phi_lambda sends no nonzero closure element to 0
+      (`_first_killed`: one substitution per distinct generator or
+      monomial; a derived image is summed only when the linear one is 0);
     - distinct: distinct elements of gamma have distinct images;
     - faithful: phi_lambda([a, b]) = [phi_lambda(a), phi_lambda(b)] for
       all a, b in gamma.
@@ -726,9 +724,9 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     closure = gamma_closure(moved)
     nonzero = [g for g in closure if not g.is_zero()]
     _, comps = _scale_polynomials(nonzero, hom1)
-    lam = _threshold({coeffs for per in comps for _, coeffs in per})
+    lam = _threshold({coeffs for per in comps for coeffs in per.values()})
     hom = build_phi_hom(new_graph, lam)
-    if any(image.is_zero() for image in _images(hom, nonzero)):
+    if _first_killed(hom, nonzero) is not None:
         raise CertificationError(f"phi with scale {lam} kills a nonzero closure element")
     pairs = list(zip(moved, [phi_lambda(hom, g) for g in moved]))
     distinct = all(a == b or pa != pb for (a, pa), (b, pb) in combinations(pairs, 2))

@@ -24,6 +24,12 @@ solves each distinct scale polynomial once and substitutes each
 distinct monomial once, and the grouping of an element's derived terms
 by glued multidegree and first letter, read off `mdeg`, that the
 merge's scaling components now label by `equivalence._glued_key`.
+It keeps the closure that built an element for every candidate by
+`LieElement.__sub__` and bracketed every ordered pair, where
+`equivalence.gamma_closure` now sums each candidate's term dicts and
+brackets each unordered pair once, and the images of every closure
+element summed from the once-substituted keys, where the kill check
+now stops at the first nonzero part of each image.
 For the witness search it keeps the full transfer-matrix table of
 completion counts, one entry per (steps left, previous image, start),
 where the search now keeps one circulant row per number of steps, and
@@ -47,7 +53,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from pcml import linalg
 from pcml.centralizer import _kernel_rows
-from pcml.core import Algebra, AssocPoly, BasisMonomial, GeneratorOrder, LieElement, _add_nf, _basis, _bump, _check_fits, _support_mask, bracket, cycle_generators, is_basis_monomial, mdeg, substitute
+from pcml.core import Algebra, AssocPoly, BasisMonomial, GeneratorOrder, LieElement, _accumulate, _add_nf, _basis, _bump, _check_fits, _substituted, _support_mask, bracket, cycle_generators, is_basis_monomial, mdeg, substitute
 from pcml.equivalence import (
     Atom,
     PhiHom,
@@ -57,7 +63,6 @@ from pcml.equivalence import (
     _steps,
     build_phi_hom,
     eval_theta,
-    gamma_closure,
     lambda_zero,
     merge_relabeling,
     phi_lambda,
@@ -236,6 +241,59 @@ def compaction_witness_by_element(graph: Graph, gamma: Sequence[LieElement]) -> 
     nonzero = [g for g in gamma_closure(moved) if not g.is_zero()]
     hom = build_phi_hom(new_graph, max([1] + [lambda_zero(g, hom1) for g in nonzero]))
     return hom, nonzero, [phi_lambda(hom, g) for g in nonzero]
+
+
+def gamma_closure(gamma: Sequence[LieElement]) -> List[LieElement]:
+    """Close a finite set under g_i - g_j, g_i + g_j - g_k, and
+    [g_i, g_j] - g_k, deduplicating structurally by the sets of terms."""
+    out: List[LieElement] = []
+    seen = set()
+
+    def push(e: LieElement) -> None:
+        key = (frozenset(e.linear.items()), frozenset(e.derived.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(e)
+
+    for g in gamma:
+        push(g)
+    k = len(gamma)
+    for i in range(k):
+        for j in range(k):
+            push(gamma[i] - gamma[j])
+    for i in range(k):
+        for j in range(k):
+            total = gamma[i] + gamma[j]
+            product = bracket(gamma[i], gamma[j])
+            for l in range(k):
+                push(total - gamma[l])
+                push(product - gamma[l])
+    return out
+
+
+def images_by_key(hom: PhiHom, elements: Sequence[LieElement]) -> Iterator[LieElement]:
+    """phi_lambda(hom, g) for each g of elements, in order, substituting
+    each distinct generator and monomial of the elements once.
+
+    `_substituted` maps an element term by term, so the image of g is
+    the sum of c * phi_lambda(key) over the terms c * key of g, where a
+    key is a generator or a basis monomial; the per-key images are kept
+    only for the call.
+    """
+    table: Dict[object, Tuple] = {}  # key -> terms of its image
+    for g in elements:
+        linear: Dict[int, int] = {}
+        derived: Dict[BasisMonomial, int] = {}
+        for part, (terms, acc) in enumerate(((g.linear, linear), (g.derived, derived))):
+            for key, c in terms.items():
+                image = table.get(key)
+                if image is None:
+                    unit = ({}, {})
+                    unit[part][key] = 1
+                    found = _substituted(LieElement._trusted(hom.source, *unit), hom.images, hom.target)
+                    image = table[key] = tuple((found.linear, found.derived)[part].items())
+                _accumulate(acc, image, c)
+        yield LieElement._trusted(hom.target, linear, derived)
 
 
 def glued_decomposition(g: LieElement) -> List[Tuple[Tuple[int, ...], int, LieElement]]:

@@ -340,21 +340,42 @@ def test_oversized_gamma_closures_exit_2_before_the_closure(capsys, tmp_path, mo
 
 
 def test_the_closure_estimate_counts_what_gamma_closure_pushes(monkeypatch):
-    # gamma_closure pushes each element, then one difference per candidate after them
+    # gamma_closure pushes each element, then one difference per candidate
+    # after them: two subtractions, of a linear and of a derived dict
     subtractions = []
-    engine_sub = LieElement.__sub__
+    engine_accumulate = equivalence._accumulate
 
-    def counted(a, b):
-        subtractions.append(1)
-        return engine_sub(a, b)
+    def counted(acc, terms, coeff):
+        subtractions.append(coeff)
+        return engine_accumulate(acc, terms, coeff)
 
-    monkeypatch.setattr(LieElement, "__sub__", counted)
+    monkeypatch.setattr(equivalence, "_accumulate", counted)
     graph, order = Graph(4, [(2, 3), (1, 2), (1, 3)]), GeneratorOrder.ascending(4)
     for k in range(1, 6):
         gamma = [LieElement.generator(graph, order, v % 4) * (v + 1) for v in range(k)]
         subtractions.clear()
         equivalence.gamma_closure(gamma)
-        assert k + len(subtractions) == k + k * k + 2 * k ** 3
+        assert set(subtractions) == {-1}
+        assert k + len(subtractions) // 2 == k + k * k + 2 * k ** 3
+        assert len(subtractions) % 2 == 0
+
+
+def test_gamma_closure_brackets_each_unordered_pair_once(monkeypatch):
+    pairs = []
+    engine_bracket = equivalence.bracket
+
+    def counted(a, b):
+        pairs.append((a, b))
+        return engine_bracket(a, b)
+
+    monkeypatch.setattr(equivalence, "bracket", counted)
+    graph, order = Graph(4, [(2, 3), (1, 2), (1, 3)]), GeneratorOrder.ascending(4)
+    for k in range(0, 7):
+        gamma = [LieElement.generator(graph, order, v % 4) * (v + 1) for v in range(k)]
+        pairs.clear()
+        equivalence.gamma_closure(gamma)
+        assert pairs == [(gamma[i], gamma[j]) for i in range(k) for j in range(i + 1, k)]
+        assert len(pairs) == k * (k - 1) // 2
 
 
 def test_sweep_estimate_counts_the_multidegrees_certify_visits(monkeypatch):

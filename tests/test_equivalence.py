@@ -36,6 +36,7 @@ from pcml.errors import AlgebraError, CertificationError, GraphError
 from pcml.graphs import Graph, circ_dist, cycle_graph
 from pcml.sampling import random_element, random_graph, random_graph_with_merged_pair, random_word
 from pcml.textio import parse_element
+import reference
 from reference import compaction_witness_by_element, completion_counts_table, glued_decomposition, theta_identity_by_evaluation, theta_witness_walk
 
 # four vertices, 2 and 3 neighborhood-equivalent, 0 isolated
@@ -934,6 +935,32 @@ def _naive_gamma_closure(gamma):
     return out
 
 
+def test_gamma_closure_matches_the_closure_by_element():
+    # element for element and in order, against the closure that built
+    # every candidate by LieElement.__sub__
+    order = GeneratorOrder.ascending(4)
+    x = [LieElement.generator(MERGE4, order, i) for i in range(4)]
+    zero, derived = LieElement.zero(MERGE4, order), bracket(x[1], x[0]) * 2
+    gammas = [gamma for _, gamma in _merge_shaped_cases(5, 12)]
+    gammas += [[], [zero], [derived], [x[0], x[1], x[0]], [x[1], zero, x[2] + derived],
+               [derived, zero, derived, x[3] - x[2]], [x[2] - x[3] + derived, x[0], x[2] - x[3] + derived, zero]]
+    for gamma in gammas:
+        closure = gamma_closure(gamma)
+        assert closure == reference.gamma_closure(gamma)
+        assert all(a is b for a, b in zip(closure, gamma[:1]))
+
+
+def test_gamma_closure_refuses_elements_over_different_algebras():
+    order = GeneratorOrder.ascending(4)
+    x = [LieElement.generator(MERGE4, order, i) for i in range(2)]
+    other = LieElement.generator(MERGE4, GeneratorOrder((1, 0, 2, 3)), 0)
+    for gamma in ([x[0], other], [other, x[0], x[1]], [x[0], x[1], x[0], other]):
+        for closure in (gamma_closure, reference.gamma_closure):
+            with pytest.raises(AlgebraError, match="different graphs or orders"):
+                closure(gamma)
+    assert gamma_closure([other]) == reference.gamma_closure([other])
+
+
 def _twin_element(rng, graph, order, max_degree=4):
     """Random words; each word holding x_{n-2} gets a companion with one
     x_{n-2} renamed to its twin x_{n-1}, so thresholds above 1 occur."""
@@ -1058,16 +1085,24 @@ def _merge_shaped_cases(seed, count):
 
 
 def test_witness_matches_the_per_element_path():
-    # the scale from the distinct scale polynomials and the images from
-    # the distinct keys equal the largest lambda_zero and phi_lambda of
-    # each nonzero closure element
-    scaled = 0
+    # the scale from the distinct scale polynomials is the largest
+    # lambda_zero, and at that scale and each one below it the kill check
+    # reports the first nonzero closure element whose phi_lambda, taken
+    # one element at a time, vanishes, or none
+    scaled = killed_below = 0
     for graph, gamma in chain(_witness_cases(22, 16), _merge_shaped_cases(5, 12)):
         hom, nonzero, images = compaction_witness_by_element(graph, gamma)
-        assert list(equivalence._images(hom, nonzero)) == images
+        assert list(reference.images_by_key(hom, nonzero)) == images
         assert compaction_witness(graph, gamma).lam == hom.lam
+        assert equivalence._first_killed(hom, nonzero) is None
+        for lam in range(1, hom.lam):
+            below = build_phi_hom(hom.graph, lam)
+            killed = next((g for g in nonzero if phi_lambda(below, g).is_zero()), None)
+            assert equivalence._first_killed(below, nonzero) is killed
+            killed_below += killed is not None
         scaled += hom.lam > 1
     assert scaled >= 8
+    assert killed_below >= 3
 
 
 def test_witness_kill_check_replayed_in_the_oracle():
@@ -1082,6 +1117,50 @@ def test_witness_kill_check_replayed_in_the_oracle():
             below = build_phi_hom(hom.graph, hom.lam - 1)
             below_vanishes += any(_oracle_image_vanishes(below, g) for g in nonzero)
     assert below_vanishes >= 1
+
+
+def test_the_kill_check_reports_an_element_whose_linear_image_vanishes(monkeypatch):
+    # with no root the scale is 1, and phi_1 sends the closure element
+    # x2 - x3 of {x2, x3} to 0; it has no derived part
+    monkeypatch.setattr(equivalence, "positive_integer_roots", lambda coeffs: [])
+    order = GeneratorOrder.ascending(4)
+    gamma = [LieElement.generator(MERGE4, order, 2), LieElement.generator(MERGE4, order, 3)]
+    with pytest.raises(CertificationError, match=r"^phi with scale 1 kills a nonzero closure element$"):
+        compaction_witness(MERGE4, gamma)
+
+
+def test_the_kill_check_passes_an_element_whose_derived_image_survives(monkeypatch):
+    # phi_1 kills the linear part of x2 - x3 + [x1,x0] but not its derived part
+    monkeypatch.setattr(equivalence, "positive_integer_roots", lambda coeffs: [])
+    order = GeneratorOrder.ascending(4)
+    g = parse_element("x2 - x3 + [x1,x0]", MERGE4, order)
+    report = compaction_witness(MERGE4, [g])
+    assert (report.lam, report.closure_size, report.nonzero_in_closure) == (1, 3, 2)
+
+
+def test_the_kill_check_agrees_with_phi_lambda_per_element_at_and_below_the_scale(monkeypatch):
+    # the witness run at its scale and each one below it raises the kill error
+    # exactly when phi_lambda of some nonzero closure element, one at a
+    # time, vanishes; the cases hold elements whose linear image vanishes
+    # while their derived image does not
+    threshold, forced = equivalence._threshold, []
+    monkeypatch.setattr(equivalence, "_threshold", lambda polys: forced.pop() if forced else threshold(polys))
+    raised = derived_only = 0
+    for graph, gamma in chain(_witness_cases(22, 16), _merge_shaped_cases(5, 12)):
+        hom, nonzero, _ = compaction_witness_by_element(graph, gamma)
+        for lam in range(1, hom.lam + 1):
+            images = [phi_lambda(build_phi_hom(hom.graph, lam), g) for g in nonzero]
+            derived_only += sum(bool(g.linear and not image.linear and image.derived) for g, image in zip(nonzero, images))
+            forced[:] = [lam]  # the witness's one threshold call
+            if any(image.is_zero() for image in images):
+                raised += 1
+                with pytest.raises(CertificationError, match=rf"^phi with scale {lam} kills a nonzero closure element$"):
+                    compaction_witness(graph, gamma)
+            else:
+                assert compaction_witness(graph, gamma).lam == lam
+            assert not forced
+    assert raised >= 3
+    assert derived_only >= 10
 
 
 def test_witness_solves_each_scale_polynomial_and_substitutes_each_key_once(monkeypatch):
@@ -1114,7 +1193,7 @@ def test_witness_solves_each_scale_polynomial_and_substitutes_each_key_once(monk
         compaction_witness(graph, gamma)
         nonzero = [g for g in closures[0] if not g.is_zero()]
         hom1 = build_phi_hom(nonzero[0].graph, 1) if nonzero else None
-        polys = [coeffs for comps in equivalence._scale_polynomials(nonzero, hom1)[1] for _, coeffs in comps] if nonzero else []
+        polys = [coeffs for comps in equivalence._scale_polynomials(nonzero, hom1)[1] for coeffs in comps.values()] if nonzero else []
         assert sorted(solved) == sorted(set(polys))
         keys = {key for g in nonzero for key in chain(g.linear, g.derived)}
         k = len(gamma)
