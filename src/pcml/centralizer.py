@@ -69,10 +69,12 @@ shares as its heads.
 
 So both solves enumerate one unit, `_strata`: the letters of each
 support S of 2..min(d, m) of the m = n - |supp g| letters off supp g.
-Only where the rows of S are nonzero does `derived_centralizer` visit
-the multidegrees on S up to degree d, one `_basis` each, and each
-returns an element.  It cross-checks every vector with `bracket`,
-through the normal-form table.
+`derived_centralizer` is the spread of a walk.  The walk,
+`support_walk`, keeps the letters and rows of each S whose rows are
+nonzero.  The spread visits the C(d, |S|) multidegrees on S up to
+degree d, one `_basis` each, and each row gives an element there, so
+`slice_size` counts the elements before any is built.  It cross-checks
+every vector with `bracket`, through the normal-form table.
 
 Cuts.  Let F be the m letters off supp g and N(i) the neighbours of i
 in F.  A support S gives elements only if it holds two good components
@@ -232,20 +234,33 @@ class CentralizerSlice(NamedTuple):
         return not self.elements
 
 
-def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
-    """Exact basis of the derived centralizer up to a total degree: none
-    when a cut rules out every support, else one closed-form kernel per
-    support off supp g, spread over its multidegrees where it is
-    nonzero (see the module docstring)."""
-    if not support_count(g, degree_bound):
-        return CentralizerSlice(g, degree_bound, [])
+# (letters in rank order, closed-form kernel rows) of each support walked
+Walk = List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]
+
+
+def support_walk(g: LieElement, degree_bound: int) -> Walk:
+    """(letters, closed-form kernel rows) of every support `_strata`
+    yields whose rows are nonzero.  It applies no cut: a caller asks
+    `support_count` first and walks only when it is nonzero."""
+    algebra = g.algebra
+    return [(letters, rows) for letters in _strata(g, degree_bound)
+            if (rows := _good_rows(algebra, g.linear, letters))]
+
+
+def slice_size(walk: Walk, degree_bound: int) -> int:
+    """How many elements `spread` builds from a walk: its rows on each
+    of the C(d, |S|) multidegrees on S up to degree d."""
+    return sum(len(rows) * comb(degree_bound, len(letters)) for letters, rows in walk)
+
+
+def spread(g: LieElement, degree_bound: int, walk: Walk) -> CentralizerSlice:
+    """The slice a walk gives: each support's rows on every multidegree
+    on it up to the degree bound, one `_basis` each, sorted by degree
+    and multidegree, every element checked with `bracket`."""
     algebra = g.algebra
     rank = algebra.order.rank.__getitem__
     found = []
-    for letters in _strata(g, degree_bound):
-        rows = _good_rows(algebra, g.linear, letters)
-        if not rows:
-            continue
+    for letters, rows in walk:
         for extra in range(degree_bound - len(letters) + 1):
             for more in combinations_with_replacement(letters, extra):
                 mons = _basis(algebra, sorted(letters + more, key=rank))
@@ -258,6 +273,15 @@ def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
                 raise CertificationError("kernel vector fails the bracket check")
             elements.append(h)
     return CentralizerSlice(g, degree_bound, elements)
+
+
+def derived_centralizer(g: LieElement, degree_bound: int) -> CentralizerSlice:
+    """Exact basis of the derived centralizer up to a total degree: none
+    when a cut rules out every support, else the spread of the walk, one
+    closed-form kernel per support off supp g spread over its
+    multidegrees where it is nonzero (see the module docstring)."""
+    walk = support_walk(g, degree_bound) if support_count(g, degree_bound) else []
+    return spread(g, degree_bound, walk)
 
 
 def check_intersection_theorem(indices: Sequence[int], coefficients: Sequence[int], graph: Graph, degree_bound: int, order: GeneratorOrder = None) -> bool:

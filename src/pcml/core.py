@@ -159,7 +159,10 @@ def _check_fits(graph: Graph, order: GeneratorOrder) -> None:
 
 
 # entries one algebra keeps in each of its tables, normal forms and tops;
-# far above the distinct entries of any workload
+# a full table is cleared, so the bound caps the memory of a long run, not
+# a working set: a centralizer walk stores the tops of every support it
+# visits (65,521 for x0 + x9 on C_18 at degree 18), and `pcml centralizer`
+# walks up to 10^5 supports
 NF_CACHE_SIZE = 1 << 16
 
 

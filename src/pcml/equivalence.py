@@ -52,9 +52,10 @@ from .core import (
     bracket,
     cycle_generators,
     substitute,
+    word_element,
 )
 from .errors import AlgebraError, CertificationError, GraphError
-from .graphs import Graph, circ_dist, closed_neighborhood, perp_classes
+from .graphs import Graph, circ_dist, closed_neighborhood, cycle_graph, perp_classes
 from .oracle import ideal_member
 
 
@@ -196,12 +197,21 @@ def _theta_identity(m: int, certify: bool) -> bool:
         else:
             word = (0, j)
             engine = bracket(x[0], x[j]).is_zero()
-        if certify and engine != ideal_member([(1, word)], graph):
-            raise CertificationError(
-                f"engine and oracle disagree on the atom {family}(0,{j}) of Theta({m}): "
-                f"the engine says [{','.join(f'x{v}' for v in word)}] {'is' if engine else 'is not'} zero")
+        if certify:
+            _certified(engine, word, graph, f"the atom {family}(0,{j}) of Theta({m})")
         holds &= engine == (family == "adjacent-zero")
     return holds
+
+
+def _certified(engine: bool, word: Tuple[int, ...], graph: Graph, what: str) -> bool:
+    """The engine's answer to whether a left-normed word vanishes, once
+    `oracle.ideal_member` has given the same answer; a disagreement
+    raises `CertificationError`, naming ``what`` the word is."""
+    if engine != ideal_member([(1, word)], graph):
+        raise CertificationError(
+            f"engine and oracle disagree on {what}: "
+            f"the engine says [{','.join(f'x{v}' for v in word)}] {'is' if engine else 'is not'} zero")
+    return engine
 
 
 def _orbit_atoms(m: int) -> List[Atom]:
@@ -331,9 +341,14 @@ def distinguish_cycles(n: int, m: int) -> DistinguishReport:
         return DistinguishReport(n, m, True, "isomorphic", False, {})
     small, large = min(n, m), max(n, m)
     if small == 3:
-        abelian = all(bracket(a, b).is_zero() for a, b in combinations(cycle_generators(3), 2))
-        x = cycle_generators(large)
-        counter = bracket(x[1], x[3])
+        # Psi: the three brackets of C_3 vanish and [x1,x3] on the larger
+        # cycle does not; the oracle is asked all four
+        x = cycle_generators(3)
+        abelian = all([_certified(bracket(x[a], x[b]).is_zero(), (a, b), x[0].graph, "Psi's premise on C_3")
+                       for a, b in combinations(range(3), 2)])
+        graph = cycle_graph(large)
+        counter = word_element(graph, GeneratorOrder.ascending(large), (1, 3))
+        _certified(counter.is_zero(), (1, 3), graph, f"Psi's counterexample on C_{large}")
         detail = {
             "abelian_small": abelian,
             "counterexample": "[x1,x3]",

@@ -110,13 +110,6 @@ def _coordinates(index: Dict[int, int], combo: Dict[FreeMonomial, int]) -> List[
     return row
 
 
-def free_standard_monomials(letters: Sequence[int]) -> Tuple[FreeMonomial, ...]:
-    """Standard monomials of the multidegree whose letters, ascending,
-    are given; sorted, since the first head letter ascends."""
-    supp = sorted(set(letters))
-    return tuple(((first, supp[0]), _without(letters, first, supp[0])) for first in supp[1:])
-
-
 def _word_mdeg(n: int, letters: Sequence[int]) -> Multidegree:
     out = [0] * n
     for v in letters:
@@ -147,8 +140,7 @@ def _ideal_slice(graph: Graph, support: Tuple[int, ...]):
     docstring proves that every multidegree of the support has the same
     rows in these columns.
     """
-    basis = free_standard_monomials(support)
-    index = {first: k for k, ((first, _), _) in enumerate(basis)}
+    index = {first: k for k, first in enumerate(support[1:])}
     members = set(support)
     rows = [_coordinates(index, _free_expand(j, i, _without(support, i, j)))
             for i in support for j in graph.adj[i] & members if i < j]
@@ -157,23 +149,22 @@ def _ideal_slice(graph: Graph, support: Tuple[int, ...]):
 
 
 def _sliced(graph: Graph, delta: Multidegree):
-    """The support of a multidegree, its total degree and its ideal
-    slice (None below degree 2): the oracle's own check of a multidegree
-    from outside, before any work."""
+    """The support of a multidegree, its dimension and its ideal slice
+    (None below degree 2, where the dimension is the total degree): the
+    oracle's own check of a multidegree from outside, before any work."""
     if len(delta) != graph.n or min(delta, default=0) < 0:
         raise AlgebraError(f"{tuple(delta)} is not a multidegree on {graph.n} generators")
     supp = _support(delta)
     total = sum(delta)
-    return supp, total, _ideal_slice(graph, supp) if total > 1 else None
+    if total < 2:
+        return supp, total, None
+    piece = index, red, _ = _ideal_slice(graph, supp)
+    return supp, len(index) - len(red), piece
 
 
 def graded_dimension(graph: Graph, delta: Multidegree) -> int:
     """dim of the multidegree slice of the graph algebra."""
-    _, total, piece = _sliced(graph, delta)
-    if piece is None:
-        return total
-    index, red, _ = piece
-    return len(index) - len(red)
+    return _sliced(graph, delta)[1]
 
 
 def ideal_member(raw: Sequence[RawMonomial], graph: Graph) -> bool:
@@ -223,14 +214,12 @@ def certify_basis(graph: Graph, delta: Multidegree, order: GeneratorOrder) -> Ce
     `graded_dimension` checks it.
     """
     _check_fits(graph, order)
-    supp, total, piece = _sliced(graph, delta)
+    supp, dim, piece = _sliced(graph, delta)
     if piece is None:
-        return CertifyReport(True, delta, total, total, None)
+        return CertifyReport(True, delta, dim, dim, None)
     index, red, pivots = piece
-    dim = len(index) - len(red)
-    ranked: List[int] = []
-    for v in sorted(supp, key=order.rank.__getitem__):
-        ranked += [v] * delta[v]
+    ascending = [v for v in supp for _ in range(delta[v])]
+    ranked = sorted(ascending, key=order.rank.__getitem__)
     heads = []
     for a in supp:
         rest = ranked.copy()
@@ -244,9 +233,6 @@ def certify_basis(graph: Graph, delta: Multidegree, order: GeneratorOrder) -> Ce
     count = len(heads)
     if count != dim:
         return CertifyReport(False, delta, count, dim, "count != dim")
-    ascending: List[int] = []
-    for v in supp:
-        ascending += [v] * delta[v]
     residues = [linalg.residue(red, pivots, _coordinates(index, _free_expand(a, b, _without(ascending, a, b))))
                 for a, b in heads]
     if linalg.rank(residues) == count:

@@ -10,8 +10,9 @@ splits into.  The tests compare the engine with it.  It also keeps
 the rule the closed form first read goodness by: a component of S is
 good when it shares its top with i in S + {i}, for every i in supp g.
 For the oracle it keeps the ideal slice of one multidegree, over that
-multidegree's own standard monomials, where the oracle now keeps one
-slice per support, and the first independence check of a basis claim:
+multidegree's own standard monomials (`free_standard_monomials`),
+where the oracle now keeps one slice per support, over the first head
+letters alone, and the first independence check of a basis claim:
 one elimination of that slice's rows stacked with the candidates'
 expansions, where the oracle now reduces the candidates modulo the
 cached slice.  For the literal basis check it keeps the body that
@@ -70,7 +71,7 @@ from pcml.equivalence import (
 )
 from pcml.errors import ParseError
 from pcml.graphs import Graph, circ_dist, perp_classes
-from pcml.oracle import CertifyReport, FreeMonomial, _free_expand, _without, free_standard_monomials
+from pcml.oracle import CertifyReport, FreeMonomial, _free_expand, _without
 from pcml.textio import _DIGITS, MAX_TERM_DEGREE
 
 
@@ -142,6 +143,13 @@ def good_rows_by_joins(algebra: Algebra, lin: Dict[int, int], letters: Sequence[
     if top[letters[0]] in good:
         return units
     return [tuple(a - b for a, b in zip(units[0], unit)) for unit in units[1:]]
+
+
+def free_standard_monomials(letters: Sequence[int]) -> Tuple[FreeMonomial, ...]:
+    """Standard monomials of the multidegree whose letters, ascending,
+    are given; sorted, since the first head letter ascends."""
+    supp = sorted(set(letters))
+    return tuple(((first, supp[0]), _without(letters, first, supp[0])) for first in supp[1:])
 
 
 @lru_cache(maxsize=None)

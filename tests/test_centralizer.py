@@ -12,7 +12,10 @@ from pcml.centralizer import (
     check_intersection_theorem,
     classify_cycle_centralizer,
     derived_centralizer,
+    slice_size,
+    spread,
     support_count,
+    support_walk,
 )
 from pcml.core import (
     GeneratorOrder,
@@ -413,6 +416,23 @@ def test_support_count_is_the_supports_the_walk_visits():
         assert support_count(g, bound) == count
     with pytest.raises(AlgebraError, match="at least 2"):
         support_count(linear(C5, O5, {0: 1}), 1)
+
+
+def test_the_slice_size_is_the_count_of_the_elements_the_walk_spreads():
+    # the up-front count `pcml centralizer` refuses by, read off the walk
+    # it then spreads; 0, with no walk, where a cut answers
+    rng = random.Random(101)
+    cut = empty = nonempty = 0
+    for _ in range(300):
+        g, bound = _random_case(rng, 8), rng.randint(2, 8)
+        supports = support_count(g, bound)
+        walk = support_walk(g, bound) if supports else []
+        size = slice_size(walk, bound)
+        assert size == len(spread(g, bound, walk).elements) == len(derived_centralizer(g, bound).elements)
+        cut += not supports and any(True for _ in centralizer._strata(g, bound))
+        empty += bool(supports) and not size
+        nonempty += size > 0
+    assert cut > 50 and empty > 5 and nonempty > 20, (cut, empty, nonempty)
 
 
 def test_cuts_fire_only_where_no_block_has_a_kernel():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pcml
@@ -311,6 +312,46 @@ def test_oversized_centralizer_walks_exit_2_at_once(capsys):
         assert status == 2
         assert lines == ["SEED=0", f"ESTIMATE={estimate} supports",
                          f"ERROR=the support walk is over the limit of {cli.MAX_SWEEP} supports"]
+
+
+def test_oversized_centralizer_slices_exit_2_before_any_element(capsys, monkeypatch):
+    # cycle:6 at degree 60 walked 11 supports, then printed C(60, 4) = 487,635
+    # elements in 20 s; the estimate is the count a slice under the limit prints
+    argv = ["centralizer", "--graph", "cycle:6", "--element", "x0+x3", "--degree"]
+    status, lines = invoke(capsys, *argv, "8")
+    assert status == 0 and line_value(lines, "COUNT") == str(comb(8, 4))
+    spread = []
+    monkeypatch.setattr(cli, "spread", lambda g, bound, walk: spread.append(bound))
+    default = cli.MAX_SWEEP
+    for limit, bound, estimate in ((comb(8, 4) - 1, 8, comb(8, 4)), (default, 41, 101270), (default, 60, 487635),
+                                   (default, 1000, comb(1000, 4))):
+        monkeypatch.setattr(cli, "MAX_SWEEP", limit)
+        start = time.perf_counter()
+        status, lines = invoke(capsys, *argv, str(bound))
+        assert time.perf_counter() - start < 1
+        assert status == 2
+        assert lines == ["SEED=0", f"ESTIMATE={estimate} elements",
+                         f"ERROR=the slice is over the limit of {limit} elements"]
+    assert not spread
+
+
+def test_oversized_dim_multidegrees_exit_2_before_the_oracle(capsys, monkeypatch):
+    # the oracle lays out a multidegree's letters with multiplicity:
+    # path:3 at 4000000,1,1 took 1.5 s and 198 MiB before the estimate
+    certified = []
+    monkeypatch.setattr(oracle, "certify_basis", lambda *args: certified.append(args))
+    for mdeg, estimate in (("100000,1,1", 100002), ("100000000,1,1", 100000002)):
+        start = time.perf_counter()
+        status, lines = invoke(capsys, "dim", "--graph", "path:3", "--mdeg", mdeg)
+        assert time.perf_counter() - start < 1
+        assert status == 2
+        assert lines == ["SEED=0", f"ESTIMATE={estimate} letters",
+                         f"ERROR=the multidegree is over the limit of {cli.MAX_SWEEP} letters"]
+    assert not certified
+    monkeypatch.undo()
+    # a multidegree of MAX_SWEEP letters runs
+    status, lines = invoke(capsys, "dim", "--graph", "path:3", "--mdeg", f"{cli.MAX_SWEEP - 2},1,1")
+    assert status == 0 and lines[-1] == f"delta={cli.MAX_SWEEP - 2},1,1 count=0 dim=0 OK"
 
 
 def test_oversized_gamma_closures_exit_2_before_the_closure(capsys, tmp_path, monkeypatch):

@@ -103,6 +103,27 @@ def test_the_oracle_catches_an_engine_case_that_flips_an_orbit_atom(monkeypatch,
             certified()
 
 
+def test_the_oracle_catches_an_engine_case_that_flips_psis_counterexample(monkeypatch):
+    m = 5
+    x = cycle_generators(m)
+    algebra = x[0].algebra
+    assert distinguish_cycles(3, m).separated
+    engine_cases = core._nf_cases
+
+    def flipped(alg, a, b, tail):
+        if alg is algebra and sorted((a, b) + tail) == [1, 3]:
+            return ()
+        return engine_cases(alg, a, b, tail)
+
+    monkeypatch.setattr(algebra, "_nf", {})  # keeps cached normal forms out of play
+    monkeypatch.setattr(core, "_nf_cases", flipped)
+    # the engine alone now says [x1,x3] vanishes on C_5, the oracle does not
+    assert bracket(x[1], x[3]).is_zero()
+    for certified in (lambda: distinguish_cycles(3, m), suite.criterion_5):
+        with pytest.raises(CertificationError, match=r"disagree on Psi's counterexample on C_5: .*\[x1,x3\] is zero"):
+            certified()
+
+
 def test_theta_identity_holds_eliminates_no_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("an elimination")
