@@ -32,10 +32,14 @@ those at e_S, edge by edge.  Hence the two slices have the same
 echelon rows in these columns, and a candidate's expansion has the
 same coordinates at both.  The slice is eliminated once per support,
 at e_S, and cached; `_coordinates` reads a combination of one
-multidegree's monomials onto its columns.  A basis claim is checked at
-its own delta by reducing the expansions of the claimed monomials
-modulo the cached echelon rows, and membership by reducing one vector
-per multidegree.
+multidegree's monomials onto its columns.  Membership reduces one
+vector per multidegree modulo the cached echelon rows.  A basis claim
+is asked of the engine at every delta: its heads are scanned and
+counted against the dimension there.  Whether a given set of heads is
+independent modulo the ideal is then a question about the support
+alone, so it is decided once per support and head set, from the
+expansions at e_S, and reused; a claim of other heads at another
+multidegree of the support is checked afresh.
 """
 
 from __future__ import annotations
@@ -123,8 +127,9 @@ def _support(delta: Multidegree) -> Tuple[int, ...]:
     return tuple(v for v, d in enumerate(delta) if d)
 
 
-# ideal slices kept, one per (graph, support); above the distinct slices
-# of one certification run (960 in criterion 1), so a run evicts nothing
+# ideal slices kept, one per (graph, support), and independence verdicts,
+# one per (graph, support, heads); above the distinct slices of one
+# certification run (960 in criterion 1), so a run evicts nothing
 SLICE_CACHE_SIZE = 1 << 14
 
 
@@ -148,18 +153,32 @@ def _ideal_slice(graph: Graph, support: Tuple[int, ...]):
     return index, [tuple(row) for row in red], pivots
 
 
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def _independent(graph: Graph, support: Tuple[int, ...], heads: Tuple[Tuple[int, int], ...]) -> bool:
+    """Are the monomials with these heads independent modulo the ideal
+    at every multidegree of the support?  Their residues modulo the
+    slice's echelon rows have full rank exactly when they are, and the
+    module docstring proves the residues the same at e_S as at any
+    multidegree of the support."""
+    index, red, pivots = _ideal_slice(graph, support)
+    residues = [linalg.residue(red, pivots, _coordinates(index, _free_expand(a, b, _without(support, a, b))))
+                for a, b in heads]
+    return linalg.rank(residues) == len(heads)
+
+
 def _sliced(graph: Graph, delta: Multidegree):
-    """The support of a multidegree, its dimension and its ideal slice
-    (None below degree 2, where the dimension is the total degree): the
-    oracle's own check of a multidegree from outside, before any work."""
+    """The support of a multidegree and its dimension, read off its
+    ideal slice from degree 2 on (below it the dimension is the total
+    degree): the oracle's own check of a multidegree from outside,
+    before any work."""
     if len(delta) != graph.n or min(delta, default=0) < 0:
         raise AlgebraError(f"{tuple(delta)} is not a multidegree on {graph.n} generators")
     supp = _support(delta)
     total = sum(delta)
     if total < 2:
-        return supp, total, None
-    piece = index, red, _ = _ideal_slice(graph, supp)
-    return supp, len(index) - len(red), piece
+        return supp, total
+    index, red, _ = _ideal_slice(graph, supp)
+    return supp, len(index) - len(red)
 
 
 def graded_dimension(graph: Graph, delta: Multidegree) -> int:
@@ -173,11 +192,11 @@ def ideal_member(raw: Sequence[RawMonomial], graph: Graph) -> bool:
     linear: Dict[int, int] = {}
     by_delta: Dict[Multidegree, Dict[FreeMonomial, int]] = {}
     for coeff, letters in raw:
+        delta = _word_mdeg(graph.n, letters)
         if len(letters) == 1:
             v = letters[0]
             linear[v] = linear.get(v, 0) + coeff
             continue
-        delta = _word_mdeg(graph.n, letters)
         _merge(by_delta.setdefault(delta, {}), expand_word(letters), coeff)
     if any(linear.values()):
         return False
@@ -207,19 +226,20 @@ def certify_basis(graph: Graph, delta: Multidegree, order: GeneratorOrder) -> Ce
     support is offered, with the other letters in rank order as its
     tail, although conditions 1 and 2 admit only b = mu, the rank-least
     letter: those conditions are part of the claim under test, not
-    assumed.  Independence modulo the ideal slice is checked by reducing
-    each candidate's expansion modulo the slice's cached echelon rows:
-    the candidates are independent modulo the ideal exactly when those
-    residues have full rank.  The multidegree is checked first, as
-    `graded_dimension` checks it.
+    assumed.  The scan and the count run at every multidegree of two or
+    more letters; one letter offers no pair, and the report gives the
+    dimension as the count.  Independence of the claimed heads modulo
+    the ideal is a property of the support and the heads alone (module
+    docstring), so it is decided once per support and head set and
+    reused: a multidegree whose scan claims other heads than an earlier
+    one of its support is checked afresh.  The multidegree is checked
+    first, as `graded_dimension` checks it.
     """
     _check_fits(graph, order)
-    supp, dim, piece = _sliced(graph, delta)
-    if piece is None:
+    supp, dim = _sliced(graph, delta)
+    if len(supp) < 2:
         return CertifyReport(True, delta, dim, dim, None)
-    index, red, pivots = piece
-    ascending = [v for v in supp for _ in range(delta[v])]
-    ranked = sorted(ascending, key=order.rank.__getitem__)
+    ranked = sorted((v for v in supp for _ in range(delta[v])), key=order.rank.__getitem__)
     heads = []
     for a in supp:
         rest = ranked.copy()
@@ -233,8 +253,6 @@ def certify_basis(graph: Graph, delta: Multidegree, order: GeneratorOrder) -> Ce
     count = len(heads)
     if count != dim:
         return CertifyReport(False, delta, count, dim, "count != dim")
-    residues = [linalg.residue(red, pivots, _coordinates(index, _free_expand(a, b, _without(ascending, a, b))))
-                for a, b in heads]
-    if linalg.rank(residues) == count:
+    if _independent(graph, supp, tuple(heads)):
         return CertifyReport(True, delta, count, dim, None)
     return CertifyReport(False, delta, count, dim, "dependent modulo the relation ideal")

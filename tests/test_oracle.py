@@ -5,7 +5,7 @@ from itertools import combinations, islice, permutations
 
 import pytest
 
-from pcml import oracle, suite
+from pcml import linalg, oracle, suite
 from pcml.core import GeneratorOrder, basis_monomials_of_multidegree, multidegrees
 from pcml.errors import AlgebraError
 from pcml.graphs import Graph, complete_graph, cycle_graph
@@ -55,6 +55,17 @@ def test_ideal_member_examples():
     assert oracle.ideal_member([(1, (0, 2, 1))], c4)
 
 
+def test_ideal_member_range_checks_one_letter_words():
+    # as the letters of a longer word are checked, whatever the sum
+    c4 = cycle_graph(4)
+    for letter in (9, 4, -1):
+        for raw in ([(1, (letter,))], [(1, (letter,)), (-1, (letter,))], [(1, (letter, 0))], [(1, (0, 1, 2)), (2, (letter,))]):
+            with pytest.raises(AlgebraError, match=f"^letter x{letter} out of range$"):
+                oracle.ideal_member(raw, c4)
+    assert oracle.ideal_member([(1, (3,)), (-1, (3,))], c4)
+    assert not oracle.ideal_member([(1, (3,))], c4)
+
+
 def test_certify_examples():
     order = GeneratorOrder.ascending(3)
     rep = oracle.certify_basis(cycle_graph(3), (1, 1, 1), order)
@@ -89,6 +100,61 @@ def test_criterion_1_failure_says_why(monkeypatch):
     result = suite.criterion_1()
     assert not result.ok
     assert result.detail.endswith("count=0 dim=1: count != dim")
+
+
+def multiplicity_reading(literal):
+    """A stand-in for the literal basis check that reads multiplicity:
+    literal on a multidegree with no repeated letter, which a sweep by
+    degree meets first in each support, but on one that repeats a letter
+    it claims the last head swapped for the reverse of the first, as many
+    heads and dependent, or with fewer than two heads one head more.
+    `touched` tells the multidegrees whose claim it changes."""
+    claims = {}
+
+    def heads(graph, order, letters):
+        key = graph, order, tuple(sorted(letters))
+        if key not in claims:
+            ranked = sorted(letters, key=order.rank.__getitem__)
+            supp = sorted(set(letters))
+            pairs = [(a, b) for a in supp for b in supp if a != b]
+            found = [p for p in pairs if literal(p, oracle._without(ranked, *p), graph, order)]
+            if len(set(letters)) == len(letters) or not pairs:
+                claims[key] = found
+            elif len(found) >= 2:
+                claims[key] = found[:-1] + [found[0][::-1]]
+            else:
+                claims[key] = found + [next(p for p in pairs if p not in found)]
+        return claims[key]
+
+    def mutant(head, tail, graph, order):
+        return head in heads(graph, order, head + tail)
+
+    mutant.touched = lambda delta: max(delta) > 1 and sum(1 for d in delta if d) > 1
+    return mutant
+
+
+def test_a_claim_of_other_heads_in_a_checked_support_is_checked_afresh(monkeypatch):
+    # the independence verdict is kept per support and claimed heads: a
+    # multidegree that claims other heads than e_S of its support did,
+    # dependent or too many, fails exactly there
+    mutant = multiplicity_reading(oracle.is_basis_monomial)
+    for module in (oracle, reference):
+        monkeypatch.setattr(module, "is_basis_monomial", mutant)
+    oracle._ideal_slice.cache_clear()
+    oracle._independent.cache_clear()
+    rng = random.Random(43)
+    outcomes = Counter()
+    for n in range(2, 6):
+        for _ in range(3):
+            graph = random_graph(rng, n)
+            order = GeneratorOrder(rng.sample(range(n), n))
+            for degree in range(7):
+                for delta in multidegrees(n, degree):
+                    rep = oracle.certify_basis(graph, delta, order)
+                    assert rep == reference.certify_basis_by_stacked_rank(graph, delta, order)
+                    assert rep.ok != mutant.touched(delta), (graph.edge_list(), order, delta)
+                    outcomes[rep.witness] += 1
+    assert min(outcomes.values()) > 100 and len(outcomes) == 3, outcomes
 
 
 def test_certify_offers_every_ordered_head_pair_with_the_rest_in_rank_order(monkeypatch):
@@ -184,24 +250,40 @@ def test_ideal_slice_cache_is_bounded():
     # criterion 1 reads 960 slices, the 15 supports of each of its 64
     # graphs, and evicts none of them
     oracle._ideal_slice.cache_clear()
+    oracle._independent.cache_clear()
     assert suite.criterion_1().ok
     info = oracle._ideal_slice.cache_info()
     assert info.maxsize == oracle.SLICE_CACHE_SIZE
     assert info.misses == info.currsize == 960 < info.maxsize
+    # and one verdict per support of two or more letters, 11 a graph
+    verdicts = oracle._independent.cache_info()
+    assert verdicts.maxsize == oracle.SLICE_CACHE_SIZE
+    assert verdicts.misses == verdicts.currsize == 704
 
 
-def test_a_certify_sweep_builds_one_slice_per_support():
+def test_a_certify_sweep_builds_one_slice_per_support(monkeypatch):
+    # and ranks the literal heads of each support of two or more letters
+    # once, not once per multidegree; one letter offers no pair
+    ranks = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: ranks.append(rows) or rank(rows))
     rng = random.Random(5)
     for n in (5, 6):
         graph = random_graph(rng, n)
         order = GeneratorOrder(rng.sample(range(n), n))
         oracle._ideal_slice.cache_clear()
+        oracle._independent.cache_clear()
+        ranks.clear()
         supports = set()
         for degree in range(2, 6):
             for delta in multidegrees(n, degree):
                 assert oracle.certify_basis(graph, delta, order).ok
                 supports.add(tuple(i for i, d in enumerate(delta) if d))
         assert oracle._ideal_slice.cache_info().misses == len(supports)
+        assert len(ranks) == sum(1 for s in supports if len(s) > 1)
+        verdicts = oracle._independent.cache_info()
+        assert verdicts.misses == verdicts.currsize == len(ranks)
+        assert verdicts.maxsize == oracle.SLICE_CACHE_SIZE
 
 
 def test_a_slice_reads_the_edges_of_its_own_letters():
@@ -210,6 +292,7 @@ def test_a_slice_reads_the_edges_of_its_own_letters():
     graph = complete_graph(256)
     supports = list(islice(combinations(range(256), 2), 1000))
     oracle._ideal_slice.cache_clear()
+    oracle._independent.cache_clear()
     start = time.perf_counter()
     slices = [oracle._ideal_slice(graph, support) for support in supports]
     assert time.perf_counter() - start < 0.5
