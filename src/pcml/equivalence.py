@@ -102,27 +102,38 @@ class ThetaResult(NamedTuple):
     failing_atom: Optional[Atom]
 
 
+def _atoms(m: int, firsts: Sequence[int]) -> Tuple[Atom, ...]:
+    """The atoms of Theta(m) with i in ``firsts``, in evaluation order."""
+    return tuple(
+        [Atom("adjacent-zero", i, (i + 1) % m) for i in firsts]
+        + [Atom("distant-nonzero", i, j) for i in firsts for j in range(i + 1, m) if circ_dist(m, i, j) > 1]
+        + [Atom("triple-nonzero", i, j) for i in firsts for j in range(m)
+           if circ_dist(m, i, j) * circ_dist(m, (i + 2) % m, j) != 1]
+    )
+
+
 @lru_cache(maxsize=None)
 def theta_atoms(m: int) -> Tuple[Atom, ...]:
     """The atoms of Theta(m) in evaluation order, built once per m."""
-    adjacent = [Atom("adjacent-zero", i, (i + 1) % m) for i in range(m)]
-    distant = [
-        Atom("distant-nonzero", i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if circ_dist(m, i, j) > 1
-    ]
-    triple = [
-        Atom("triple-nonzero", i, j)
-        for i in range(m)
-        for j in range(m)
-        if circ_dist(m, i, j) * circ_dist(m, (i + 2) % m, j) != 1
-    ]
-    return tuple(adjacent + distant + triple)
+    return _atoms(m, range(m))
 
 
 def eval_theta(inst: ThetaInstance, assignment: Sequence[LieElement]) -> ThetaResult:
-    """Evaluate the atoms in order; report the first violated one, if any.
+    """Evaluate the atoms in order; report the first violated one, if any
+    (`_first_failing`, in the engine alone)."""
+    m = inst.m
+    if len(assignment) != m:
+        raise AlgebraError(f"assignment length {len(assignment)} != m = {m}")
+    algebra = inst.algebra
+    if any(z.algebra is not algebra for z in assignment):
+        raise AlgebraError("assignment element over the wrong algebra")
+    atom = _first_failing(theta_atoms(m), assignment, certify=False)
+    return ThetaResult(atom is None, atom)
+
+
+def _first_failing(atoms: Sequence[Atom], z: Sequence[LieElement], certify: bool) -> Optional[Atom]:
+    """The first of ``atoms`` that the assignment z_0..z_{m-1} violates,
+    or None.
 
     Each pair bracket [z_i, z_j] an atom reads is computed once per
     call, so the inner [z_i, z_{i+2}] of the triple atoms is bracketed
@@ -130,33 +141,38 @@ def eval_theta(inst: ThetaInstance, assignment: Sequence[LieElement]) -> ThetaRe
     without building its element: a `bracket` has no linear part, and
     two derived elements commute, so it is the action of the linear
     part of z_j on the pair's derived terms, summed by `_add_nf` into
-    one dict per atom; the atom holds iff that dict is not empty."""
-    m = inst.m
-    if len(assignment) != m:
-        raise AlgebraError(f"assignment length {len(assignment)} != m = {m}")
-    algebra = inst.algebra
-    if any(z.algebra is not algebra for z in assignment):
-        raise AlgebraError("assignment element over the wrong algebra")
+    one dict per atom; the atom holds iff that dict is not empty.
+
+    With ``certify`` each z_k must be a nonzero multiple of one
+    generator.  Each atom then asks whether one left-normed word in
+    those generators' letters vanishes, and `_certified` has
+    `oracle.ideal_member` answer it too before the atom is judged, so
+    a disagreement raises `CertificationError`."""
+    m, algebra = len(z), z[0].algebra
     pairs: Dict[Tuple[int, int], LieElement] = {}
-    for atom in theta_atoms(m):
+    for atom in atoms:
         family, i, j = atom
         triple = family == "triple-nonzero"
         k = (i + 2) % m if triple else j
         pair = pairs.get((i, k))
         if pair is None:
-            pair = pairs[i, k] = bracket(assignment[i], assignment[k])
+            pair = pairs[i, k] = bracket(z[i], z[k])
         if triple:
             acc: Dict[BasisMonomial, int] = {}
-            linear = assignment[j].linear
+            linear = z[j].linear
             for ((p, q), tail), c in pair.derived.items():
                 for v, cv in linear.items():
                     _add_nf(acc, algebra, p, q, tail + (v,), c * cv)
             holds = bool(acc)
         else:
             holds = pair.is_zero() == (family == "adjacent-zero")
+        if certify:
+            word = tuple(next(iter(z[v].linear)) for v in ((i, k, j) if triple else (i, j)))
+            zero = holds == (family == "adjacent-zero")
+            _certified(zero, word, algebra.graph, f"the atom {family}({i},{j}) of Theta({m})")
         if not holds:
-            return ThetaResult(False, atom)
-    return ThetaResult(True, None)
+            return atom
+    return None
 
 
 def theta_identity_holds(m: int) -> bool:
@@ -177,30 +193,13 @@ def _theta_identity(m: int, certify: bool) -> bool:
     i = 0 do: 2m - 3 of them for m >= 5, 4 for m = 4.  The generator
     order does not enter, since vanishing is basis-free.
 
-    Each of those atoms asks whether one left-normed word of 2 or 3
-    letters vanishes, and the engine's normal form decides it.  With
-    ``certify``, `oracle.ideal_member`, which shares no path with the
-    engine, decides it too, and a disagreement raises
-    `CertificationError`.  The verdicts of `distinguish_cycles`,
-    `search_theta_witness` and the suite's criterion 5 are certified;
-    `theta_identity_holds` is not, and so, like `eval_theta`, it
-    eliminates no matrix.
+    `_first_failing` decides them, with the m - 2 brackets [x_0, x_j],
+    1 <= j <= m - 2.  With ``certify`` the oracle decides each atom too.
+    The verdicts of `distinguish_cycles`, `search_theta_witness` and the
+    suite's criterion 5 are certified; `theta_identity_holds` is not,
+    and so, like `eval_theta`, it eliminates no matrix.
     """
-    x = cycle_generators(m)
-    graph = x[0].graph
-    holds = True
-    for atom in _orbit_atoms(m):
-        family, _, j = atom
-        if family == "triple-nonzero":
-            word = (0, 2, j)
-            engine = bracket(bracket(x[0], x[2]), x[j]).is_zero()
-        else:
-            word = (0, j)
-            engine = bracket(x[0], x[j]).is_zero()
-        if certify:
-            _certified(engine, word, graph, f"the atom {family}(0,{j}) of Theta({m})")
-        holds &= engine == (family == "adjacent-zero")
-    return holds
+    return _first_failing(_atoms(m, (0,)), cycle_generators(m), certify) is None
 
 
 def _certified(engine: bool, word: Tuple[int, ...], graph: Graph, what: str) -> bool:
@@ -212,15 +211,6 @@ def _certified(engine: bool, word: Tuple[int, ...], graph: Graph, what: str) -> 
             f"engine and oracle disagree on {what}: "
             f"the engine says [{','.join(f'x{v}' for v in word)}] {'is' if engine else 'is not'} zero")
     return engine
-
-
-def _orbit_atoms(m: int) -> List[Atom]:
-    """The atoms of Theta(m) with i = 0, in evaluation order: one in each
-    orbit of the rotation x_k -> x_{k+1}."""
-    out = [Atom("adjacent-zero", 0, 1)]
-    out += [Atom("distant-nonzero", 0, j) for j in range(2, m - 1)]
-    out += [Atom("triple-nonzero", 0, j) for j in range(m) if circ_dist(m, 0, j) * circ_dist(m, 2, j) != 1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +714,9 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     - distinct: distinct elements of gamma have distinct images;
     - faithful: phi_lambda([a, b]) = [phi_lambda(a), phi_lambda(b)] for
       all a, b in gamma.
+
+    Both run over the unordered pairs of gamma in one loop: [a, a] = 0
+    and [b, a] = -[a, b] on both sides, and phi_lambda is linear.
     """
     if any(g.graph.n != graph.n or g.algebra is not Algebra.of(graph, g.order) for g in gamma):
         raise AlgebraError("an element of gamma is not over the witness graph")
@@ -744,8 +737,7 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     if _first_killed(hom, nonzero) is not None:
         raise CertificationError(f"phi with scale {lam} kills a nonzero closure element")
     pairs = list(zip(moved, [phi_lambda(hom, g) for g in moved]))
-    distinct = all(a == b or pa != pb for (a, pa), (b, pb) in combinations(pairs, 2))
-    faithful = all(phi_lambda(hom, bracket(a, b)) == bracket(pa, pb) for a, pa in pairs for b, pb in pairs)
-    if not (distinct and faithful):
-        raise CertificationError("merge witness verification failed")
+    for (a, pa), (b, pb) in combinations(pairs, 2):
+        if (a != b and pa == pb) or phi_lambda(hom, bracket(a, b)) != bracket(pa, pb):
+            raise CertificationError("merge witness verification failed")
     return CompactionWitnessReport(lam, len(gamma), len(closure), len(nonzero), remove, keep)

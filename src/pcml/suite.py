@@ -77,6 +77,21 @@ class CriterionResult(NamedTuple):
         return f"CRITERION={self.index} STATUS={status} NAME={self.name} DETAIL={self.detail}"
 
 
+# the name of criterion k is NAMES[k - 1]
+NAMES = (
+    "oracle-certification", "lie-axioms", "cycle-centralizers", "centralizer-intersection",
+    "cycle-separation", "compaction", "merge-homomorphism",
+)
+
+
+def _passed(index: int, detail: str) -> CriterionResult:
+    return CriterionResult(index, NAMES[index - 1], True, detail)
+
+
+def _failed(index: int, detail: str) -> CriterionResult:
+    return CriterionResult(index, NAMES[index - 1], False, detail)
+
+
 def _all_graphs(n: int):
     all_edges = list(combinations(range(n), 2))
     for mask in range(1 << len(all_edges)):
@@ -96,11 +111,8 @@ def criterion_1(seed: int = 0) -> CriterionResult:
                 report = oracle.certify_basis(graph, delta, order)
                 slices += 1
                 if not report.ok:
-                    return CriterionResult(
-                        1, "oracle-certification", False,
-                        f"graph={graph.edge_list()} delta={delta} "
-                        f"count={report.count} dim={report.dim}: {report.witness}",
-                    )
+                    return _failed(1, f"graph={graph.edge_list()} delta={delta} "
+                                      f"count={report.count} dim={report.dim}: {report.witness}")
     checks = 0
     for graph in graphs:
         for _ in range(200):
@@ -110,14 +122,8 @@ def criterion_1(seed: int = 0) -> CriterionResult:
             oracle_zero = oracle.ideal_member(raw, graph)
             checks += 1
             if engine_zero != oracle_zero:
-                return CriterionResult(
-                    1, "oracle-certification", False,
-                    f"graph={graph.edge_list()} raw={raw} engine={engine_zero} oracle={oracle_zero}",
-                )
-    return CriterionResult(
-        1, "oracle-certification", True,
-        f"graphs=64 slices={slices} random_checks={checks}",
-    )
+                return _failed(1, f"graph={graph.edge_list()} raw={raw} engine={engine_zero} oracle={oracle_zero}")
+    return _passed(1, f"graphs=64 slices={slices} random_checks={checks}")
 
 
 def criterion_2(seed: int = 0) -> CriterionResult:
@@ -134,13 +140,13 @@ def criterion_2(seed: int = 0) -> CriterionResult:
         c = random_element(graph, order, rng, max_degree=4)
         d = random_element(graph, order, rng, max_degree=4)
         if not (bracket(a, b) + bracket(b, a)).is_zero():
-            return CriterionResult(2, "lie-axioms", False, f"anticommutativity trial={t}")
+            return _failed(2, f"anticommutativity trial={t}")
         jac = bracket(bracket(a, b), c) + bracket(bracket(b, c), a) + bracket(bracket(c, a), b)
         if not jac.is_zero():
-            return CriterionResult(2, "lie-axioms", False, f"jacobi trial={t}")
+            return _failed(2, f"jacobi trial={t}")
         if not bracket(bracket(a, b), bracket(c, d)).is_zero():
-            return CriterionResult(2, "lie-axioms", False, f"metabelian trial={t}")
-    return CriterionResult(2, "lie-axioms", True, f"trials={trials} cycles=4..7")
+            return _failed(2, f"metabelian trial={t}")
+    return _passed(2, f"trials={trials} cycles=4..7")
 
 
 def criterion_3(seed: int = 0) -> CriterionResult:
@@ -153,26 +159,20 @@ def criterion_3(seed: int = 0) -> CriterionResult:
         for i in range(n):
             g = LieElement.from_linear(graph, order, {i: 1, (i + 1) % n: 1})
             if not derived_centralizer(g, bound).is_empty():
-                return CriterionResult(3, "cycle-centralizers", False, f"part=a n={n} i={i}")
+                return _failed(3, f"part=a n={n} i={i}")
         for i, j in combinations(range(n), 2):
             if (j - i) % n in (1, n - 1):
                 continue
             report = classify_cycle_centralizer(n, i, j, bound)
             if not (report.support_ok and report.form_ok and report.homogeneous_ok):
-                return CriterionResult(
-                    3, "cycle-centralizers", False,
-                    f"part=b n={n} pair=({i},{j}) support={report.support_ok} form={report.form_ok}",
-                )
+                return _failed(3, f"part=b n={n} pair=({i},{j}) support={report.support_ok} form={report.form_ok}")
             if bound >= n - 2 and report.count == 0:
-                return CriterionResult(
-                    3, "cycle-centralizers", False,
-                    f"part=b n={n} pair=({i},{j}) unexpectedly empty",
-                )
+                return _failed(3, f"part=b n={n} pair=({i},{j}) unexpectedly empty")
         for i, j, k in combinations(range(n), 3):
             g = LieElement.from_linear(graph, order, {i: 1, j: 1, k: 1})
             if not derived_centralizer(g, bound).is_empty():
-                return CriterionResult(3, "cycle-centralizers", False, f"part=c n={n} triple=({i},{j},{k})")
-    return CriterionResult(3, "cycle-centralizers", True, "n=4..7 bound=6")
+                return _failed(3, f"part=c n={n} triple=({i},{j},{k})")
+    return _passed(3, "n=4..7 bound=6")
 
 
 def criterion_4(seed: int = 0) -> CriterionResult:
@@ -196,11 +196,8 @@ def criterion_4(seed: int = 0) -> CriterionResult:
         indices = rng.sample(range(n), m)
         coefficients = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in indices]
         if not check_intersection_theorem(indices, coefficients, graph, bound):
-            return CriterionResult(
-                4, "centralizer-intersection", False,
-                f"trial={t} graph={graph.edge_list()} indices={indices} coeffs={coefficients}",
-            )
-    return CriterionResult(4, "centralizer-intersection", True, "instances=50 bound=5")
+            return _failed(4, f"trial={t} graph={graph.edge_list()} indices={indices} coeffs={coefficients}")
+    return _passed(4, "instances=50 bound=5")
 
 
 def criterion_5(seed: int = 0) -> CriterionResult:
@@ -208,21 +205,18 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     exhausts on shorter ones, and the abelian sentence settles n=3."""
     for m in range(4, 11):
         if not _theta_identity(m, certify=True):
-            return CriterionResult(5, "cycle-separation", False, f"identity fails m={m}")
+            return _failed(5, f"identity fails m={m}")
     searched = []
     for n in range(4, 10):
         for m in range(n + 1, 11):
             report = search_theta_witness(n, m, mode="generator-assignments")
             if not report.exhausted:
-                return CriterionResult(
-                    5, "cycle-separation", False,
-                    f"unexpected witness n={n} m={m}: {report.witness}",
-                )
+                return _failed(5, f"unexpected witness n={n} m={m}: {report.witness}")
             searched.append(f"{n}<{m}:{report.checked}")
     for m in range(4, 8):
         if not distinguish_cycles(3, m).separated:
-            return CriterionResult(5, "cycle-separation", False, f"psi check fails m={m}")
-    return CriterionResult(5, "cycle-separation", True, "identity m=4..10; " + " ".join(searched))
+            return _failed(5, f"psi check fails m={m}")
+    return _passed(5, "identity m=4..10; " + " ".join(searched))
 
 
 def criterion_6(seed: int = 0) -> CriterionResult:
@@ -231,27 +225,27 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     rng = random.Random(seed)
     result = compaction(example_graph())
     if result.graph != spider_graph():
-        return CriterionResult(6, "compaction", False, "example compaction is not the spider")
+        return _failed(6, "example compaction is not the spider")
     for t in range(200):
         n = rng.randint(1, 8)
         graph = random_graph(rng, n, p=rng.choice([0.2, 0.4, 0.6, 0.8]))
         classes = perp_classes(graph)
         result = compaction(graph)
         if result.graph.n != len(classes):
-            return CriterionResult(6, "compaction", False, f"trial={t} size != class count")
+            return _failed(6, f"trial={t} size != class count")
         again = compaction(result.graph)
         if again.graph != result.graph or len(again.kept) != result.graph.n:
-            return CriterionResult(6, "compaction", False, f"trial={t} not idempotent")
+            return _failed(6, f"trial={t} not idempotent")
         for block in classes:
             members = sorted(block)
             for a, b in combinations(members, 2):
                 if not graph.adjacent(a, b):
-                    return CriterionResult(6, "compaction", False, f"trial={t} class not complete")
+                    return _failed(6, f"trial={t} class not complete")
             outside = [y for y in range(n) if y not in block]
             for y in outside:
                 flags = {graph.adjacent(y, v) for v in members}
                 if len(flags) > 1:
-                    return CriterionResult(6, "compaction", False, f"trial={t} external neighbor differs")
+                    return _failed(6, f"trial={t} external neighbor differs")
         # removing one twin preserves component structure of subgraphs
         big = [b for b in classes if len(b) >= 2]
         if big and n >= 2:
@@ -264,15 +258,15 @@ def criterion_6(seed: int = 0) -> CriterionResult:
             before = components_within(graph, with_y)
             after = components_within(graph, sub)
             if len(before) != len(after):
-                return CriterionResult(6, "compaction", False, f"trial={t} component count changed")
+                return _failed(6, f"trial={t} component count changed")
             comp_of_before = {v: k for k, blk in enumerate(before) for v in blk}
             comp_of_after = {v: k for k, blk in enumerate(after) for v in blk}
             for a, b in combinations(sub, 2):
                 same_before = comp_of_before[a] == comp_of_before[b]
                 same_after = comp_of_after[a] == comp_of_after[b]
                 if same_before != same_after:
-                    return CriterionResult(6, "compaction", False, f"trial={t} co-component flips")
-    return CriterionResult(6, "compaction", True, "example 7->5 spider; 200 random graphs")
+                    return _failed(6, f"trial={t} co-component flips")
+    return _passed(6, "example 7->5 spider; 200 random graphs")
 
 
 def criterion_7(seed: int = 0) -> CriterionResult:
@@ -286,9 +280,9 @@ def criterion_7(seed: int = 0) -> CriterionResult:
         a = random_element(graph, hom.source_order, rng, max_degree=3)
         b = random_element(graph, hom.source_order, rng, max_degree=3)
         if phi_lambda(hom, a + b) != phi_lambda(hom, a) + phi_lambda(hom, b):
-            return CriterionResult(7, "merge-homomorphism", False, f"additivity trial={t}")
+            return _failed(7, f"additivity trial={t}")
         if phi_lambda(hom, bracket(a, b)) != bracket(phi_lambda(hom, a), phi_lambda(hom, b)):
-            return CriterionResult(7, "merge-homomorphism", False, f"multiplicativity trial={t}")
+            return _failed(7, f"multiplicativity trial={t}")
     scaling_checks = 0
     for t in range(100):
         n = rng.randint(4, 6)
@@ -303,30 +297,27 @@ def criterion_7(seed: int = 0) -> CriterionResult:
                 continue
             scaling_checks += 1
             if sc.base is None:
-                return CriterionResult(7, "merge-homomorphism", False, f"missing base monomial trial={t}")
+                return _failed(7, f"missing base monomial trial={t}")
             parts = parts + sc.part
             for lam in (1, 2, 3):
                 hom_l = build_phi_hom(graph, lam)
                 scale = sum(c * lam ** k for k, c in enumerate(sc.coeffs))
                 expected = LieElement.from_monomial(hom_l.target_graph, hom_l.target_order, sc.base, scale)
                 if phi_lambda(hom_l, sc.part) != expected:
-                    return CriterionResult(7, "merge-homomorphism", False, f"scaling law trial={t}")
+                    return _failed(7, f"scaling law trial={t}")
         if parts != LieElement._trusted(g.algebra, {}, g.derived):
-            return CriterionResult(7, "merge-homomorphism", False, f"parts do not sum to the derived part trial={t}")
+            return _failed(7, f"parts do not sum to the derived part trial={t}")
         threshold = lambda_zero(g, hom1)
         for lam in range(threshold, threshold + 4):
             if phi_lambda(build_phi_hom(graph, lam), g).is_zero():
-                return CriterionResult(7, "merge-homomorphism", False, f"vanishes at {lam} >= {threshold}")
+                return _failed(7, f"vanishes at {lam} >= {threshold}")
     for _ in range(20):
         n = rng.randint(4, 6)
         graph = random_graph_with_merged_pair(rng, n)
         order = GeneratorOrder.ascending(n)
         # a witness that fails verification raises CertificationError
         compaction_witness(graph, [random_element(graph, order, rng, max_degree=3) for _ in range(3)])
-    return CriterionResult(
-        7, "merge-homomorphism", True,
-        f"hom_pairs=200 scaling_components={scaling_checks} thresholds=100 witnesses=20",
-    )
+    return _passed(7, f"hom_pairs=200 scaling_components={scaling_checks} thresholds=100 witnesses=20")
 
 
 CRITERIA: Sequence[Callable[[int], CriterionResult]] = (

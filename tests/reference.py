@@ -40,8 +40,9 @@ the search now reads its report off the closed-walk lemma, with the
 bracket table that walk shares across sequences, a memo of every pair
 and triple bracket read through an index list, where `eval_theta` now
 keeps one dict of pair brackets per call, and the evaluation of every
-atom of Theta(m) under z_k = x_k, where `theta_identity_holds` now
-decides one atom per rotation orbit, in the engine and in the oracle.
+atom of Theta(m) under z_k = x_k, where `_theta_identity` now
+decides one atom per rotation orbit, in the engine and, certified, in
+the oracle.
 For `pcml.textio` it keeps
 the per-character scanner and the five readers built on it, where
 whitespace was skipped again on every look at the next character and

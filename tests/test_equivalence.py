@@ -75,9 +75,76 @@ def test_theta_identity_matches_the_full_evaluation():
 
 def test_the_orbit_atoms_are_the_atoms_with_i_zero():
     for m in range(4, 41):
-        atoms = equivalence._orbit_atoms(m)
-        assert atoms == [atom for atom in equivalence.theta_atoms(m) if atom.i == 0], m
+        atoms = equivalence._atoms(m, (0,))
+        assert atoms == tuple(atom for atom in equivalence.theta_atoms(m) if atom.i == 0), m
         assert len(atoms) == (4 if m == 4 else 2 * m - 3)
+
+
+def test_theta_atoms_are_every_atom_in_evaluation_order():
+    for m in range(4, 41):
+        assert equivalence.theta_atoms(m) == tuple(_naive_atoms(m)), m
+
+
+def test_theta_identity_holds_brackets_each_pair_of_the_orbit_atoms_once(monkeypatch):
+    # [x0, xj] for 1 <= j <= m - 2; the triple atoms reuse [x0, x2]
+    brackets = []
+    engine_bracket = equivalence.bracket
+
+    def counted_bracket(a, b):
+        brackets.append((a, b))
+        return engine_bracket(a, b)
+
+    monkeypatch.setattr(equivalence, "bracket", counted_bracket)
+    for m in range(4, 12):
+        brackets.clear()
+        assert theta_identity_holds(m)
+        assert len(brackets) == m - 2, m
+
+
+def _laps(n):
+    """The 2n laps z_k = x_{(s +- k) mod n} of the cycle's generators."""
+    x = cycle_generators(n)
+    return [[x[(start + direction * k) % n] for k in range(n)] for start in range(n) for direction in (1, -1)]
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_every_atom_holds_on_every_lap_and_the_oracle_agrees_with_each(monkeypatch, n):
+    asked = []
+    oracle_member = equivalence.ideal_member
+
+    def counted_member(raw, graph):
+        asked.append(raw)
+        return oracle_member(raw, graph)
+
+    monkeypatch.setattr(equivalence, "ideal_member", counted_member)
+    atoms = equivalence.theta_atoms(n)
+    for lap in _laps(n):
+        letters = [next(iter(z.linear)) for z in lap]
+        asked.clear()
+        assert equivalence._first_failing(atoms, lap, certify=True) is None
+        assert asked == [[(1, (letters[i], letters[(i + 2) % n], letters[j]) if family == "triple-nonzero"
+                           else (letters[i], letters[j]))] for family, i, j in atoms]
+
+
+@pytest.mark.parametrize("word", [(0, 2), (0, 2, 3)])
+def test_the_oracle_catches_an_engine_case_that_flips_an_atom_of_a_lap(monkeypatch, word):
+    n = 7
+    algebra = cycle_generators(n)[0].algebra
+    atoms = equivalence.theta_atoms(n)
+    engine_cases = core._nf_cases
+
+    def flipped(alg, a, b, tail):
+        if alg is algebra and sorted((a, b) + tail) == sorted(word):
+            return ()
+        return engine_cases(alg, a, b, tail)
+
+    monkeypatch.setattr(algebra, "_nf", {})  # keeps cached normal forms out of play
+    monkeypatch.setattr(core, "_nf_cases", flipped)
+    for lap in _laps(n):
+        # the engine alone now fails an atom of every lap, the oracle does not
+        assert equivalence._first_failing(atoms, lap, certify=False) is not None
+        with pytest.raises(CertificationError, match=r"disagree on the atom (distant|triple)-nonzero\(\d+,\d+\) of Theta\(7\)"):
+            equivalence._first_failing(atoms, lap, certify=True)
 
 
 @pytest.mark.parametrize("word", [(0, 2), (0, 2, 3)])
@@ -230,15 +297,20 @@ def test_search_validation():
         search_theta_witness(5, 6, mode="nope")
 
 
-def _naive_eval_theta(inst, assignment):
-    """Reference: every atom in order, every bracket recomputed."""
-    z, m = list(assignment), inst.m
+def _naive_atoms(m):
+    """Reference: every atom of Theta(m) in evaluation order."""
     atoms = [Atom("adjacent-zero", i, (i + 1) % m) for i in range(m)]
     atoms += [Atom("distant-nonzero", i, j) for i in range(m) for j in range(i + 1, m)
               if circ_dist(m, i, j) > 1]
     atoms += [Atom("triple-nonzero", i, j) for i in range(m) for j in range(m)
               if circ_dist(m, i, j) * circ_dist(m, (i + 2) % m, j) != 1]
-    for atom in atoms:
+    return atoms
+
+
+def _naive_eval_theta(inst, assignment):
+    """Reference: every atom in order, every bracket recomputed."""
+    z, m = list(assignment), inst.m
+    for atom in _naive_atoms(m):
         if atom.family == "adjacent-zero":
             ok = bracket(z[atom.i], z[atom.j]).is_zero()
         elif atom.family == "distant-nonzero":
@@ -1187,7 +1259,8 @@ def test_the_kill_check_agrees_with_phi_lambda_per_element_at_and_below_the_scal
 def test_witness_solves_each_scale_polynomial_and_substitutes_each_key_once(monkeypatch):
     # in one witness: one root isolation per distinct scale polynomial of
     # the nonzero closure, and at most one substitution per distinct
-    # generator or monomial of it, plus k + k^2 for gamma and its brackets
+    # generator or monomial of it, plus k + k(k - 1)/2 for gamma and the
+    # brackets of its unordered pairs
     closures, solved, substituted = [], [], []
     closure, roots, substitute_ = equivalence.gamma_closure, equivalence.positive_integer_roots, equivalence._substituted
 
@@ -1218,6 +1291,6 @@ def test_witness_solves_each_scale_polynomial_and_substitutes_each_key_once(monk
         assert sorted(solved) == sorted(set(polys))
         keys = {key for g in nonzero for key in chain(g.linear, g.derived)}
         k = len(gamma)
-        assert len(substituted) <= len(keys) + k + k * k
+        assert len(substituted) <= len(keys) + k + k * (k - 1) // 2
         repeated += len(polys) > len(set(polys))
     assert repeated >= 10
