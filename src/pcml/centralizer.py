@@ -322,11 +322,11 @@ class CycleCentralizerReport(NamedTuple):
 def classify_cycle_centralizer(n: int, i: int, j: int, degree_bound: int) -> CycleCentralizerReport:
     """Instance check of the cycle centralizer structure.
 
-    For non-adjacent i, j every slice element must be supported on all
-    vertices except x_i and x_j and must be the action of an
-    associative polynomial on [x_{i-1}, x_{i+1}]; every slice element
-    must lie on one multidegree (`derived_centralizer` has checked that
-    it commutes with g).
+    Every slice element must be supported on all vertices except x_i
+    and x_j, must be the action of an associative polynomial on
+    [x_{i-1}, x_{i+1}] and must lie on one multidegree
+    (`derived_centralizer` has checked that it commutes with g).  The
+    checks are the same for adjacent i, j, whose slice is empty.
     """
     if n < 4:
         raise AlgebraError("cycle centralizer classification needs n >= 4")
@@ -362,8 +362,6 @@ def classify_cycle_centralizer(n: int, i: int, j: int, degree_bound: int) -> Cyc
         m0 = next(iter(image.derived), None)
         if m0 is None or h * image.derived[m0] != image * h.derived.get(m0, 0):
             form_ok = False
-    if kind == "adjacent":
-        form_ok = support_ok = True
     return CycleCentralizerReport(
         n, i, j, degree_bound, kind, len(slice_.elements), counts,
         support_ok, form_ok, homogeneous_ok,

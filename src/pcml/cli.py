@@ -47,7 +47,7 @@ DEFAULT_DEGREE_BOUND = 6
 # the most multidegrees `certify` sweeps, letters `dim` lays out, supports
 # `centralizer` walks and elements it builds, and closure candidates
 # `gamma-witness` builds; the largest examples sweep 456 multidegrees,
-# walk 247 supports, build 40 elements and 280 candidates
+# walk 247 supports, build 40 elements and 230 candidates
 MAX_SWEEP = 10 ** 5
 
 
@@ -177,6 +177,7 @@ def _cmd_theta(args, report: Report) -> None:
     graph = cycle_graph(args.n)
     order = GeneratorOrder.ascending(args.n)
     assignment = parse_elements(args.assign, graph, order)
+    _check_vertex_count(len(assignment))  # and so does m, the length of Theta(m)
     result = eval_theta(ThetaInstance(len(assignment), graph, order), assignment)
     report.add("RESULT", result.holds)
     if result.failing_atom is not None:
@@ -255,7 +256,7 @@ def _cmd_gamma_witness(args, report: Report) -> None:
     lines = read_file(args.gamma, "gamma file", AlgebraError).split("\n")
     gamma = [parse_element(t, graph, order) for t in lines if t.strip()]
     k = len(gamma)
-    candidates = k + k * k + 2 * k ** 3  # what `gamma_closure` pushes
+    candidates = k + k * k + k * k * (k + 1) // 2 + k ** 3  # what `gamma_closure` pushes
     if candidates > MAX_SWEEP:
         _refuse(report, f"{candidates} closure candidates", "the closure", "candidates")
     result = compaction_witness(graph, gamma)

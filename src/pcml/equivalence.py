@@ -51,6 +51,7 @@ from .core import (
     basis_monomial_with_start,
     bracket,
     cycle_generators,
+    mdeg,
     substitute,
     word_element,
 )
@@ -527,16 +528,8 @@ def _glued_key(m: BasisMonomial, n: int) -> Tuple[Tuple, int]:
     """The glued label of a monomial over n vertices, ("glued", its
     multidegree with the last two coordinates summed, its first
     letter), with its number of x_{n-1}."""
-    last, kept = n - 1, n - 2
-    glued = [0] * (n - 1)
-    power = 0
-    for v in m.letters():
-        if v == last:
-            power += 1
-            glued[kept] += 1
-        else:
-            glued[v] += 1
-    return ("glued", tuple(glued), m.head[0]), power
+    d = mdeg(m, n)
+    return ("glued", d[: n - 2] + (d[n - 2] + d[n - 1],), m.head[0]), d[n - 1]
 
 
 def _scale_polynomials(elements: Sequence[LieElement], hom: PhiHom) -> Tuple[Dict[BasisMonomial, Tuple[Tuple, int]], List[Dict[Tuple, Tuple[int, ...]]]]:
@@ -613,7 +606,10 @@ def gamma_closure(gamma: Sequence[LieElement]) -> List[LieElement]:
     """Close a finite set under g_i - g_j, g_i + g_j - g_l, and
     [g_i, g_j] - g_l, deduplicating structurally by the sets of terms.
     Each candidate's two term dicts are summed by `_accumulate`, an
-    element is built only for a new key, and [g_j, g_i] = -[g_i, g_j]."""
+    element is built only for a new key, and [g_j, g_i] = -[g_i, g_j].
+    A sum is formed only for i <= j: g_i + g_j = g_j + g_i, and (j, i)
+    comes before (i, j) in the loop, so every skipped candidate's key
+    is already seen."""
     # one bracket per unordered pair, which also checks that all share one algebra
     products = {(i, j): bracket(a, gamma[j]).derived for i, a in enumerate(gamma) for j in range(i + 1, len(gamma))}
     seen: Dict[Tuple, LieElement] = {}  # key -> element, in push order
@@ -633,10 +629,11 @@ def gamma_closure(gamma: Sequence[LieElement]) -> List[LieElement]:
             push(a.linear, a.derived, g)
     for i, a in enumerate(gamma):
         for j, b in enumerate(gamma):
-            total = a + b
+            total = a + b if i <= j else None
             product = products[i, j] if i < j else {m: -c for m, c in products.get((j, i), {}).items()}
             for g in gamma:
-                push(total.linear, total.derived, g)
+                if total is not None:
+                    push(total.linear, total.derived, g)
                 push({}, product, g)
     return list(seen.values())
 

@@ -564,6 +564,19 @@ def test_classify_flags_an_element_off_the_expected_support(monkeypatch):
     assert not result.ok and result.detail == "part=b n=5 pair=(0,2) support=False form=True", result
 
 
+def test_classify_judges_an_adjacent_pair_like_a_distant_one(monkeypatch):
+    # an adjacent slice is empty, so an element in it is a defect to flag
+    def planted(g, bound):
+        x = cycle_generators(g.graph.n)
+        return CentralizerSlice(g, bound, [bracket(x[2], x[4])])
+
+    monkeypatch.setattr(centralizer, "derived_centralizer", planted)
+    for j, kind in ((1, "adjacent"), (3, "distant")):
+        report = classify_cycle_centralizer(6, 0, j, 4)
+        assert report.kind == kind and report.count == 1
+        assert not report.support_ok and not report.form_ok and report.homogeneous_ok
+
+
 def test_classify_flags_an_element_over_two_multidegrees(monkeypatch):
     found = centralizer.derived_centralizer
 

@@ -237,9 +237,12 @@ def test_graphs_over_the_vertex_limit_exit_2_before_they_are_built(capsys, tmp_p
 
 
 def test_cycle_lengths_over_the_vertex_limit_exit_2_at_once(capsys):
-    # theta --n 1000000 took 7.5 s and 722 MiB before the limit
+    # theta --n 1000000 took 7.5 s and 722 MiB before the limit, and an
+    # assignment of 2,000 elements 11.3 s and 762 MiB before Theta(m) had one
     big = MAX_VERTICES + 1
     for n, argv in ((1000000, ("theta", "--n", "1000000", "--assign", "x0,x1,x2,x3")),
+                    (big, ("theta", "--n", "5", "--assign", ",".join(["x0"] * big))),
+                    (2000, ("theta", "--n", "5", "--assign", ",".join(["x0"] * 2000))),
                     (big, ("witness", "--n", "4", "--m", str(big))),
                     (big, ("witness", "--n", str(big), "--m", "5")),
                     (big, ("distinguish", "--n", str(big), "--m", "4")),
@@ -366,18 +369,18 @@ def test_oversized_gamma_closures_exit_2_before_the_closure(capsys, tmp_path, mo
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"n": 4, "edges": [[2, 3], [1, 2], [1, 3]]}))
     fpath = tmp_path / "gamma.txt"
-    for k, estimate in ((37, 102712), (120, 3470520)):
+    for k, estimate in ((41, 105944), (120, 2613720)):
         fpath.write_text("".join(f"{c}*x0 + x1\n" for c in range(1, k + 1)))
         status, lines = invoke(capsys, "gamma-witness", "--graph", str(gpath), "--gamma", str(fpath))
         assert status == 2
         assert lines == ["SEED=0", f"ESTIMATE={estimate} closure candidates",
                          f"ERROR=the closure is over the limit of {cli.MAX_SWEEP} candidates"]
     assert not reached
-    # 36 elements give 94,644 candidates, under the limit
-    fpath.write_text("".join(f"{c}*x0 + x1\n" for c in range(1, 37)))
+    # 40 elements give 98,440 candidates, under the limit
+    fpath.write_text("".join(f"{c}*x0 + x1\n" for c in range(1, 41)))
     status, lines = invoke(capsys, "gamma-witness", "--graph", str(gpath), "--gamma", str(fpath))
-    assert status == 0 and "GAMMA_SIZE=36" in lines
-    assert reached == [36]
+    assert status == 0 and "GAMMA_SIZE=40" in lines
+    assert reached == [40]
 
 
 def test_the_closure_estimate_counts_what_gamma_closure_pushes(monkeypatch):
@@ -397,7 +400,7 @@ def test_the_closure_estimate_counts_what_gamma_closure_pushes(monkeypatch):
         subtractions.clear()
         equivalence.gamma_closure(gamma)
         assert set(subtractions) == {-1}
-        assert k + len(subtractions) // 2 == k + k * k + 2 * k ** 3
+        assert k + len(subtractions) // 2 == k + k * k + k * k * (k + 1) // 2 + k ** 3
         assert len(subtractions) % 2 == 0
 
 
