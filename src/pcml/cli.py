@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, handler, graph=False, order=False, degree=False):
+    def common(p, handler, graph=False, order=False):
         p.set_defaults(run=handler)
         p.add_argument("--seed", type=parse_integer, default=0)
         p.add_argument("--output", default=None, help="also write the report to a file")
@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--graph", required=True, help="cycle:<n>, complete:<n>, path:<n>, or a JSON file")
         if order:
             p.add_argument("--order", default=None, help="comma list of generators, least first")
-        if degree:
-            p.add_argument("--degree", type=parse_integer, default=DEFAULT_DEGREE_BOUND, help=f"degree bound (default {DEFAULT_DEGREE_BOUND})")
         return p
 
     p = common(sub.add_parser("nf", help="normal form of an element"), _cmd_nf, graph=True, order=True)
@@ -313,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("certify", help="certify all multidegrees up to a degree"), _cmd_certify, graph=True, order=True)
     p.add_argument("--max-degree", type=parse_integer, default=4)
 
-    p = common(sub.add_parser("centralizer", help="derived centralizer of a linear element"), _cmd_centralizer, graph=True, order=True, degree=True)
+    p = common(sub.add_parser("centralizer", help="derived centralizer of a linear element"), _cmd_centralizer, graph=True, order=True)
+    p.add_argument("--degree", type=parse_integer, default=DEFAULT_DEGREE_BOUND, help=f"degree bound (default {DEFAULT_DEGREE_BOUND})")
     p.add_argument("--element", required=True)
 
     p = common(sub.add_parser("theta", help="evaluate the cycle sentence"), _cmd_theta)

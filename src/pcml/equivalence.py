@@ -457,39 +457,27 @@ def _bracket_root(coeffs: Sequence[int], u: int, v: int) -> Tuple[int, ...]:
     return (u, v)
 
 
-def _cuts(coeffs: Sequence[int], lo: int, hi: int) -> List[int]:
-    """Sorted integers from lo to hi (lo <= hi), both included, among
-    them every integer root of a nonzero polynomial in that range and
-    the two integers on either side of each of its other real roots.
-
-    The cuts of the derivative come first.  Between two of them more
-    than 1 apart the derivative has no root, so the polynomial is
-    strictly monotone there and integer bisection brackets its one
-    root; a root between two cuts 1 apart is bracketed by them.
-    """
-    if len(coeffs) == 1:
-        return [lo, hi]
-    inner = _cuts([k * c for k, c in enumerate(coeffs)][1:], lo, hi)
-    out = set(inner)
-    for u, v in zip(inner, inner[1:]):
-        if v - u > 1:
-            out.update(_bracket_root(coeffs, u, v))
-    return sorted(out)
-
-
 def positive_integer_roots(coeffs: Sequence[int]) -> List[int]:
     """Positive integer roots of sum_j coeffs[j] * t^j, ascending.
 
     Exact, in time polynomial in the bit length of the coefficients:
     after dividing out the power of t, every positive integer root
     divides the trailing coefficient and is at most Cauchy's bound
-    1 + max|c_j| / |c_top|.  A linear polynomial is solved by one
-    division; otherwise `_cuts` isolates the real roots to integer
-    precision through the sequence of derivatives, with integer
-    bisection on the intervals where each is monotone.  This needs
-    neither a squarefree part nor Descartes' rule of signs (the
-    isolation of Collins & Akritas 1976): a repeated root is a root of
-    the derivative and is found there.
+    1 + max|c_j| / |c_top|.  A linear polynomial, the commonest scale
+    polynomial, is solved by one division, cheaper than building its
+    derivative.  Otherwise one pass over the chain of derivatives, from
+    the linear end up, isolates the real roots to integer precision.
+    Each level's cuts are sorted integers from 1 to hi, among them every
+    integer root of that derivative in the range and the two integers
+    on either side of each of its other real roots; the constant's cuts
+    are [1, hi].  Between two cuts of a derivative more than 1 apart it
+    has no root, so the polynomial above it is strictly monotone there
+    and integer bisection brackets its one root; a root between two
+    cuts 1 apart is bracketed by them.  So the cuts so far plus those
+    brackets are the next level's cuts, with no call per level and no
+    limit on the degree.  This needs neither a squarefree part nor
+    Descartes' rule of signs (the isolation of Collins & Akritas 1976):
+    a repeated root is a root of the derivative and is found there.
     """
     first = next((k for k, c in enumerate(coeffs) if c), None)
     if first is None:
@@ -503,7 +491,17 @@ def positive_integer_roots(coeffs: Sequence[int]) -> List[int]:
         root, rest = divmod(-poly[0], poly[1])
         return [root] if root > 0 and not rest else []
     hi = min(abs(poly[0]), 1 + max(abs(c) for c in poly[:-1]) // abs(poly[-1]))
-    return [t for t in _cuts(poly, 1, hi) if not _horner(poly, t)]
+    chain = [poly]
+    while len(chain[-1]) > 2:
+        chain.append([k * c for k, c in enumerate(chain[-1])][1:])
+    cuts = [1, hi]
+    for p in reversed(chain):
+        out = set(cuts)
+        for u, v in zip(cuts, cuts[1:]):
+            if v - u > 1:
+                out.update(_bracket_root(p, u, v))
+        cuts = sorted(out)
+    return [t for t in cuts if not _horner(poly, t)]
 
 
 class ScalingComponent(NamedTuple):
@@ -532,13 +530,12 @@ def _glued_key(m: BasisMonomial, n: int) -> Tuple[Tuple, int]:
     return ("glued", d[: n - 2] + (d[n - 2] + d[n - 1],), m.head[0]), d[n - 1]
 
 
-def _scale_polynomials(elements: Sequence[LieElement], hom: PhiHom) -> Tuple[Dict[BasisMonomial, Tuple[Tuple, int]], List[Dict[Tuple, Tuple[int, ...]]]]:
-    """The glued label and power of each distinct monomial of the
-    elements, from one `_glued_key` call each, and for each element the
-    coeffs of each scaling component keyed by its label, linear ones
-    first (only `merge_scaling_components` sorts them).  Within one glued
-    label the number of x_{n-1} fixes the multidegree and so the term,
-    and is its power of lambda."""
+def _scale_polynomials(elements: Sequence[LieElement], hom: PhiHom) -> List[Dict[Tuple, Tuple[int, ...]]]:
+    """For each element the coeffs of each scaling component keyed by
+    its label, linear ones first (only `merge_scaling_components` sorts
+    them), with one `_glued_key` call per distinct monomial of the
+    elements.  Within one glued label the number of x_{n-1} fixes the
+    multidegree and so the term, and is its power of lambda."""
     n = hom.graph.n
     last, kept = n - 1, n - 2
     glued: Dict[BasisMonomial, Tuple[Tuple, int]] = {}
@@ -561,17 +558,17 @@ def _scale_polynomials(elements: Sequence[LieElement], hom: PhiHom) -> Tuple[Dic
         for label, coeffs in polys.items():
             comps[label] = tuple(coeffs)
         out.append(comps)
-    return glued, out
+    return out
 
 
 def merge_scaling_components(g: LieElement, hom: PhiHom) -> List[ScalingComponent]:
     """Scale polynomials governing when phi_lambda kills each piece of g,
     linear ones first, each glued one with its part of g and the basis
     monomial that part maps onto."""
-    glued, (comps,) = _scale_polynomials([g], hom)
+    (comps,) = _scale_polynomials([g], hom)
     parts: Dict[Tuple, Dict[BasisMonomial, int]] = {}
     for m, c in g.derived.items():
-        parts.setdefault(glued[m][0], {})[m] = c
+        parts.setdefault(_glued_key(m, hom.graph.n)[0], {})[m] = c
     out: List[ScalingComponent] = []
     for label, coeffs in sorted(comps.items(), key=lambda item: (item[0][0] == "glued", item[0])):
         base = part = None
@@ -589,7 +586,7 @@ def lambda_zero(g: LieElement, hom: PhiHom) -> int:
     scale, as phi_lambda(g) != 0 already when one component survives."""
     if g.is_zero():
         raise AlgebraError("the zero element has no nonvanishing threshold")
-    return _threshold(_scale_polynomials([g], hom)[1][0].values())
+    return _threshold(_scale_polynomials([g], hom)[0].values())
 
 
 def _threshold(polys: Iterable[Sequence[int]]) -> int:
@@ -728,8 +725,7 @@ def compaction_witness(graph: Graph, gamma: Sequence[LieElement], order: Generat
     moved = [substitute(g, images, new_graph, hom1.source_order) for g in gamma]
     closure = gamma_closure(moved)
     nonzero = [g for g in closure if not g.is_zero()]
-    _, comps = _scale_polynomials(nonzero, hom1)
-    lam = _threshold({coeffs for per in comps for coeffs in per.values()})
+    lam = _threshold({coeffs for per in _scale_polynomials(nonzero, hom1) for coeffs in per.values()})
     hom = build_phi_hom(new_graph, lam)
     if _first_killed(hom, nonzero) is not None:
         raise CertificationError(f"phi with scale {lam} kills a nonzero closure element")

@@ -179,6 +179,22 @@ def test_lambda0_with_a_thirteen_digit_coefficient(capsys, tmp_path):
     assert line_value(lines, "LAMBDA0") == "1234567890124"
 
 
+def test_thresholds_of_a_degree_1000_scale_polynomial(capsys, tmp_path):
+    # [x1,x0;x2,...] - [x1,x0;x3,...] with 1000 letters after each semicolon has
+    # a scale polynomial of degree 1000, and root isolation visits each derivative
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"n": 4, "edges": [[2, 3], [1, 2], [1, 3]]}))
+    element = " - ".join(f"[x1,x0;{','.join([x] * 1000)}]" for x in ("x2", "x3"))
+    status, lines = invoke(capsys, "lambda0", "--graph", str(gpath), "--element", element)
+    assert status == 0
+    assert line_value(lines, "LAMBDA0") == "2"
+    fpath = tmp_path / "gamma.txt"
+    fpath.write_text(element + "\n")
+    status, lines = invoke(capsys, "gamma-witness", "--graph", str(gpath), "--gamma", str(fpath))
+    assert status == 0
+    assert lines == ["SEED=0", "GAMMA_SIZE=1", "CLOSURE_SIZE=3", "NONZERO=2", "REMOVED=3", "KEPT=2", "LAMBDA=2", "OK=true"]
+
+
 def test_gamma_witness(capsys, tmp_path):
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"n": 4, "edges": [[2, 3], [1, 2], [1, 3]]}))

@@ -761,6 +761,11 @@ def test_positive_integer_roots():
     assert positive_integer_roots((0, 0, 7)) == []
     assert positive_integer_roots((6, -5, 1)) == [2, 3]
     assert positive_integer_roots(()) == []
+    # one derivative per degree: chains longer than the recursion limit
+    assert positive_integer_roots([-1] + [0] * 999 + [1]) == [1]
+    assert positive_integer_roots([-1] + [0] * 1999 + [1]) == [1]
+    assert positive_integer_roots([1] + [0] * 999 + [1]) == []
+    assert positive_integer_roots(_from_roots(1, range(1, 61))) == list(range(1, 61))
 
 
 def test_lambda_zero_examples():
@@ -1287,7 +1292,7 @@ def test_witness_solves_each_scale_polynomial_and_substitutes_each_key_once(monk
         compaction_witness(graph, gamma)
         nonzero = [g for g in closures[0] if not g.is_zero()]
         hom1 = build_phi_hom(nonzero[0].graph, 1) if nonzero else None
-        polys = [coeffs for comps in equivalence._scale_polynomials(nonzero, hom1)[1] for coeffs in comps.values()] if nonzero else []
+        polys = [coeffs for comps in equivalence._scale_polynomials(nonzero, hom1) for coeffs in comps.values()] if nonzero else []
         assert sorted(solved) == sorted(set(polys))
         keys = {key for g in nonzero for key in chain(g.linear, g.derived)}
         k = len(gamma)
